@@ -49,6 +49,13 @@ from . import linalg
 
 SCHEMA_VERSION = 1
 
+# Caps on sizes taken from the command line.  hilbert and sweep work on the
+# length-N symbol in O(N) time and memory; trig is O(K*N).
+MAX_SYMBOL_N = 2**22
+MAX_SWEEP_SIZES = 64
+MAX_TRIG_K = 2**12
+MAX_TRIG_N = 2**16
+
 # precondition violations: the question itself is malformed -> exit 2
 _INPUT_ERRORS = (
     MatrixParseError,
@@ -116,14 +123,22 @@ def _load_vector(path, name="vector"):
 
 def _resolve_tol(args) -> Tolerance:
     if args.tol is not None:
-        return Tolerance.from_scalar(args.tol)
-    env = os.environ.get("REBRICK_TOL")
-    if env is not None:
-        try:
-            return Tolerance.from_scalar(float(env))
-        except ValueError as exc:
-            raise InvalidMatrix(f"REBRICK_TOL={env!r} is not a float") from exc
-    return Tolerance()
+        source, value = "--tol", args.tol
+    else:
+        value = os.environ.get("REBRICK_TOL")
+        if value is None:
+            return Tolerance()
+        source = "REBRICK_TOL"
+    try:
+        return Tolerance.from_scalar(float(value))
+    except ValueError as exc:
+        raise InvalidMatrix(f"{source}={value!r}: {exc}") from exc
+
+
+def _check_cap(what: str, value: int, cap: int) -> None:
+    """Reject a size from the command line above its cap, before any allocation."""
+    if value > cap:
+        raise InvalidMatrix(f"{what}={value} exceeds the cap {cap}")
 
 
 def _verdict_dict(v: basis.RebrickVerdict) -> dict:
@@ -258,12 +273,16 @@ def cmd_multiplier(args, tol):
     if sub == "hilbert":
         if args.N is None:
             raise InvalidMatrix("hilbert needs --N")
+        _check_cap("--N", args.N, MAX_SYMBOL_N)
         r, k = multipliers.analytic_defect(args.N, tol)
         certs = {"N": args.N, "rank": r, "kernel_dim": k}
         return {}, {"analytic_defect": True}, certs, 0
     if sub == "trig":
         if args.K is None:
             raise InvalidMatrix("trig needs --K")
+        _check_cap("--K", args.K, MAX_TRIG_K)
+        if args.N is not None:
+            _check_cap("--N", args.N, MAX_TRIG_N)
         rep = multipliers.trig_rebrick_demo(args.K, args.N)
         ok = rep.max_dev <= tol.equality_abs
         certs = {
@@ -280,6 +299,8 @@ def cmd_multiplier(args, tol):
             sizes = [int(f) for f in args.files] or [16, 32, 64, 128, 256]
         except ValueError as exc:
             raise InvalidMatrix(f"sweep sizes must be integers: {exc}") from exc
+        _check_cap("number of sweep sizes", len(sizes), MAX_SWEEP_SIZES)
+        _check_cap("sweep size", max(sizes), MAX_SYMBOL_N)
         rows = multipliers.conditioning_sweep(sizes)
         decreasing = all(b.sigma_min < a.sigma_min for a, b in zip(rows, rows[1:]))
         injective = all(r.kernel_dim == 0 for r in rows)

@@ -37,8 +37,10 @@ class Tolerance:
     def __post_init__(self):
         if not (0.0 < self.rank_rel < 1.0):
             raise ValueError("rank_rel must lie in (0, 1)")
-        if self.eig_abs <= 0.0 or self.equality_abs <= 0.0:
-            raise ValueError("tolerances must be strictly positive")
+        # NaN fails every comparison, so a bare `<= 0` test would let it through
+        for t in (self.eig_abs, self.equality_abs):
+            if not (np.isfinite(t) and t > 0.0):
+                raise ValueError(f"tolerances must be finite and strictly positive, got {t!r}")
 
     @classmethod
     def from_scalar(cls, t: float) -> "Tolerance":
@@ -113,10 +115,20 @@ def eigenvalues(M) -> np.ndarray:
 def rank(M, tol: Tolerance = DEFAULT_TOL) -> int:
     """Number of singular values above the relative cutoff."""
     A = as_matrix(M)
-    s = singular_values(A)
-    if s.size == 0 or s[0] == 0.0:
+    return rank_from_singular_values(singular_values(A), max(A.shape), tol)
+
+
+def rank_from_singular_values(s, size: int, tol: Tolerance = DEFAULT_TOL) -> int:
+    """Rank of an operator from its singular values s (any order).
+
+    `size` is the larger dimension of the operator, so the cutoff is the
+    one `rank` applies: rank_rel * size * max(s).
+    """
+    s = np.asarray(s)
+    sigma_max = float(np.max(s)) if s.size else 0.0
+    if sigma_max == 0.0:
         return 0
-    return int(np.count_nonzero(s > rank_cutoff(A, tol, sigma_max=float(s[0]))))
+    return int(np.count_nonzero(s > tol.rank_rel * size * sigma_max))
 
 
 def kernel_basis(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

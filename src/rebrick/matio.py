@@ -76,6 +76,13 @@ def save_csv(path, M) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _json_dim(doc: dict, key: str, default: int, path) -> int:
+    value = doc.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise MatrixParseError(f"{path}: {key!r} must be an integer, got {value!r}", row=1, col=1)
+    return value
+
+
 def load_json(path) -> np.ndarray:
     try:
         doc = json.loads(Path(path).read_text())
@@ -84,8 +91,12 @@ def load_json(path) -> np.ndarray:
     if not isinstance(doc, dict) or "data" not in doc:
         raise MatrixParseError(f"{path}: expected an object with a 'data' field", row=1, col=1)
     data = doc["data"]
-    rows = int(doc.get("rows", len(data)))
-    cols = int(doc.get("cols", len(data[0]) if data else 0))
+    if not (isinstance(data, list) and data and all(isinstance(r, list) and r for r in data)):
+        raise MatrixParseError(
+            f"{path}: 'data' must be a non-empty list of non-empty rows", row=1, col=1
+        )
+    rows = _json_dim(doc, "rows", len(data), path)
+    cols = _json_dim(doc, "cols", len(data[0]), path)
     if len(data) != rows:
         raise MatrixParseError(f"{path}: 'rows'={rows} but data has {len(data)} rows", row=1, col=1)
     out = []

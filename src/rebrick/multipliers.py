@@ -63,7 +63,11 @@ def apply_multiplier(m, x) -> np.ndarray:
 
 
 def multiplier_matrix(m) -> np.ndarray:
-    """Dense N x N matrix of the operator with symbol m."""
+    """Dense N x N matrix of the operator with symbol m.
+
+    No decision in this module builds it: they all run on the symbol.  It
+    is the dense reference those decisions are tested against.
+    """
     mv = _as_signal(m, "multiplier")
     N = mv.size
     F = np.fft.fft(np.eye(N), axis=0, norm="ortho")
@@ -96,13 +100,36 @@ def validate_rebrick_multiplier(m, tol: Tolerance = DEFAULT_TOL):
     return len(reasons) == 0, reasons
 
 
+def _circulant(c: np.ndarray) -> np.ndarray:
+    """N x N matrix whose column n is c shifted down by n: np.roll(c, n)."""
+    N = c.size
+    # row j reads c[j], c[j-1], ..., c[j-N+1] (mod N), a length-N window of
+    # the reversed doubled signal; one copy gathers all the windows
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([c, c])[::-1], N)
+    return windows[N - 1 :: -1].copy()
+
+
+def _circulant_unitary_defect(c: np.ndarray) -> float:
+    """Entrywise deviation of C*C from the identity, C = _circulant(c).
+
+    C*C is circulant too, with first column the cyclic autocorrelation of
+    c, so every entry of C*C - Id appears among ifft(|fft(c)|^2) - e_0.
+    This is linalg.is_unitary_defect(C) in O(N log N).
+    """
+    gram = np.fft.ifft(np.abs(np.fft.fft(c)) ** 2)
+    gram[0] -= 1.0
+    return float(np.max(np.abs(gram)))
+
+
 def rebrick_translates(x, m, tol: Tolerance = DEFAULT_TOL):
     """Rebrick the translate basis {T^n x} with the symbol m.
 
     Builds the N x N matrix whose columns are T^n((Id + i*A)/sqrt(2) x)
     with A the operator of m, and reports whether the columns form an
     orthonormal basis of C^N.  The generator must produce an orthonormal
-    translate basis, i.e. all its DFT magnitudes equal 1/sqrt(N).
+    translate basis, i.e. all its DFT magnitudes equal 1/sqrt(N).  The
+    matrix is circulant, so the orthonormality test runs on its first
+    column in O(N log N).
     """
     xv = _as_signal(x)
     mv = _as_signal(m, "multiplier")
@@ -116,11 +143,8 @@ def rebrick_translates(x, m, tol: Tolerance = DEFAULT_TOL):
             "(DFT magnitudes deviate from 1/sqrt(N))"
         )
     bx = idft((1.0 + 1j * mv) / np.sqrt(2.0) * dft(xv))
-    cols = np.empty((N, N), dtype=complex)
-    for n in range(N):
-        cols[:, n] = np.roll(bx, n)
-    unitary = linalg.is_unitary_defect(cols) <= max(tol.equality_abs, 1e-10)
-    return cols, unitary
+    unitary = _circulant_unitary_defect(bx) <= max(tol.equality_abs, 1e-10)
+    return _circulant(bx), unitary
 
 
 def discrete_hilbert(N: int) -> np.ndarray:
@@ -143,11 +167,12 @@ def analytic_defect(N: int, tol: Tolerance = DEFAULT_TOL):
     The symbol of Id + i*H is 2 on positive frequencies, 0 on negative
     ones and 1 at DC/Nyquist, so the kernel has dimension N/2 - 1 and the
     rank is N/2 + 1: analytic signals never span the complex space.
+    The singular values of a shift-invariant operator are the moduli of
+    its symbol, so the rank is decided on them in O(N), with the cutoff
+    that `linalg.rank` applies to the dense matrix.
     """
-    m = discrete_hilbert(N)
-    H = multiplier_matrix(m)
-    B = np.eye(N) + 1j * H
-    r = linalg.rank(B, tol)
+    s = np.abs(1.0 + 1j * discrete_hilbert(N))
+    r = linalg.rank_from_singular_values(s, N, tol)
     return r, N - r
 
 
@@ -225,11 +250,10 @@ def _creeping_symbol(N: int) -> np.ndarray:
     # samples of i*(1 - 1/w) on the integer band w = 2..N/2-1, the flat
     # value i/2 below the band, conjugate-mirrored onto negative bins;
     # DC and Nyquist are 0 to keep the operator real
+    w = np.arange(1, N // 2, dtype=float)
     m = np.zeros(N, dtype=complex)
-    for k in range(1, N // 2):
-        w = float(k)
-        m[k] = 0.5j if w < 2.0 else 1j * (1.0 - 1.0 / w)
-        m[N - k] = np.conj(m[k])
+    m[1 : N // 2] = 1j * np.where(w < 2.0, 0.5, 1.0 - 1.0 / w)
+    m[N // 2 + 1 :] = np.conj(m[N // 2 - 1 : 0 : -1])
     return m
 
 
@@ -240,6 +264,8 @@ def conditioning_sweep(N_list) -> list[ConditioningRow]:
     decreases strictly toward zero: the conditioning worsens without the
     kernel ever opening up.  The symbol model (integer band up to N/2) is
     a modeling choice; the reported threshold behaviour depends on it.
+    Each row is read off the symbol in O(N): the singular values of
+    Id + i*A_N are the moduli |1 + i*m_k|.
     """
     sizes = [int(N) for N in N_list]
     if any(N < 4 or N % 2 for N in sizes):
@@ -249,11 +275,9 @@ def conditioning_sweep(N_list) -> list[ConditioningRow]:
     rows = []
     for N in sizes:
         m = _creeping_symbol(N)
-        A = multiplier_matrix(m)
-        if np.max(np.abs(A.imag)) > 1e-12:  # pragma: no cover - symbol is mirrored
+        if not is_real_symbol_operator(m):
             raise InternalConsistencyError("creeping symbol produced a non-real operator")
-        B = np.eye(N) + 1j * A.real
-        smin, _ = linalg.sigma_extremes(B)
-        kdim = N - linalg.rank(B)
-        rows.append(ConditioningRow(N=N, sigma_min=smin, kernel_dim=kdim))
+        s = np.abs(1.0 + 1j * m)
+        kdim = N - linalg.rank_from_singular_values(s, N)
+        rows.append(ConditioningRow(N=N, sigma_min=float(np.min(s)), kernel_dim=kdim))
     return rows

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from rebrick import linalg, multipliers
+
 
 def rotation(theta: float) -> np.ndarray:
     c, s = np.cos(theta), np.sin(theta)
@@ -153,3 +155,24 @@ def exact_rank(A_int) -> int:
         if r == rows:
             break
     return r
+
+
+# ------------------------------------------------- dense multiplier oracle
+
+def dense_id_plus_i(m) -> np.ndarray:
+    """Dense N x N matrix of Id + i*A, A the operator with symbol m."""
+    A = multipliers.multiplier_matrix(m)
+    return np.eye(A.shape[0]) + 1j * A
+
+
+def dense_rank_sigma_min(m, tol=linalg.DEFAULT_TOL) -> tuple[int, float]:
+    """(rank, sigma_min) of Id + i*A from a dense SVD."""
+    B = dense_id_plus_i(m)
+    return linalg.rank(B, tol), linalg.sigma_extremes(B)[0]
+
+
+def dense_translates(x, m) -> tuple[np.ndarray, float]:
+    """Columns T^n((Id + i*A)/sqrt(2) x), one np.roll each, and their unitarity defect."""
+    bx = dense_id_plus_i(m) @ np.asarray(x, dtype=complex) / np.sqrt(2.0)
+    cols = np.column_stack([np.roll(bx, n) for n in range(bx.size)])
+    return cols, linalg.is_unitary_defect(cols)

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from rebrick import matio
+from rebrick import matio, multipliers
 from rebrick.cli import run
 from support import plant_eigenvalue_i, rotation
 
@@ -215,6 +215,33 @@ class TestMultiplier:
         assert "modeling-dependent" in report["certificates"]["note"]
 
 
+class TestSizeCaps:
+    """Sizes from the command line are checked before the library is called."""
+
+    @pytest.fixture(autouse=True)
+    def library_must_not_run(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("library called with an uncapped size")
+
+        for name in ("analytic_defect", "trig_rebrick_demo", "conditioning_sweep"):
+            monkeypatch.setattr(multipliers, name, refuse)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hilbert", "--N", "100000000000"],
+            ["trig", "--K", "100000000"],
+            ["trig", "--K", "4", "--N", "100000000000"],
+            ["sweep", "16", "100000000000"],
+            ["sweep"] + [str(2 * k) for k in range(2, 100)],
+        ],
+    )
+    def test_far_above_cap_is_input_error(self, capsys, argv):
+        code, report = run_json(capsys, ["multiplier"] + argv)
+        assert code == 2
+        assert report["exit_code"] == 2 and "exceeds the cap" in report["error"]
+
+
 class TestReportContract:
     def test_quiet_prints_only_json(self, tmp_path, capsys):
         f = write(tmp_path, "i.csv", np.eye(2))
@@ -246,6 +273,34 @@ class TestReportContract:
         assert report["tolerances"]["equality_abs"] == 1e-5
         _, report = run_json(capsys, ["check-basis", f, "--tol", "1e-7"])
         assert report["tolerances"]["equality_abs"] == 1e-7
+
+    @pytest.mark.parametrize("flag", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("style", ["--format=json", "--format=text"])
+    def test_bad_tol_flag_is_input_error(self, tmp_path, capsys, flag, style):
+        f = write(tmp_path, "i.csv", np.eye(2))
+        code = run(["check-basis", f, "--tol", flag, style])
+        out = capsys.readouterr().out
+        assert code == 2
+        if style == "--format=json":
+            report = json.loads(out)
+            assert report["exit_code"] == 2 and "--tol" in report["error"]
+        else:
+            assert "exit_code: 2" in out.splitlines()
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "abc"])
+    def test_bad_env_tolerance_is_input_error(self, tmp_path, capsys, monkeypatch, value):
+        f = write(tmp_path, "i.csv", np.eye(2))
+        monkeypatch.setenv("REBRICK_TOL", value)
+        code, report = run_json(capsys, ["check-basis", f])
+        assert code == 2
+        assert report["exit_code"] == 2 and "REBRICK_TOL" in report["error"]
+
+    def test_malformed_json_schema_is_input_error(self, tmp_path, capsys):
+        for i, text in enumerate(('{"data": []}', '{"rows": "x", "data": [[1]]}', '{"data": 5}')):
+            p = tmp_path / f"bad{i}.json"
+            p.write_text(text)
+            code, report = run_json(capsys, ["check-basis", str(p)])
+            assert code == 2 and report["exit_code"] == 2
 
     def test_out_written_only_when_affirmative(self, tmp_path, capsys):
         v1 = write(tmp_path, "v1.csv", np.eye(2))

@@ -86,6 +86,26 @@ class TestJson:
         with pytest.raises(MatrixParseError):
             matio.load_json(p)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"data": []}',
+            '{"data": 5}',
+            '{"data": [1, 2]}',
+            '{"data": [[]]}',
+            '{"rows": "x", "data": [[1]]}',
+            '{"rows": true, "data": [[1]]}',
+            '{"rows": 1.0, "data": [[1]]}',
+            '{"cols": "2", "data": [[1, 2]]}',
+            '{"rows": 1, "cols": 3, "data": [[1, 2]]}',
+        ],
+    )
+    def test_schema_violation_rejected(self, tmp_path, text):
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        with pytest.raises(MatrixParseError):
+            matio.load_json(p)
+
     def test_bad_cell_rejected(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text('{"rows": 1, "cols": 2, "data": [[1, "x"]]}')

@@ -1,7 +1,10 @@
+import time
+
 import numpy as np
 import pytest
 
 from rebrick import errors, linalg, multipliers
+from support import dense_rank_sigma_min, dense_translates
 
 
 class TestDft:
@@ -161,6 +164,13 @@ class TestRebrickTranslates:
         cols, unitary = multipliers.rebrick_translates(x, np.ones(N))
         assert unitary
 
+    @pytest.mark.parametrize("N", [1, 2, 5, 8, 33])
+    def test_circulant_gather_matches_rolls(self, N):
+        rng = np.random.default_rng(N)
+        c = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        rolled = np.column_stack([np.roll(c, n) for n in range(N)])
+        np.testing.assert_array_equal(multipliers._circulant(c), rolled)
+
 
 class TestDiscreteHilbert:
     def test_symbol_layout(self):
@@ -276,3 +286,61 @@ class TestConditioningSweep:
             multipliers.conditioning_sweep([15, 32])
         with pytest.raises(errors.OddLength):
             multipliers.conditioning_sweep([32, 16])
+
+    def test_non_mirrored_symbol_trips_real_operator_guard(self, monkeypatch):
+        def lopsided(N):
+            m = np.zeros(N, dtype=complex)
+            m[1] = 0.5j  # no conjugate partner at N - 1
+            return m
+
+        monkeypatch.setattr(multipliers, "_creeping_symbol", lopsided)
+        with pytest.raises(errors.InternalConsistencyError):
+            multipliers.conditioning_sweep([16])
+
+
+class TestSymbolRouteMatchesDenseOracle:
+    """The symbol route against a dense SVD / Gram product of the same operator."""
+
+    @pytest.mark.parametrize("N", range(4, 257, 2))
+    def test_every_even_size(self, N):
+        rank, _ = dense_rank_sigma_min(multipliers.discrete_hilbert(N))
+        assert multipliers.analytic_defect(N) == (rank, N - rank)
+
+        (row,) = multipliers.conditioning_sweep([N])
+        rank, sigma_min = dense_rank_sigma_min(multipliers._creeping_symbol(N))
+        assert row.kernel_dim == N - rank
+        assert row.sigma_min == pytest.approx(sigma_min, abs=1e-12)
+
+        rng = np.random.default_rng(N)
+        x = multipliers.idft(np.exp(2j * np.pi * rng.random(N)) / np.sqrt(N))
+        valid = rng.choice([-1.0, 1.0], N)[np.minimum(np.arange(N), (-np.arange(N)) % N)]
+        invalid = valid.copy()
+        k = int(rng.integers(1, N // 2))
+        invalid[k] = invalid[N - k] = 0.5
+        cases = ((valid, True), (invalid, False), (multipliers.discrete_hilbert(N), False))
+        for m, want in cases:
+            cols, unitary = multipliers.rebrick_translates(x, m)
+            dense_cols, dense_defect = dense_translates(x, m)
+            assert unitary == want
+            assert (dense_defect <= 1e-9) == want
+            np.testing.assert_allclose(cols, dense_cols, rtol=0, atol=1e-12)
+            assert multipliers._circulant_unitary_defect(cols[:, 0]) == pytest.approx(
+                linalg.is_unitary_defect(cols), abs=1e-12
+            )
+
+
+class TestScale:
+    def test_analytic_defect_at_two_to_the_twenty(self):
+        t0 = time.perf_counter()
+        assert multipliers.analytic_defect(2**20) == (2**19 + 1, 2**19 - 1)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_sweep_to_two_to_the_twenty(self):
+        sizes = [2**10, 2**15, 2**20]
+        t0 = time.perf_counter()
+        rows = multipliers.conditioning_sweep(sizes)
+        assert time.perf_counter() - t0 < 1.0
+        assert [r.N for r in rows] == sizes
+        for r in rows:
+            assert r.kernel_dim == 0
+            assert r.sigma_min == pytest.approx(1.0 / (r.N / 2 - 1), rel=1e-9)

@@ -71,19 +71,25 @@ class RieszBoundReport:
     norm_B: float
 
 
-def _verdict(B: np.ndarray, A: np.ndarray, tol: Tolerance) -> RebrickVerdict:
-    smin_B, smax_B = linalg.sigma_extremes(B)
-    cutoff_B = linalg.rank_cutoff(B, tol, sigma_max=smax_B)
-    rebrickable = smin_B > cutoff_B
+def _verdict(s_B: np.ndarray, A: np.ndarray, tol: Tolerance, idA2_scale: float) -> RebrickVerdict:
+    # s_B are the singular values of the complex candidate.  Id + A@A equals
+    # (Id + iA)(Id - iA), so it is judged on the scale of its factors,
+    # idA2_scale ~ ||Id + iA||^2: against its own sigma_max it would pass
+    # A@A = -Id, where Id + A@A is nothing but rounding error.
+    n = A.shape[0]
+    reg_B = linalg.regularity(s_B, n, tol)
+    smin_B, cutoff_B = reg_B.sigma_min, reg_B.cutoff
+    rebrickable = reg_B.regular
 
     eigs = linalg.eigenvalues(A)
     min_dist = float(np.min(np.abs(eigs - 1j)))
     eig_ok = min_dist > tol.eig_abs
 
-    M = np.eye(A.shape[0]) + A @ A
-    smin_M, smax_M = linalg.sigma_extremes(M)
-    cutoff_M = linalg.rank_cutoff(M, tol, sigma_max=smax_M)
-    ida2_ok = smin_M > cutoff_M
+    reg_M = linalg.regularity(
+        linalg.singular_values(np.eye(n) + A @ A), n, tol, scale=idA2_scale
+    )
+    smin_M, cutoff_M = reg_M.sigma_min, reg_M.cutoff
+    ida2_ok = reg_M.regular
 
     warning = False
     if rebrickable != eig_ok or rebrickable != ida2_ok:
@@ -106,7 +112,7 @@ def _verdict(B: np.ndarray, A: np.ndarray, tol: Tolerance) -> RebrickVerdict:
     ):
         warning = True
 
-    cond = smax_B / smin_B if smin_B > 0.0 else float("inf")
+    cond = reg_B.sigma_max / smin_B if smin_B > 0.0 else float("inf")
     return RebrickVerdict(
         rebrickable=rebrickable,
         sigma_min_B=smin_B,
@@ -137,12 +143,25 @@ def rebrick_pair(V1, V2, tol: Tolerance = DEFAULT_TOL):
     A2 = linalg.as_matrix(V2, "V2")
     if A1.shape != A2.shape:
         raise ShapeMismatch(f"V1 is {A1.shape}, V2 is {A2.shape}")
-    for name, M in (("V1", A1), ("V2", A2)):
-        if not linalg.is_invertible(M, tol):
-            raise NotABasis(f"columns of {name} do not form a basis", which=name)
+    try:
+        inv1 = linalg.invert(A1, tol)  # its SVD also decides whether V1 is a basis
+    except Singular:
+        raise NotABasis("columns of V1 do not form a basis", which="V1") from None
+    if not linalg.is_invertible(A2, tol):
+        raise NotABasis("columns of V2 do not form a basis", which="V2")
     B = A1 + 1j * A2
-    A = A2 @ linalg.invert(A1, tol)
-    return B, _verdict(B, A, tol)
+    A = A2 @ inv1
+    # B = (Id + iA) @ V1 carries the scale of V1, so ||Id + iA||^2 is taken
+    # from A: for real A it lies in [1 + ||A||^2, 2 * (1 + ||A||^2)]
+    norm_A = float(linalg.singular_values(A)[0])
+    return B, _verdict(linalg.singular_values(B), A, tol, 1.0 + norm_A**2)
+
+
+def _operator_verdict(A: np.ndarray, tol: Tolerance):
+    """B = Id + i*A, its singular values and its verdict; ||Id + iA|| = sigma_max(B)."""
+    B = np.eye(A.shape[0]) + 1j * A
+    s_B = linalg.singular_values(B)
+    return B, s_B, _verdict(s_B, A, tol, float(s_B[0]) ** 2)
 
 
 def rebrick_with_operator(A, V, tol: Tolerance = DEFAULT_TOL):
@@ -157,8 +176,8 @@ def rebrick_with_operator(A, V, tol: Tolerance = DEFAULT_TOL):
         raise ShapeMismatch(f"A is {A_.shape}, V is {V_.shape}")
     if not linalg.is_invertible(V_, tol):
         raise NotABasis("columns of V do not form a basis", which="V")
-    B = np.eye(A_.shape[0]) + 1j * A_
-    return B @ V_, _verdict(B, A_, tol)
+    B, _, verdict = _operator_verdict(A_, tol)
+    return B @ V_, verdict
 
 
 def non_transitivity_witness(dim: int):
@@ -227,8 +246,8 @@ def rebricked_dual(V, A, tol: Tolerance = DEFAULT_TOL):
     A_ = linalg.require_square(A, "A")
     if V_.shape != A_.shape:
         raise ShapeMismatch(f"V is {V_.shape}, A is {A_.shape}")
-    B = np.eye(A_.shape[0]) + 1j * A_
-    if not _verdict(B, A_, tol).rebrickable:
+    B, _, verdict = _operator_verdict(A_, tol)
+    if not verdict.rebrickable:
         raise NotRebrickable("A has eigenvalue i at tolerance; Id + iA is singular")
     if not linalg.is_invertible(V_, tol):
         raise NotABasis("columns of V do not form a basis", which="V")
@@ -272,19 +291,19 @@ def rebricked_frame_bounds(V, A, tol: Tolerance = DEFAULT_TOL) -> RieszBoundRepo
     A_ = linalg.require_square(A, "A")
     if V_.shape != A_.shape:
         raise ShapeMismatch(f"V is {V_.shape}, A is {A_.shape}")
-    B = np.eye(A_.shape[0]) + 1j * A_
-    if not _verdict(B, A_, tol).rebrickable:
+    B, s_B, verdict = _operator_verdict(A_, tol)
+    if not verdict.rebrickable:
         raise NotRebrickable("A has eigenvalue i at tolerance")
-    if not linalg.is_invertible(V_, tol):
+    V_reg = linalg.regularity(linalg.singular_values(V_), V_.shape[0], tol)
+    if not V_reg.regular:
         raise NotABasis("columns of V do not form a basis", which="V")
-    smin_BV, smax_BV = linalg.sigma_extremes(B @ V_)
-    smin_B, smax_B = linalg.sigma_extremes(B)
-    smin_V, smax_V = linalg.sigma_extremes(V_)
+    s_BV = linalg.singular_values(B @ V_)
+    smin_B, smax_B = float(s_B[-1]), float(s_B[0])
     return RieszBoundReport(
-        c_exact=smin_BV**2,
-        C_exact=smax_BV**2,
-        c_lower_estimate=smin_V**2 * smin_B**2,
-        C_upper_estimate=smax_V**2 * smax_B**2,
+        c_exact=float(s_BV[-1]) ** 2,
+        C_exact=float(s_BV[0]) ** 2,
+        c_lower_estimate=V_reg.sigma_min**2 * smin_B**2,
+        C_upper_estimate=V_reg.sigma_max**2 * smax_B**2,
         norm_B=smax_B,
     )
 

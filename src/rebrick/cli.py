@@ -6,8 +6,10 @@ Usage: rebrick <command> [args] [--tol T] [--seed S] [--format json|text]
 Every run produces a report carrying the verdict, the numeric
 certificates behind it and the tolerance block that the verdict depends
 on.  Exit codes are the scripting contract: 0 affirmative verdict,
-1 negative verdict, 2 input error.  --quiet suppresses everything except
-the JSON report; identical inputs and seed produce byte-identical JSON.
+1 negative verdict, 2 input error, 3 internal inconsistency (two
+decision routes disagree decisively, which is a bug).  --quiet
+suppresses everything except the JSON report; identical inputs and seed
+produce byte-identical JSON.
 The REBRICK_TOL environment variable overrides the default tolerance;
 an explicit --tol flag wins over the environment.
 """
@@ -28,6 +30,7 @@ from .errors import (
     GeneratorNotONB,
     GridTooSmall,
     IndexCountMismatch,
+    InternalConsistencyError,
     InvalidMatrix,
     LengthMismatch,
     MatrixParseError,
@@ -166,11 +169,10 @@ def _write_out(args, M) -> str | None:
 def cmd_check_basis(args, tol):
     M, info = _load(args.file, want_real=False, name="matrix")
     linalg.require_square(M)
-    smin, smax = linalg.sigma_extremes(M)
-    ok = linalg.is_invertible(M, tol)
-    verdicts = {"is_basis": ok}
-    certs = {"sigma_min": smin, "sigma_max": smax, "n": int(M.shape[0])}
-    return {"file": info}, verdicts, certs, 0 if ok else 1
+    reg = linalg.regularity(linalg.singular_values(M), M.shape[0], tol)
+    verdicts = {"is_basis": reg.regular}
+    certs = {"sigma_min": reg.sigma_min, "sigma_max": reg.sigma_max, "n": int(M.shape[0])}
+    return {"file": info}, verdicts, certs, 0 if reg.regular else 1
 
 
 def cmd_rebrick(args, tol):
@@ -427,14 +429,15 @@ def run(argv=None) -> int:
         report["exit_code"] = 1
         _emit(report, args)
         return 1
-    except _INPUT_ERRORS as exc:
+    except (*_INPUT_ERRORS, InternalConsistencyError) as exc:
+        code = 3 if isinstance(exc, InternalConsistencyError) else 2
         report["error"] = str(exc)
         if isinstance(exc, MatrixParseError):
             report["error_position"] = {"row": exc.row, "col": exc.col}
-        report["exit_code"] = 2
+        report["exit_code"] = code
         _emit(report, args)
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return code
     report["inputs"] = inputs
     report["verdicts"] = verdicts
     report["certificates"] = certs

@@ -3,7 +3,8 @@
 Every error raised on purpose by this package derives from RebrickError,
 so callers can catch the whole family in one clause.  Input-validation
 errors and negative mathematical verdicts are distinct classes; the CLI
-maps the former to exit code 2 and the latter to exit code 1.
+maps the former to exit code 2, the latter to exit code 1 and an
+InternalConsistencyError to exit code 3.
 """
 
 

@@ -76,46 +76,42 @@ class OrderVerdict:
     ker_dim_G: int
 
 
-def _require_spanning(F: FiniteFrame, tol: Tolerance) -> np.ndarray:
-    S = F.synthesis
-    if linalg.rank(S, tol) < F.dim:
+def _require_spanning(F: FiniteFrame, tol: Tolerance) -> linalg.Regularity:
+    """Regularity of the synthesis, from one singular-value pass; NotAFrame unless it spans."""
+    reg = linalg.regularity(linalg.singular_values(F.synthesis), F.count, tol)
+    if not reg.regular:
         raise NotAFrame(
             f"frame {F.label or '(unlabeled)'} does not span: rank < {F.dim}"
         )
-    return S
+    return reg
 
 
 def frame_bounds(F: FiniteFrame, tol: Tolerance = DEFAULT_TOL) -> FrameBounds:
     """Sharp bounds c, C with c*||f||^2 <= sum |<f, f_n>|^2 <= C*||f||^2."""
-    S = _require_spanning(F, tol)
-    s = linalg.singular_values(S)
-    return FrameBounds(c=float(s[F.dim - 1]) ** 2, C=float(s[0]) ** 2)
+    reg = _require_spanning(F, tol)
+    return FrameBounds(c=reg.sigma_min**2, C=reg.sigma_max**2)
 
 
 def is_parseval(F: FiniteFrame, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True when the frame operator synthesis @ synthesis* is the identity."""
-    S = _require_spanning(F, tol)
+    _require_spanning(F, tol)
+    S = F.synthesis
     return linalg.matrices_close(S @ S.conj().T, np.eye(F.dim), tol.equality_abs)
 
 
 def frame_kernel(F: FiniteFrame, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of {c : synthesis @ c = 0}, dimension m - n."""
-    S = _require_spanning(F, tol)
-    return linalg.kernel_basis(S, tol)
-
-
-def _kernel_of(S: np.ndarray, tol: Tolerance) -> np.ndarray:
-    return linalg.kernel_basis(S, tol)
+    _require_spanning(F, tol)
+    return linalg.kernel_basis(F.synthesis, tol)
 
 
 def _contains(K_big: np.ndarray, K_small: np.ndarray, tol: Tolerance) -> bool:
-    # span(K_small) inside span(K_big), decided by projection residual
+    # span(K_small) inside span(K_big), decided by the projection residual
     if K_small.shape[1] == 0:
         return True
     if K_big.shape[1] == 0:
         return False
-    P = K_big @ K_big.conj().T
-    residual = linalg.max_abs(K_small - P @ K_small)
+    residual = linalg.max_abs(K_small - K_big @ (K_big.conj().T @ K_small))
     return residual <= tol.equality_abs
 
 
@@ -135,8 +131,8 @@ def frame_leq(F: FiniteFrame, G: FiniteFrame, tol: Tolerance = DEFAULT_TOL) -> O
     both directions hold, i.e. the kernels coincide.
     """
     _check_comparable(F, G)
-    K_F = _kernel_of(F.synthesis, tol)
-    K_G = _kernel_of(G.synthesis, tol)
+    K_F = linalg.kernel_basis(F.synthesis, tol)
+    K_G = linalg.kernel_basis(G.synthesis, tol)
     leq = _contains(K_F, K_G, tol)
     geq = _contains(K_G, K_F, tol)
     return OrderVerdict(
@@ -177,9 +173,10 @@ def rebrick_frames(F: FiniteFrame, G: FiniteFrame, tol: Tolerance = DEFAULT_TOL)
     _require_spanning(G, tol)
     S = F.synthesis + 1j * G.synthesis
     combined = FiniteFrame(S, label=f"{F.label}+i*{G.label}" if F.label or G.label else "")
-    if linalg.rank(S, tol) < F.dim:
-        raise NotAFrame("combined synthesis does not span the complex space")
-    return combined, frame_bounds(combined, tol)
+    try:
+        return combined, frame_bounds(combined, tol)
+    except NotAFrame:
+        raise NotAFrame("combined synthesis does not span the complex space") from None
 
 
 def operator_rebrick_frame(F: FiniteFrame, A, tol: Tolerance = DEFAULT_TOL):
@@ -193,10 +190,10 @@ def operator_rebrick_frame(F: FiniteFrame, A, tol: Tolerance = DEFAULT_TOL):
         raise ShapeMismatch(f"A is {A_.shape}, frame dimension is {F.dim}")
     _require_spanning(F, tol)
     B = np.eye(F.dim) + 1j * A_
-    smin, smax = linalg.sigma_extremes(B)
-    if smin <= linalg.rank_cutoff(B, tol, sigma_max=smax):
+    reg = linalg.regularity(linalg.singular_values(B), F.dim, tol)
+    if not reg.regular:
         raise NotRebrickable(
-            f"Id + iA is singular at tolerance (sigma_min={smin:.3e})"
+            f"Id + iA is singular at tolerance (sigma_min={reg.sigma_min:.3e})"
         )
     out = FiniteFrame(B @ F.synthesis, label=F.label)
     return out, frame_bounds(out, tol)

@@ -1,10 +1,13 @@
 """Dense real/complex matrix kernel with explicit tolerance semantics.
 
 All rank, kernel and invertibility decisions in the package go through
-this module so that a single threshold convention applies everywhere:
-a singular value counts as nonzero when it exceeds
+`regularity`, so a single threshold convention applies everywhere: a
+singular value counts as nonzero when it exceeds
 
-    rank_rel * max(rows, cols) * sigma_max.
+    rank_rel * max(rows, cols) * scale,
+
+with scale = sigma_max unless the caller knows the scale the operator
+was computed at (Id + A@A is judged against ||Id + iA||^2).
 
 Everything here is a pure function of its arguments; nothing mutates
 its inputs and there is no module state, so concurrent use is safe.
@@ -13,6 +16,7 @@ its inputs and there is no module state, so concurrent use is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,18 +91,32 @@ def singular_values(M) -> np.ndarray:
     return np.linalg.svd(as_matrix(M), compute_uv=False)
 
 
-def sigma_extremes(M) -> tuple[float, float]:
-    """(sigma_min, sigma_max) of M; sigma_min refers to min(rows, cols) values."""
-    s = singular_values(M)
-    return float(s[-1]), float(s[0])
+class Regularity(NamedTuple):
+    """One regularity decision: a singular value counts when it exceeds cutoff."""
+
+    sigma_min: float
+    sigma_max: float
+    cutoff: float
+    rank: int
+
+    @property
+    def regular(self) -> bool:
+        """Every singular value clears the cutoff (full rank)."""
+        return self.sigma_min > self.cutoff
 
 
-def rank_cutoff(M, tol: Tolerance = DEFAULT_TOL, sigma_max: float | None = None) -> float:
-    """The singular-value cutoff rank_rel * max(shape) * sigma_max for M."""
-    A = as_matrix(M)
-    if sigma_max is None:
-        sigma_max = float(singular_values(A)[0])
-    return tol.rank_rel * max(A.shape) * sigma_max
+def regularity(
+    s, size: int, tol: Tolerance = DEFAULT_TOL, scale: float | None = None
+) -> Regularity:
+    """Judge the singular values s (any order) of an operator.
+
+    `size` is the larger dimension of the operator.  The cutoff is
+    rank_rel * size * scale, with scale = max(s) unless given.
+    """
+    s = np.asarray(s)
+    smax = float(np.max(s))
+    cutoff = tol.rank_rel * size * (smax if scale is None else scale)
+    return Regularity(float(np.min(s)), smax, cutoff, int(np.count_nonzero(s > cutoff)))
 
 
 def eigenvalues(M) -> np.ndarray:
@@ -113,66 +131,45 @@ def eigenvalues(M) -> np.ndarray:
 
 
 def rank(M, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Number of singular values above the relative cutoff."""
+    """Number of singular values above the cutoff."""
     A = as_matrix(M)
-    return rank_from_singular_values(singular_values(A), max(A.shape), tol)
-
-
-def rank_from_singular_values(s, size: int, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Rank of an operator from its singular values s (any order).
-
-    `size` is the larger dimension of the operator, so the cutoff is the
-    one `rank` applies: rank_rel * size * max(s).
-    """
-    s = np.asarray(s)
-    sigma_max = float(np.max(s)) if s.size else 0.0
-    if sigma_max == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.rank_rel * size * sigma_max))
+    return regularity(singular_values(A), max(A.shape), tol).rank
 
 
 def kernel_basis(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the nullspace as columns (possibly zero columns).
 
     The basis consists of the right singular vectors whose singular values
-    fall at or below the rank cutoff, so M @ K vanishes at working precision
-    and K.conj().T @ K is the identity.
+    fall at or below the cutoff, so M @ K vanishes at working precision
+    and K.conj().T @ K is the identity.  One SVD; wide input takes the full
+    set of right singular vectors, which completes the nullspace.
     """
     A = as_matrix(M)
-    _, s, V = svd(A)
-    r = rank(A, tol)
-    n_cols = A.shape[1]
-    if r >= n_cols:
-        return np.zeros((n_cols, 0), dtype=V.dtype)
-    # right singular vectors beyond min(rows, cols) complete the nullspace
-    if A.shape[0] < n_cols:
-        _, _, Vh_full = np.linalg.svd(A, full_matrices=True)
-        V = Vh_full.conj().T
-    return V[:, r:n_cols]
+    _, s, Vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
+    r = regularity(s, max(A.shape), tol).rank
+    return Vh[r:].conj().T
 
 
 def invert(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Inverse of a square matrix, or Singular when sigma_min is at/below cutoff.
+    """Inverse of a square matrix, or Singular when it is not regular at tolerance.
 
-    The decision and the inverse share one SVD, so `invert` succeeds exactly
-    when sigma_min exceeds the rank cutoff.
+    The decision and the inverse share one SVD.
     """
     A = require_square(M)
     U, s, V = svd(A)
-    cutoff = rank_cutoff(A, tol, sigma_max=float(s[0]) if s.size else 0.0)
-    smin = float(s[-1]) if s.size else 0.0
-    if smin <= cutoff:
+    reg = regularity(s, A.shape[0], tol)
+    if not reg.regular:
         raise Singular(
-            f"matrix is singular at tolerance (sigma_min={smin:.3e}, cutoff={cutoff:.3e})",
-            sigma_min=smin,
+            "matrix is singular at tolerance "
+            f"(sigma_min={reg.sigma_min:.3e}, cutoff={reg.cutoff:.3e})",
+            sigma_min=reg.sigma_min,
         )
     return (V / s) @ U.conj().T
 
 
 def is_invertible(M, tol: Tolerance = DEFAULT_TOL) -> bool:
     A = require_square(M)
-    smin, smax = sigma_extremes(A)
-    return smin > rank_cutoff(A, tol, sigma_max=smax)
+    return regularity(singular_values(A), A.shape[0], tol).regular
 
 
 def max_abs(M) -> float:

@@ -172,7 +172,7 @@ def analytic_defect(N: int, tol: Tolerance = DEFAULT_TOL):
     that `linalg.rank` applies to the dense matrix.
     """
     s = np.abs(1.0 + 1j * discrete_hilbert(N))
-    r = linalg.rank_from_singular_values(s, N, tol)
+    r = linalg.regularity(s, N, tol).rank
     return r, N - r
 
 
@@ -278,6 +278,6 @@ def conditioning_sweep(N_list) -> list[ConditioningRow]:
         if not is_real_symbol_operator(m):
             raise InternalConsistencyError("creeping symbol produced a non-real operator")
         s = np.abs(1.0 + 1j * m)
-        kdim = N - linalg.rank_from_singular_values(s, N)
-        rows.append(ConditioningRow(N=N, sigma_min=float(np.min(s)), kernel_dim=kdim))
+        reg = linalg.regularity(s, N)
+        rows.append(ConditioningRow(N=N, sigma_min=reg.sigma_min, kernel_dim=N - reg.rank))
     return rows

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from . import linalg
 from .errors import InvalidMatrix, NotAPermutation, NotRepaired, SearchExhausted, ShapeMismatch
 from .linalg import DEFAULT_TOL, Tolerance
 
-_MINOR_PATH_MAX = 12
 _RANDOM_TRIAL_CAP = 1_000_000
 _EXHAUSTIVE_MAX = 8
 _WARN_BAND = 100.0
@@ -119,61 +118,24 @@ def cycle_notation(pi) -> str:
     return "".join(cycles) if cycles else "id"
 
 
-def _char_poly_minors(A: np.ndarray) -> np.ndarray:
-    # coefficient of lambda^k is (-1)^(n-k) * sum of principal minors of
-    # order n-k (rows and columns indexed by I, |I| = k, deleted)
-    n = A.shape[0]
-    coeffs = np.zeros(n + 1)
-    coeffs[n] = 1.0
-    idx = list(range(n))
-    for k in range(n):
-        if k == n - 1:
-            total = float(np.trace(A))
-        else:
-            minors = []
-            for dropped in combinations(idx, k):
-                keep = [j for j in idx if j not in dropped]
-                minors.append(A[np.ix_(keep, keep)])
-            total = float(np.sum(np.linalg.det(np.stack(minors))))
-        coeffs[k] = (-1.0) ** (n - k) * total
-    return coeffs
-
-
-def _char_poly_recursion(A: np.ndarray) -> np.ndarray:
-    # Faddeev-LeVerrier: trace recursion, O(n^4), no combinatorics
-    n = A.shape[0]
-    coeffs = np.zeros(n + 1)
-    coeffs[n] = 1.0
-    M = np.zeros_like(A, dtype=float)
-    c = 1.0
-    for k in range(1, n + 1):
-        M = A @ M + c * np.eye(n)
-        c = -float(np.trace(A @ M)) / k
-        coeffs[n - k] = c
-    return coeffs
-
-
-def char_poly(A, method: str = "auto") -> CharPoly:
+def char_poly(A) -> CharPoly:
     """Characteristic polynomial det(lambda*Id - A), ascending coefficients.
 
-    method 'minors' sums signed principal minors (the literal formula,
-    combinatorial, capped at n=12); 'recursion' uses the Faddeev-LeVerrier
-    trace recursion; 'auto' picks minors up to the cap, recursion beyond.
+    Faddeev-LeVerrier trace recursion: O(n^4) and no combinatorics.
     """
     M = linalg.require_square(A)
     if np.iscomplexobj(M):
         raise InvalidMatrix("characteristic machinery expects a real matrix")
     n = M.shape[0]
-    if method == "auto":
-        method = "minors" if n <= _MINOR_PATH_MAX else "recursion"
-    if method == "minors":
-        if n > _MINOR_PATH_MAX:
-            method = "recursion"
-        else:
-            return CharPoly(tuple(_char_poly_minors(M)))
-    if method != "recursion":
-        raise ValueError(f"unknown method {method!r}")
-    return CharPoly(tuple(_char_poly_recursion(M)))
+    coeffs = np.zeros(n + 1)
+    coeffs[n] = 1.0
+    X = np.zeros_like(M)
+    c = 1.0
+    for k in range(1, n + 1):
+        X = M @ X + c * np.eye(n)
+        c = -float(np.trace(M @ X)) / k
+        coeffs[n - k] = c
+    return CharPoly(tuple(coeffs))
 
 
 def summed_char_poly(A) -> np.ndarray:
@@ -202,10 +164,8 @@ def invariant_eigenvalue_candidates(A) -> tuple[float, float]:
 
 def _repair_score(A: np.ndarray, pi, tol: Tolerance):
     AP = apply_column_permutation(A, pi)
-    B = np.eye(A.shape[0]) + 1j * AP
-    smin, smax = linalg.sigma_extremes(B)
-    cutoff = linalg.rank_cutoff(B, tol, sigma_max=smax)
-    return smin, cutoff, AP
+    n = A.shape[0]
+    return linalg.regularity(linalg.singular_values(np.eye(n) + 1j * AP), n, tol), AP
 
 
 def _candidate_order(n: int):
@@ -238,23 +198,24 @@ def repair_permutation(A, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Permut
     trials = 0
     if n <= _EXHAUSTIVE_MAX:
         source = _candidate_order(n)
-        cap = None
     else:
         rng = np.random.default_rng(seed)
         source = (tuple(int(j) for j in rng.permutation(n)) for _ in range(_RANDOM_TRIAL_CAP))
-        cap = _RANDOM_TRIAL_CAP
     for pi in source:
         trials += 1
-        smin, cutoff, AP = _repair_score(M, pi, tol)
-        if smin > cutoff:
+        reg, AP = _repair_score(M, pi, tol)
+        if reg.regular:
             eigs = linalg.eigenvalues(AP)
             min_dist = float(np.min(np.abs(eigs - 1j)))
             return PermutationRepair(
                 permutation=pi,
                 trials=trials,
                 min_dist_to_i_after=min_dist,
-                sigma_min_after=smin,
-                degenerate=(min_dist <= _WARN_BAND * tol.eig_abs or smin <= _WARN_BAND * cutoff),
+                sigma_min_after=reg.sigma_min,
+                degenerate=(
+                    min_dist <= _WARN_BAND * tol.eig_abs
+                    or reg.sigma_min <= _WARN_BAND * reg.cutoff
+                ),
             )
     raise SearchExhausted(
         f"no repairing permutation found in {trials} trials", trials=trials
@@ -274,9 +235,9 @@ def rebrick_with_permutation(V, A, pi, tol: Tolerance = DEFAULT_TOL) -> np.ndarr
         raise ShapeMismatch(f"V is {V_.shape}, A is {A_.shape}")
     p = _check_permutation(pi, V_.shape[1])
     W = V_ + 1j * apply_column_permutation(A_ @ V_, p)
-    smin, smax = linalg.sigma_extremes(W)
-    if smin <= linalg.rank_cutoff(W, tol, sigma_max=smax):
+    reg = linalg.regularity(linalg.singular_values(W), W.shape[0], tol)
+    if not reg.regular:
         raise NotRepaired(
-            f"permutation {p} leaves the rebricked matrix singular (sigma_min={smin:.3e})"
+            f"permutation {p} leaves the rebricked matrix singular (sigma_min={reg.sigma_min:.3e})"
         )
     return W

@@ -1,6 +1,7 @@
 """Shared constructions and exact-arithmetic oracles for the test suite."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -136,6 +137,26 @@ def exact_char_poly(A_int) -> list[Fraction]:
     return coeffs
 
 
+def char_poly_minors(A) -> np.ndarray:
+    """det(lambda*Id - A) from the literal formula, ascending coefficients (float).
+
+    The coefficient of lambda^k is (-1)^(n-k) times the sum of the principal
+    minors of order n-k: 2^n determinants, so only for small n.
+    """
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    coeffs = np.zeros(n + 1)
+    coeffs[n] = 1.0
+    idx = range(n)
+    for k in range(n):
+        total = 0.0
+        for dropped in combinations(idx, k):
+            keep = [j for j in idx if j not in dropped]
+            total += np.linalg.det(A[np.ix_(keep, keep)])
+        coeffs[k] = (-1.0) ** (n - k) * total
+    return coeffs
+
+
 def exact_rank(A_int) -> int:
     """Row-echelon rank over Fractions."""
     M = [[Fraction(int(v)) for v in row] for row in np.asarray(A_int)]
@@ -168,7 +189,7 @@ def dense_id_plus_i(m) -> np.ndarray:
 def dense_rank_sigma_min(m, tol=linalg.DEFAULT_TOL) -> tuple[int, float]:
     """(rank, sigma_min) of Id + i*A from a dense SVD."""
     B = dense_id_plus_i(m)
-    return linalg.rank(B, tol), linalg.sigma_extremes(B)[0]
+    return linalg.rank(B, tol), float(np.linalg.svd(B, compute_uv=False)[-1])
 
 
 def dense_translates(x, m) -> tuple[np.ndarray, float]:

@@ -82,9 +82,7 @@ def test_criterion_03_summed_char_poly_identity():
                 total = np.zeros(n + 1)
                 for pi in perms:
                     AP = permutation.apply_column_permutation(A, pi)
-                    total += np.array(
-                        permutation.char_poly(AP, method="recursion").coefficients
-                    )
+                    total += np.array(permutation.char_poly(AP).coefficients)
                 closed = permutation.summed_char_poly(A)
                 scale = np.maximum(np.abs(closed), 1.0)
                 assert np.max(np.abs(total - closed) / scale) <= 1e-8

@@ -109,6 +109,15 @@ class TestRebrickPair:
             assert v.rebrickable
             assert v.min_dist_to_i > tol.eig_abs
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-8, 1e8])
+    def test_planted_pairs_at_n2_agree_on_every_route(self, scale):
+        # A@A = -Id up to rounding, so Id + A@A is rounding error: judged on
+        # the scale of Id + iA it is singular, whatever the scale of the bases
+        for seed in range(200):
+            A = plant_eigenvalue_i(np.random.default_rng(seed), 2)
+            _, v = basis.rebrick_pair(scale * np.eye(2), scale * A)
+            assert not v.rebrickable and not v.warning, seed
+
     def test_gray_zone_sets_warning_instead_of_raising(self):
         # an eigenvalue this close to i sits between the eigenvalue threshold
         # and the singular-value cutoff: the verdict must flag it, not crash

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from rebrick import matio, multipliers
+from rebrick import basis, errors, matio, multipliers
 from rebrick.cli import run
 from support import plant_eigenvalue_i, rotation
 
@@ -72,6 +72,29 @@ class TestRebrick:
         v2 = write(tmp_path, "v2.csv", np.eye(3))
         code, _ = run_json(capsys, ["rebrick", v1, v2])
         assert code == 2
+
+
+class TestInternalInconsistency:
+    def test_exit_3_with_report(self, tmp_path, capsys, monkeypatch):
+        def disagree(*args, **kwargs):
+            raise errors.InternalConsistencyError("routes disagree")
+
+        monkeypatch.setattr(basis, "rebrick_pair", disagree)
+        v1 = write(tmp_path, "v1.csv", np.eye(2))
+        v2 = write(tmp_path, "v2.csv", rotation(np.pi / 4))
+        code = run(["rebrick", v1, v2, "--quiet"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 3
+        assert report["exit_code"] == 3 and report["error"] == "routes disagree"
+
+    def test_planted_pair_at_n2_is_negative_verdict(self, tmp_path, capsys):
+        # A@A = -Id exactly up to rounding: all three routes must say "singular"
+        v1 = write(tmp_path, "v1.csv", np.eye(2))
+        a = write(tmp_path, "a.csv", plant_eigenvalue_i(np.random.default_rng(30), 2))
+        code = run(["rebrick", v1, a, "--quiet"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert report["exit_code"] == 1 and report["verdicts"] == {"rebrickable": False}
 
 
 class TestRepair:

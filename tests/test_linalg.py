@@ -130,6 +130,35 @@ def test_kernel_orthonormal_and_annihilated():
             np.testing.assert_allclose(K.conj().T @ K, np.eye(K.shape[1]), atol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(3, 7), (5, 5), (7, 3)])
+def test_kernel_takes_one_svd(shape, monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    M = np.random.default_rng(10).standard_normal(shape)
+    K = linalg.kernel_basis(M)
+    assert len(calls) == 1
+    assert K.shape == (shape[1], max(shape[1] - shape[0], 0))
+
+
+def test_regularity_cutoff_rule():
+    tol = linalg.DEFAULT_TOL
+    reg = linalg.regularity([1e-15, 2.0, 1.0], 3, tol)
+    assert reg == (1e-15, 2.0, tol.rank_rel * 3 * 2.0, 2)
+    assert not reg.regular
+    # judged on a given scale instead of its own sigma_max
+    tiny = linalg.regularity([1e-15, 2e-15], 2, tol, scale=1.0)
+    assert tiny.cutoff == tol.rank_rel * 2 and tiny.rank == 0 and not tiny.regular
+    assert linalg.regularity([1e-15, 2e-15], 2, tol).regular
+    # the zero operator has rank 0
+    assert linalg.regularity([0.0, 0.0], 2, tol).rank == 0
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     rows=st.integers(min_value=1, max_value=6),
@@ -168,8 +197,8 @@ def test_invert_decision_matches_sigma_min():
         M = rng.standard_normal((n, n))
         if rng.integers(0, 3) == 0:
             M[:, -1] = M[:, 0]  # force singularity
-        smin, smax = linalg.sigma_extremes(M)
-        expected = smin > linalg.rank_cutoff(M, tol, sigma_max=smax)
+        s = np.linalg.svd(M, compute_uv=False)
+        expected = s[-1] > tol.rank_rel * n * s[0]
         if expected:
             linalg.invert(M, tol)
         else:

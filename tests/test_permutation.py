@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from rebrick import errors, linalg, permutation
-from support import exact_char_poly, plant_eigenvalue_i, random_invertible, rotation
+from support import (
+    char_poly_minors,
+    exact_char_poly,
+    plant_eigenvalue_i,
+    random_invertible,
+    rotation,
+)
 
 ROT90 = rotation(np.pi / 2)
 
@@ -83,12 +89,13 @@ class TestCharPoly:
 
     def test_against_exact_integer_oracle(self):
         rng = np.random.default_rng(1)
-        for _ in range(50):
-            A = rng.integers(-5, 6, size=(4, 4))
-            exact = [float(c) for c in exact_char_poly(A)]
-            for method in ("minors", "recursion"):
-                p = permutation.char_poly(A.astype(float), method=method)
-                np.testing.assert_allclose(p.coefficients, exact, atol=1e-8)
+        for n in range(2, 13):
+            for _ in range(50 if n <= 4 else 2):
+                A = rng.integers(-5, 6, size=(n, n))
+                exact = np.array([float(c) for c in exact_char_poly(A)])
+                p = np.array(permutation.char_poly(A.astype(float)).coefficients)
+                scale = max(1.0, float(np.max(np.abs(exact))))
+                assert np.max(np.abs(p - exact)) <= 1e-9 * scale
 
     def test_trace_and_determinant_coefficients(self):
         rng = np.random.default_rng(2)
@@ -106,15 +113,15 @@ class TestCharPoly:
         for n in range(2, 9):
             for _ in range(10):
                 A = rng.standard_normal((n, n))
-                a = np.array(permutation.char_poly(A, method="minors").coefficients)
-                b = np.array(permutation.char_poly(A, method="recursion").coefficients)
+                a = char_poly_minors(A)
+                b = np.array(permutation.char_poly(A).coefficients)
                 scale = np.maximum(np.abs(a), 1.0)
                 assert np.max(np.abs(a - b) / scale) <= 1e-9
 
     def test_large_dimension_falls_back_to_recursion(self):
         rng = np.random.default_rng(4)
         A = rng.standard_normal((15, 15))
-        p = permutation.char_poly(A)  # no error: auto path switches
+        p = permutation.char_poly(A)
         assert p.degree == 15
 
     def test_evaluation_at_eigenvalue_is_zero(self):

@@ -18,21 +18,19 @@ import numpy as np
 from . import linalg
 from .errors import (
     InternalConsistencyError,
+    InvalidMatrix,
     NotABasis,
     NotOrthogonal,
     NotOrthogonalSymmetric,
     NotRebrickable,
-    ShapeMismatch,
     Singular,
     TooSmall,
 )
-from .linalg import DEFAULT_TOL, Tolerance
+from .linalg import DEFAULT_TOL, WARN_BAND, Tolerance
 
 # Disagreements between the decision routes are escalated only when every
 # quantity sits this far away from its own threshold.
 _GUARD = 1e4
-# A verdict inside [cutoff, WARN_BAND*cutoff] is flagged as near-degenerate.
-_WARN_BAND = 100.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,9 +105,7 @@ def _verdict(s_B: np.ndarray, A: np.ndarray, tol: Tolerance, idA2_scale: float) 
                 f"sigma_min(Id+A^2)={smin_M:.3e}"
             )
         warning = True
-    if rebrickable and (
-        smin_B <= _WARN_BAND * cutoff_B or min_dist <= _WARN_BAND * tol.eig_abs
-    ):
+    if rebrickable and (smin_B <= WARN_BAND * cutoff_B or min_dist <= WARN_BAND * tol.eig_abs):
         warning = True
 
     cond = reg_B.sigma_max / smin_B if smin_B > 0.0 else float("inf")
@@ -124,25 +120,27 @@ def _verdict(s_B: np.ndarray, A: np.ndarray, tol: Tolerance, idA2_scale: float) 
     )
 
 
+def _squared_norm(norm: float, what: str) -> float:
+    # the scale of Id + A@A; InvalidMatrix when it is not a float64
+    if norm > linalg.SQUARE_RANGE[1]:
+        raise InvalidMatrix(f"||{what}|| = {norm:.3e}: its square leaves the float64 range")
+    return norm * norm
+
+
 def transfer_operator(V1, V2, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """The operator A = V2 @ inv(V1) mapping basis V1 elementwise onto V2."""
-    A1 = linalg.require_square(V1, "V1")
-    A2 = linalg.as_matrix(V2, "V2")
-    if A1.shape != A2.shape:
-        raise ShapeMismatch(f"V1 is {A1.shape}, V2 is {A2.shape}")
+    A1, A2 = linalg.require_square_pair(V1, V2, ("V1", "V2"))
     return A2 @ linalg.invert(A1, tol)
 
 
 def rebrick_pair(V1, V2, tol: Tolerance = DEFAULT_TOL):
     """Combine two real bases into V1 + i*V2 and certify the result.
 
-    Raises NotABasis when either factor is singular at tolerance.
+    Raises NotABasis when either factor is singular at tolerance, and
+    InvalidMatrix when ||V2 @ inv(V1)||^2 leaves the float64 range.
     Returns (complex matrix, RebrickVerdict).
     """
-    A1 = linalg.require_square(V1, "V1")
-    A2 = linalg.as_matrix(V2, "V2")
-    if A1.shape != A2.shape:
-        raise ShapeMismatch(f"V1 is {A1.shape}, V2 is {A2.shape}")
+    A1, A2 = linalg.require_square_pair(V1, V2, ("V1", "V2"))
     try:
         inv1 = linalg.invert(A1, tol)  # its SVD also decides whether V1 is a basis
     except Singular:
@@ -154,14 +152,15 @@ def rebrick_pair(V1, V2, tol: Tolerance = DEFAULT_TOL):
     # B = (Id + iA) @ V1 carries the scale of V1, so ||Id + iA||^2 is taken
     # from A: for real A it lies in [1 + ||A||^2, 2 * (1 + ||A||^2)]
     norm_A = float(linalg.singular_values(A)[0])
-    return B, _verdict(linalg.singular_values(B), A, tol, 1.0 + norm_A**2)
+    idA2_scale = 1.0 + _squared_norm(norm_A, "V2 @ inv(V1)")
+    return B, _verdict(linalg.singular_values(B), A, tol, idA2_scale)
 
 
 def _operator_verdict(A: np.ndarray, tol: Tolerance):
     """B = Id + i*A, its singular values and its verdict; ||Id + iA|| = sigma_max(B)."""
     B = np.eye(A.shape[0]) + 1j * A
     s_B = linalg.singular_values(B)
-    return B, s_B, _verdict(s_B, A, tol, float(s_B[0]) ** 2)
+    return B, s_B, _verdict(s_B, A, tol, _squared_norm(float(s_B[0]), "Id + iA"))
 
 
 def rebrick_with_operator(A, V, tol: Tolerance = DEFAULT_TOL):
@@ -170,10 +169,7 @@ def rebrick_with_operator(A, V, tol: Tolerance = DEFAULT_TOL):
     The verdict is computed from Id + i*A alone, so it does not depend on
     which basis V is being rebricked.
     """
-    A_ = linalg.require_square(A, "A")
-    V_ = linalg.require_square(V, "V")
-    if A_.shape != V_.shape:
-        raise ShapeMismatch(f"A is {A_.shape}, V is {V_.shape}")
+    A_, V_ = linalg.require_square_pair(A, V, ("A", "V"))
     if not linalg.is_invertible(V_, tol):
         raise NotABasis("columns of V do not form a basis", which="V")
     B, _, verdict = _operator_verdict(A_, tol)
@@ -195,6 +191,15 @@ def non_transitivity_witness(dim: int):
     return A.copy(), A.copy()
 
 
+def _orthogonal_pair(E1, E2, tol: Tolerance):
+    """E1, E2 validated as real orthogonal matrices of one shape."""
+    M1, M2 = linalg.require_square_pair(E1, E2, ("E1", "E2"))
+    for name, M in (("E1", M1), ("E2", M2)):
+        if np.iscomplexobj(M) or not linalg.is_orthogonal(M, tol):
+            raise NotOrthogonal(f"{name} is not orthogonal at tolerance", which=name)
+    return M1, M2
+
+
 def onb_rebrick_check(E1, E2, tol: Tolerance = DEFAULT_TOL):
     """Check whether two orthonormal bases combine into a complex one.
 
@@ -203,13 +208,7 @@ def onb_rebrick_check(E1, E2, tol: Tolerance = DEFAULT_TOL):
     equivalently when the combined matrix is unitary; both tests run and
     must agree.
     """
-    M1 = linalg.require_square(E1, "E1")
-    M2 = linalg.require_square(E2, "E2")
-    if M1.shape != M2.shape:
-        raise ShapeMismatch(f"E1 is {M1.shape}, E2 is {M2.shape}")
-    for name, M in (("E1", M1), ("E2", M2)):
-        if np.iscomplexobj(M) or not linalg.is_orthogonal(M, tol):
-            raise NotOrthogonal(f"{name} is not orthogonal at tolerance", which=name)
+    M1, M2 = _orthogonal_pair(E1, E2, tol)
     U = (M1 + 1j * M2) / np.sqrt(2.0)
     A = M2 @ M1.T
     symmetric = linalg.matrices_close(A, A.T, tol.equality_abs)
@@ -224,13 +223,7 @@ def onb_rebrick_check(E1, E2, tol: Tolerance = DEFAULT_TOL):
 
 def symmetry_condition_check(E1, E2, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Gram-symmetry test <d_n, e_k> == <d_k, e_n> for the columns of E1, E2."""
-    M1 = linalg.require_square(E1, "E1")
-    M2 = linalg.require_square(E2, "E2")
-    if M1.shape != M2.shape:
-        raise ShapeMismatch(f"E1 is {M1.shape}, E2 is {M2.shape}")
-    for name, M in (("E1", M1), ("E2", M2)):
-        if np.iscomplexobj(M) or not linalg.is_orthogonal(M, tol):
-            raise NotOrthogonal(f"{name} is not orthogonal at tolerance", which=name)
+    M1, M2 = _orthogonal_pair(E1, E2, tol)
     # G[n, k] = <d_n, e_k> with d_n, e_k the columns of E2, E1
     G = M2.T @ M1
     return linalg.matrices_close(G, G.T, tol.equality_abs)
@@ -242,10 +235,7 @@ def rebricked_dual(V, A, tol: Tolerance = DEFAULT_TOL):
     primal = (Id + i*A) @ V, dual = inv(B*) @ inv(V.T); the columns are
     biorthogonal: dual* @ primal == Id.
     """
-    V_ = linalg.require_square(V, "V")
-    A_ = linalg.require_square(A, "A")
-    if V_.shape != A_.shape:
-        raise ShapeMismatch(f"V is {V_.shape}, A is {A_.shape}")
+    V_, A_ = linalg.require_square_pair(V, A, ("V", "A"))
     B, _, verdict = _operator_verdict(A_, tol)
     if not verdict.rebrickable:
         raise NotRebrickable("A has eigenvalue i at tolerance; Id + iA is singular")
@@ -287,10 +277,7 @@ def real_part_preservation_lambda(A, tol: Tolerance = DEFAULT_TOL):
 
 def rebricked_frame_bounds(V, A, tol: Tolerance = DEFAULT_TOL) -> RieszBoundReport:
     """Exact and estimated frame bounds of the rebricked basis (Id + i*A) @ V."""
-    V_ = linalg.require_square(V, "V")
-    A_ = linalg.require_square(A, "A")
-    if V_.shape != A_.shape:
-        raise ShapeMismatch(f"V is {V_.shape}, A is {A_.shape}")
+    V_, A_ = linalg.require_square_pair(V, A, ("V", "A"))
     B, s_B, verdict = _operator_verdict(A_, tol)
     if not verdict.rebrickable:
         raise NotRebrickable("A has eigenvalue i at tolerance")

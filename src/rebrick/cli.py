@@ -7,7 +7,8 @@ Every run produces a report carrying the verdict, the numeric
 certificates behind it and the tolerance block that the verdict depends
 on.  Exit codes are the scripting contract: 0 affirmative verdict,
 1 negative verdict, 2 input error, 3 internal inconsistency (two
-decision routes disagree decisively, which is a bug).  --quiet
+decision routes disagree decisively, which is a bug).  An error's exit
+code is the `exit_code` of its kind in `rebrick.errors`.  --quiet
 suppresses everything except the JSON report; identical inputs and seed
 produce byte-identical JSON.
 The REBRICK_TOL environment variable overrides the default tolerance;
@@ -27,24 +28,11 @@ import numpy as np
 
 from . import basis, frames, matio, multipliers, permutation
 from .errors import (
-    GeneratorNotONB,
-    GridTooSmall,
-    IndexCountMismatch,
+    InputError,
     InternalConsistencyError,
     InvalidMatrix,
-    LengthMismatch,
     MatrixParseError,
-    NotABasis,
-    NotAFrame,
-    NotAPermutation,
-    NotOrthogonal,
-    NotParsevalInput,
-    NotRebrickable,
-    OddLength,
-    RankDeficientInput,
-    SearchExhausted,
-    ShapeMismatch,
-    Singular,
+    NegativeVerdict,
 )
 from .frames import FiniteFrame
 from .linalg import Tolerance
@@ -58,28 +46,6 @@ MAX_SYMBOL_N = 2**22
 MAX_SWEEP_SIZES = 64
 MAX_TRIG_K = 2**12
 MAX_TRIG_N = 2**16
-
-# precondition violations: the question itself is malformed -> exit 2
-_INPUT_ERRORS = (
-    MatrixParseError,
-    InvalidMatrix,
-    ShapeMismatch,
-    IndexCountMismatch,
-    NotABasis,
-    NotAPermutation,
-    NotOrthogonal,
-    NotParsevalInput,
-    RankDeficientInput,
-    LengthMismatch,
-    OddLength,
-    GridTooSmall,
-    GeneratorNotONB,
-    NotAFrame,
-    Singular,
-    OSError,
-)
-# negative mathematical outcomes -> exit 1
-_NEGATIVE_ERRORS = (NotRebrickable, SearchExhausted)
 
 
 def _jsonable(value):
@@ -193,10 +159,7 @@ def cmd_rebrick(args, tol):
 def cmd_repair(args, tol):
     V, iv = _load(args.file_v, want_real=True, name="V")
     A, ia = _load(args.file_a, want_real=True, name="A")
-    linalg.require_square(V)
-    linalg.require_square(A)
-    if V.shape != A.shape:
-        raise ShapeMismatch(f"V is {V.shape}, A is {A.shape}")
+    linalg.require_square_pair(V, A, ("V", "A"))
     At = linalg.invert(V, tol) @ A @ V
     rep = permutation.repair_permutation(At, tol, seed=args.seed)
     W = permutation.rebrick_with_permutation(V, A, rep.permutation, tol)
@@ -234,11 +197,9 @@ def cmd_frame(args, tol):
         SF, i1 = _load(args.files[0], want_real=True, name="F")
         SG, i2 = _load(args.files[1], want_real=True, name="G")
         F, G = FiniteFrame(SF, "F"), FiniteFrame(SG, "G")
-        frames.frame_bounds(F, tol)  # input validation: NotAFrame here is exit 2
-        frames.frame_bounds(G, tol)
         try:
             combined, fb = frames.rebrick_frames(F, G, tol)
-        except NotAFrame:
+        except NegativeVerdict:
             return {"F": i1, "G": i2}, {"rebrickable": False}, {}, 1
         out = _write_out(args, combined.synthesis)
         certs = {"c": fb.c, "C": fb.C, "out": out}
@@ -246,16 +207,15 @@ def cmd_frame(args, tol):
     if sub == "frrebrick":
         A, i1 = _load(args.files[0], want_real=True, name="A")
         S, i2 = _load(args.files[1], want_real=True, name="S")
-        ok = frames.frrebrick_check(A, S, tol)
-        p = S.shape[0]
-        BS = np.eye(p) + 1j * S
+        v = frames.frrebrick_check(A, S, tol)
         certs = {
-            "rank_id_iS": linalg.rank(BS, tol),
-            "rank_product": linalg.rank(A @ BS, tol),
-            "p": p,
+            "rank_id_iS": v.rank_id_iS,
+            "rank_product": v.rank_product,
+            "p": int(S.shape[0]),
             "n": int(A.shape[0]),
         }
-        return {"A": i1, "S": i2}, {"surjective_product": ok}, certs, 0 if ok else 1
+        verdicts = {"surjective_product": v.surjective}
+        return {"A": i1, "S": i2}, verdicts, certs, 0 if v.surjective else 1
     raise InvalidMatrix(f"unknown frame subcommand {sub!r}")  # pragma: no cover
 
 
@@ -411,36 +371,22 @@ def run(argv=None) -> int:
         "inputs": {},
         "verdicts": {},
         "certificates": {},
+        "tolerances": _tol_block(Tolerance()),
     }
     try:
         tol = _resolve_tol(args)
-    except InvalidMatrix as exc:
-        report["error"] = str(exc)
-        report["tolerances"] = _tol_block(Tolerance())
-        report["exit_code"] = 2
-        _emit(report, args)
-        return 2
-    report["tolerances"] = _tol_block(tol)
-    report["command"] = _command_echo(args)
-    try:
+        report["tolerances"] = _tol_block(tol)
+        report["command"] = _command_echo(args)
         inputs, verdicts, certs, code = args.handler(args, tol)
-    except _NEGATIVE_ERRORS as exc:
-        report["error"] = str(exc)
-        report["exit_code"] = 1
-        _emit(report, args)
-        return 1
-    except (*_INPUT_ERRORS, InternalConsistencyError) as exc:
-        code = 3 if isinstance(exc, InternalConsistencyError) else 2
+    except (InputError, NegativeVerdict, InternalConsistencyError, OSError) as exc:
+        code = getattr(exc, "exit_code", 2)  # OSError: an unreadable file is bad input
         report["error"] = str(exc)
         if isinstance(exc, MatrixParseError):
             report["error_position"] = {"row": exc.row, "col": exc.col}
-        report["exit_code"] = code
-        _emit(report, args)
-        print(f"error: {exc}", file=sys.stderr)
-        return code
-    report["inputs"] = inputs
-    report["verdicts"] = verdicts
-    report["certificates"] = certs
+        if code != 1:
+            print(f"error: {exc}", file=sys.stderr)
+    else:
+        report.update(inputs=inputs, verdicts=verdicts, certificates=certs)
     report["exit_code"] = code
     _emit(report, args)
     return code

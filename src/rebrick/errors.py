@@ -1,10 +1,14 @@
 """Exception hierarchy shared by all rebrick modules.
 
 Every error raised on purpose by this package derives from RebrickError,
-so callers can catch the whole family in one clause.  Input-validation
-errors and negative mathematical verdicts are distinct classes; the CLI
-maps the former to exit code 2, the latter to exit code 1 and an
-InternalConsistencyError to exit code 3.
+so callers can catch the whole family in one clause.  Each concrete class
+derives from exactly one of three kinds, and the kind carries the CLI
+exit code, so the mapping from errors to exit codes is this class
+hierarchy and nothing else:
+
+  InputError                the question itself is malformed   exit 2
+  NegativeVerdict           a well-posed question answered no  exit 1
+  InternalConsistencyError  two decision routes disagree       exit 3
 """
 
 
@@ -12,15 +16,33 @@ class RebrickError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InvalidMatrix(RebrickError):
-    """Matrix input is not a finite rectangular array."""
+class InputError(RebrickError):
+    """A precondition on the input fails: the question is malformed."""
+
+    exit_code = 2
 
 
-class ShapeMismatch(RebrickError):
+class NegativeVerdict(RebrickError):
+    """A well-posed question has a negative answer."""
+
+    exit_code = 1
+
+
+class InternalConsistencyError(RebrickError):
+    """Two independent decision routes disagree outside their guard bands."""
+
+    exit_code = 3
+
+
+class InvalidMatrix(InputError):
+    """Matrix input is not a finite rectangular array, or its scale leaves float64."""
+
+
+class ShapeMismatch(InputError):
     """Operands have incompatible shapes."""
 
 
-class Singular(RebrickError):
+class Singular(InputError):
     """A matrix required to be invertible is singular at tolerance."""
 
     def __init__(self, msg, sigma_min=0.0):
@@ -28,7 +50,7 @@ class Singular(RebrickError):
         self.sigma_min = sigma_min
 
 
-class NotABasis(RebrickError):
+class NotABasis(InputError):
     """Columns of a factor do not form a basis (singular at tolerance)."""
 
     def __init__(self, msg, which=""):
@@ -36,11 +58,11 @@ class NotABasis(RebrickError):
         self.which = which
 
 
-class TooSmall(RebrickError):
+class TooSmall(InputError):
     """Requested dimension is below the minimum the construction needs."""
 
 
-class NotOrthogonal(RebrickError):
+class NotOrthogonal(InputError):
     """A matrix required to be orthogonal fails the check at tolerance."""
 
     def __init__(self, msg, which=""):
@@ -48,23 +70,19 @@ class NotOrthogonal(RebrickError):
         self.which = which
 
 
-class NotRebrickable(RebrickError):
-    """The operator fails the rebricking test, so the construction is undefined."""
+class NotRebrickable(NegativeVerdict):
+    """The operator or pair fails the rebricking test, so the construction is undefined."""
 
 
-class NotOrthogonalSymmetric(RebrickError):
+class NotOrthogonalSymmetric(InputError):
     """Factorization input must be orthogonal and symmetric."""
 
 
-class InternalConsistencyError(RebrickError):
-    """Two independent decision routes disagree outside their guard bands."""
-
-
-class NotAPermutation(RebrickError):
+class NotAPermutation(InputError):
     """Index vector is not a bijection on the column indices."""
 
 
-class SearchExhausted(RebrickError):
+class SearchExhausted(NegativeVerdict):
     """Randomized permutation search hit its trial cap without success."""
 
     def __init__(self, msg, trials=0):
@@ -72,43 +90,43 @@ class SearchExhausted(RebrickError):
         self.trials = trials
 
 
-class NotRepaired(RebrickError):
+class NotRepaired(NegativeVerdict):
     """The supplied permutation does not make the rebricked matrix regular."""
 
 
-class NotAFrame(RebrickError):
+class NotAFrame(InputError):
     """Synthesis matrix does not span the ambient space (rank below n)."""
 
 
-class IndexCountMismatch(RebrickError):
+class IndexCountMismatch(InputError):
     """Two frames compared by the partial order must share the index count."""
 
 
-class RankDeficientInput(RebrickError):
+class RankDeficientInput(InputError):
     """An operator required to be surjective has deficient row rank."""
 
 
-class NotParsevalInput(RebrickError):
+class NotParsevalInput(InputError):
     """Input frame is not Parseval at tolerance."""
 
 
-class LengthMismatch(RebrickError):
+class LengthMismatch(InputError):
     """Signal and multiplier lengths differ."""
 
 
-class OddLength(RebrickError):
+class OddLength(InputError):
     """Signal length must be even for this construction."""
 
 
-class GeneratorNotONB(RebrickError):
+class GeneratorNotONB(InputError):
     """Translates of the generator do not form an orthonormal basis."""
 
 
-class GridTooSmall(RebrickError):
+class GridTooSmall(InputError):
     """Sampling grid too coarse for exact discrete orthogonality."""
 
 
-class MatrixParseError(RebrickError):
+class MatrixParseError(InputError):
     """A matrix file failed to parse; carries the 1-based cell position."""
 
     def __init__(self, msg, row=0, col=0):

@@ -76,6 +76,15 @@ class OrderVerdict:
     ker_dim_G: int
 
 
+@dataclass(frozen=True)
+class FrRebrickVerdict:
+    """Surjectivity of A @ (Id + i*S) plus the two ranks behind it."""
+
+    surjective: bool
+    rank_id_iS: int
+    rank_product: int
+
+
 def _require_spanning(F: FiniteFrame, tol: Tolerance) -> linalg.Regularity:
     """Regularity of the synthesis, from one singular-value pass; NotAFrame unless it spans."""
     reg = linalg.regularity(linalg.singular_values(F.synthesis), F.count, tol)
@@ -86,10 +95,23 @@ def _require_spanning(F: FiniteFrame, tol: Tolerance) -> linalg.Regularity:
     return reg
 
 
-def frame_bounds(F: FiniteFrame, tol: Tolerance = DEFAULT_TOL) -> FrameBounds:
-    """Sharp bounds c, C with c*||f||^2 <= sum |<f, f_n>|^2 <= C*||f||^2."""
-    reg = _require_spanning(F, tol)
+def _bounds(reg: linalg.Regularity, F: FiniteFrame) -> FrameBounds:
+    # c = sigma_min^2 must not underflow and C = sigma_max^2 must not overflow
+    lo, hi = linalg.SQUARE_RANGE
+    if not (lo <= reg.sigma_min and reg.sigma_max <= hi):
+        raise InvalidMatrix(
+            f"frame {F.label or '(unlabeled)'}: singular values in "
+            f"[{reg.sigma_min:.3e}, {reg.sigma_max:.3e}] square outside the float64 range"
+        )
     return FrameBounds(c=reg.sigma_min**2, C=reg.sigma_max**2)
+
+
+def frame_bounds(F: FiniteFrame, tol: Tolerance = DEFAULT_TOL) -> FrameBounds:
+    """Sharp bounds c, C with c*||f||^2 <= sum |<f, f_n>|^2 <= C*||f||^2.
+
+    NotAFrame unless F spans; InvalidMatrix when c or C leaves the float64 range.
+    """
+    return _bounds(_require_spanning(F, tol), F)
 
 
 def is_parseval(F: FiniteFrame, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -148,12 +170,13 @@ def compatibility_operator(F: FiniteFrame, G: FiniteFrame, tol: Tolerance = DEFA
     """The operator T with S_F = T @ S_G, or None when no such T exists.
 
     T = S_F @ pinv(S_G) works exactly when ker(G) is contained in ker(F);
-    when the kernels are equal T is invertible.
+    when the kernels are equal T is invertible.  The pseudo-inverse cuts
+    at the rank rule that decided the kernels.
     """
     _check_comparable(F, G)
     if not frame_leq(F, G, tol).leq:
         return None
-    T = F.synthesis @ np.linalg.pinv(G.synthesis)
+    T = F.synthesis @ linalg.pinv(G.synthesis, tol)
     if not linalg.matrices_close(T @ G.synthesis, F.synthesis, 1e2 * tol.equality_abs):
         return None
     return T
@@ -164,7 +187,8 @@ def rebrick_frames(F: FiniteFrame, G: FiniteFrame, tol: Tolerance = DEFAULT_TOL)
 
     Succeeds exactly when the combined synthesis S_F + i*S_G still spans;
     no operator mapping F onto G is required, so incompatible pairs can
-    still combine.  Returns (FiniteFrame, FrameBounds).
+    still combine.  Returns (FiniteFrame, FrameBounds).  NotAFrame means
+    an input does not span; NotRebrickable means the combination does not.
     """
     _check_comparable(F, G)
     if np.iscomplexobj(F.synthesis) or np.iscomplexobj(G.synthesis):
@@ -173,10 +197,10 @@ def rebrick_frames(F: FiniteFrame, G: FiniteFrame, tol: Tolerance = DEFAULT_TOL)
     _require_spanning(G, tol)
     S = F.synthesis + 1j * G.synthesis
     combined = FiniteFrame(S, label=f"{F.label}+i*{G.label}" if F.label or G.label else "")
-    try:
-        return combined, frame_bounds(combined, tol)
-    except NotAFrame:
-        raise NotAFrame("combined synthesis does not span the complex space") from None
+    reg = linalg.regularity(linalg.singular_values(S), combined.count, tol)
+    if not reg.regular:
+        raise NotRebrickable("combined synthesis does not span the complex space")
+    return combined, _bounds(reg, combined)
 
 
 def operator_rebrick_frame(F: FiniteFrame, A, tol: Tolerance = DEFAULT_TOL):
@@ -199,34 +223,35 @@ def operator_rebrick_frame(F: FiniteFrame, A, tol: Tolerance = DEFAULT_TOL):
     return out, frame_bounds(out, tol)
 
 
-def frrebrick_check(A, S, tol: Tolerance = DEFAULT_TOL) -> bool:
+def frrebrick_check(A, S, tol: Tolerance = DEFAULT_TOL) -> FrRebrickVerdict:
     """Range-plus-kernel surjectivity test for rebricking through A.
 
     A (n x p, full row rank) absorbs the defect of Id + i*S (p x p): the
     combination A @ (Id + i*S) is surjective exactly when the range of
     Id + i*S together with the complexified kernel of A fills C^p.  Both
-    routes are computed and must agree.
+    routes are computed and must agree.  rank(A) and ker(A) share one
+    SVD; five in all.
     """
     A_ = linalg.as_matrix(A, "A")
     S_ = linalg.require_square(S, "S")
     n, p = A_.shape
     if S_.shape[0] != p:
         raise ShapeMismatch(f"A is {A_.shape}, S is {S_.shape}")
-    if linalg.rank(A_, tol) < n:
+    K = linalg.kernel_basis(A_, tol)
+    if p - K.shape[1] < n:  # rank(A) = p - dim ker(A)
         raise RankDeficientInput("A must be surjective (full row rank)")
     if linalg.rank(S_, tol) < p:
         raise RankDeficientInput("S must be surjective (full rank)")
     BS = np.eye(p) + 1j * S_
-    K = linalg.kernel_basis(A_, tol)
     # the complex span of a real kernel basis covers ker(A) + i*ker(A)
     filled = linalg.rank(np.hstack([BS, K.astype(complex)]), tol) == p
-    direct = linalg.rank(A_ @ BS, tol) == n
-    if filled != direct:
+    rank_product = linalg.rank(A_ @ BS, tol)
+    if filled != (rank_product == n):
         raise InternalConsistencyError(
             "range+kernel test and direct product-rank test disagree; "
             "input ranks are too close to the tolerance cutoff"
         )
-    return filled
+    return FrRebrickVerdict(filled, linalg.rank(BS, tol), rank_product)
 
 
 def surjective_factor(A, B, tol: Tolerance = DEFAULT_TOL):
@@ -243,14 +268,15 @@ def surjective_factor(A, B, tol: Tolerance = DEFAULT_TOL):
     if A_.shape[0] != B_.shape[0]:
         raise ShapeMismatch(f"A has {A_.shape[0]} rows, B has {B_.shape[0]}")
     n = A_.shape[0]
-    if linalg.rank(A_, tol) < n or linalg.rank(B_, tol) < n:
-        raise RankDeficientInput("A and B must both be surjective (full row rank)")
     K_A = linalg.kernel_basis(A_, tol)
     K_B = linalg.kernel_basis(B_, tol)
     k, l = K_A.shape[1], K_B.shape[1]
+    # rank = column count - kernel dimension, from the kernel SVDs
+    if A_.shape[1] - k < n or B_.shape[1] - l < n:
+        raise RankDeficientInput("A and B must both be surjective (full row rank)")
     if k < l:
         return None
-    T = np.linalg.pinv(B_) @ A_
+    T = linalg.pinv(B_, tol) @ A_
     if l > 0:
         T = T + K_B @ K_A[:, :l].conj().T
     return T

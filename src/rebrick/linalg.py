@@ -23,6 +23,10 @@ import numpy as np
 from .errors import InvalidMatrix, ShapeMismatch, Singular
 
 EPS = float(np.finfo(np.float64).eps)
+# sigma**2 is a normal float64 exactly when sigma lies in SQUARE_RANGE
+SQUARE_RANGE = (float(np.sqrt(np.finfo(np.float64).tiny)), float(np.sqrt(np.finfo(np.float64).max)))
+# a verdict within WARN_BAND times its threshold is flagged as near-degenerate
+WARN_BAND = 100.0
 
 
 @dataclass(frozen=True)
@@ -74,6 +78,14 @@ def require_square(M, name: str = "matrix") -> np.ndarray:
     if A.shape[0] != A.shape[1]:
         raise ShapeMismatch(f"{name}: expected square, got {A.shape[0]}x{A.shape[1]}")
     return A
+
+
+def require_square_pair(M1, M2, names: tuple[str, str]):
+    """Validate two square operands of one shape; `names` label the error messages."""
+    A1, A2 = require_square(M1, names[0]), require_square(M2, names[1])
+    if A1.shape != A2.shape:
+        raise ShapeMismatch(f"{names[0]} is {A1.shape}, {names[1]} is {A2.shape}")
+    return A1, A2
 
 
 def svd(M):
@@ -165,6 +177,17 @@ def invert(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
             sigma_min=reg.sigma_min,
         )
     return (V / s) @ U.conj().T
+
+
+def pinv(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Moore-Penrose pseudo-inverse at the package rank rule.
+
+    Inverts exactly the singular values that `regularity` counts, so its
+    rank agrees with `rank` and `kernel_basis`.  One SVD.
+    """
+    U, s, V = svd(M)
+    r = regularity(s, max(U.shape[0], V.shape[0]), tol).rank
+    return (V[:, :r] / s[:r]) @ U[:, :r].conj().T
 
 
 def is_invertible(M, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -21,12 +21,11 @@ from itertools import permutations
 import numpy as np
 
 from . import linalg
-from .errors import InvalidMatrix, NotAPermutation, NotRepaired, SearchExhausted, ShapeMismatch
-from .linalg import DEFAULT_TOL, Tolerance
+from .errors import InvalidMatrix, NotAPermutation, NotRepaired, SearchExhausted
+from .linalg import DEFAULT_TOL, WARN_BAND, Tolerance
 
 _RANDOM_TRIAL_CAP = 1_000_000
 _EXHAUSTIVE_MAX = 8
-_WARN_BAND = 100.0
 
 
 @dataclass(frozen=True)
@@ -213,8 +212,7 @@ def repair_permutation(A, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Permut
                 min_dist_to_i_after=min_dist,
                 sigma_min_after=reg.sigma_min,
                 degenerate=(
-                    min_dist <= _WARN_BAND * tol.eig_abs
-                    or reg.sigma_min <= _WARN_BAND * reg.cutoff
+                    min_dist <= WARN_BAND * tol.eig_abs or reg.sigma_min <= WARN_BAND * reg.cutoff
                 ),
             )
     raise SearchExhausted(
@@ -229,10 +227,7 @@ def rebrick_with_permutation(V, A, pi, tol: Tolerance = DEFAULT_TOL) -> np.ndarr
     At = inv(V) @ A @ V.  Raises NotRepaired when pi does not make the
     result regular.
     """
-    V_ = linalg.require_square(V, "V")
-    A_ = linalg.require_square(A, "A")
-    if V_.shape != A_.shape:
-        raise ShapeMismatch(f"V is {V_.shape}, A is {A_.shape}")
+    V_, A_ = linalg.require_square_pair(V, A, ("V", "A"))
     p = _check_permutation(pi, V_.shape[1])
     W = V_ + 1j * apply_column_permutation(A_ @ V_, p)
     reg = linalg.regularity(linalg.singular_values(W), W.shape[0], tol)

@@ -197,3 +197,16 @@ def dense_translates(x, m) -> tuple[np.ndarray, float]:
     bx = dense_id_plus_i(m) @ np.asarray(x, dtype=complex) / np.sqrt(2.0)
     cols = np.column_stack([np.roll(bx, n) for n in range(bx.size)])
     return cols, linalg.is_unitary_defect(cols)
+
+
+def count_svd_calls(monkeypatch) -> list:
+    """Record every np.linalg.svd call from now on; returns the growing record."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls

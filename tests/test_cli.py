@@ -7,7 +7,14 @@ import pytest
 
 from rebrick import basis, errors, matio, multipliers
 from rebrick.cli import run
-from support import plant_eigenvalue_i, rotation
+from support import (
+    count_svd_calls,
+    duplicated_e1_frame,
+    plant_eigenvalue_i,
+    rotation,
+    shifted_duplicate_frame,
+    truncating_shift,
+)
 
 
 def write(tmp_path, name, M):
@@ -97,6 +104,44 @@ class TestInternalInconsistency:
         assert report["exit_code"] == 1 and report["verdicts"] == {"rebrickable": False}
 
 
+class TestErrorKinds:
+    KINDS = (errors.InputError, errors.NegativeVerdict, errors.InternalConsistencyError)
+
+    @staticmethod
+    def concrete_errors():
+        return [
+            cls
+            for cls in vars(errors).values()
+            if isinstance(cls, type)
+            and issubclass(cls, errors.RebrickError)
+            and cls not in (errors.RebrickError, errors.InputError, errors.NegativeVerdict)
+        ]
+
+    def test_every_error_has_exactly_one_kind(self):
+        classes = self.concrete_errors()
+        assert len(classes) >= 20
+        for cls in classes:
+            assert sum(issubclass(cls, kind) for kind in self.KINDS) == 1, cls.__name__
+
+    def test_exit_code_is_the_kind(self, tmp_path, capsys, monkeypatch):
+        v1 = write(tmp_path, "v1.csv", np.eye(2))
+        for cls in self.concrete_errors():
+
+            def fail(*args, cls=cls, **kwargs):
+                raise cls("planted")
+
+            monkeypatch.setattr(basis, "rebrick_pair", fail)
+            code = run(["rebrick", v1, v1, "--quiet"])
+            report = json.loads(capsys.readouterr().out)
+            want = (
+                2 if issubclass(cls, errors.InputError)
+                else 1 if issubclass(cls, errors.NegativeVerdict)
+                else 3
+            )
+            assert code == report["exit_code"] == want, cls.__name__
+            assert report["error"] == "planted"
+
+
 class TestRepair:
     def test_quarter_turn_swap(self, tmp_path, capsys):
         v = write(tmp_path, "v.csv", np.eye(2))
@@ -174,6 +219,21 @@ class TestFrame:
         assert code == 0
         assert report["certificates"]["c"] == pytest.approx(2.0, abs=1e-10)
 
+    def test_rebrick_quarter_turn_is_negative_verdict(self, tmp_path, capsys):
+        f = write(tmp_path, "f.csv", np.eye(2))
+        g = write(tmp_path, "g.csv", rotation(np.pi / 2))
+        code, report = run_json(capsys, ["frame", "rebrick", f, g])
+        assert code == 1 and report["exit_code"] == 1
+        assert report["verdicts"] == {"rebrickable": False}
+        assert "error" not in report
+
+    def test_rebrick_non_spanning_input_is_input_error(self, tmp_path, capsys):
+        f = write(tmp_path, "f.csv", [[1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        g = write(tmp_path, "g.csv", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        code, report = run_json(capsys, ["frame", "rebrick", f, g])
+        assert code == 2 and report["exit_code"] == 2
+        assert "does not span" in report["error"]
+
     def test_frrebrick_example(self, tmp_path, capsys):
         n, p = 6, 8
         S = np.eye(p)
@@ -186,6 +246,20 @@ class TestFrame:
         assert code == 0
         assert report["certificates"]["rank_id_iS"] == p - 1
         assert report["certificates"]["rank_product"] == n
+
+    def test_rebrick_takes_three_svds(self, tmp_path, capsys, monkeypatch):
+        rng = np.random.default_rng(19)
+        f = write(tmp_path, "f.csv", rng.standard_normal((3, 5)))
+        g = write(tmp_path, "g.csv", rng.standard_normal((3, 5)))
+        calls = count_svd_calls(monkeypatch)
+        assert run(["frame", "rebrick", f, g, "--quiet"]) == 0
+        assert len(calls) == 3  # F spans, G spans, F + iG spans (with its bounds)
+
+    def test_frrebrick_takes_five_svds(self, tmp_path, capsys, monkeypatch):
+        a, s = (write(tmp_path, f"{k}.csv", M) for k, M in zip("as", _frrebrick_example()))
+        calls = count_svd_calls(monkeypatch)
+        assert run(["frame", "frrebrick", a, s, "--quiet"]) == 0
+        assert len(calls) == 5  # as many as frames.frrebrick_check alone
 
 
 class TestMultiplier:
@@ -236,6 +310,84 @@ class TestMultiplier:
         assert sigmas == sorted(sigmas, reverse=True)
         assert all(r["kernel_dim"] == 0 for r in rows)
         assert "modeling-dependent" in report["certificates"]["note"]
+
+
+def _sign_pattern(N: int) -> np.ndarray:
+    m = np.ones((1, N))
+    m[0, N // 4 : N - N // 4 + 1] = -1.0
+    return m
+
+
+def _frrebrick_example():
+    S = np.eye(8)
+    S[:2, :2] = rotation(np.pi / 2)
+    return [truncating_shift(6, 8), S]
+
+
+# command -> inputs; every input is scaled alone and all of them together
+_SCALE_CASES = {
+    "check-basis": lambda rng: [rng.standard_normal((3, 3))],
+    "rebrick": lambda rng: [rng.standard_normal((3, 3)), rng.standard_normal((3, 3))],
+    "repair": lambda rng: [
+        np.eye(3) + 0.1 * rng.standard_normal((3, 3)), plant_eigenvalue_i(rng, 3)
+    ],
+    "frame bounds": lambda rng: [rng.standard_normal((3, 5))],
+    "frame parseval": lambda rng: [rng.standard_normal((3, 5))],
+    "frame order": lambda rng: [duplicated_e1_frame(4), shifted_duplicate_frame(4)],
+    "frame rebrick": lambda rng: [rng.standard_normal((3, 5)), rng.standard_normal((3, 5))],
+    "frame frrebrick": lambda rng: _frrebrick_example(),
+    "multiplier validate": lambda rng: [_sign_pattern(16)],
+    "multiplier rebrick": lambda rng: [np.eye(1, 8), _sign_pattern(8)],
+}
+
+
+# products of such entries overflow on the way; the contract is the exit code
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestExtremeScale:
+    """Entries scaled far from 1 always end in a documented exit code and a report."""
+
+    @staticmethod
+    def run_quiet(capsys, argv):
+        code = run(argv + ["--quiet"])
+        report = json.loads(capsys.readouterr().out)
+        assert code in (0, 1, 2, 3)
+        assert report["exit_code"] == code
+        return code, report
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e170, 1e300])
+    @pytest.mark.parametrize("command", sorted(_SCALE_CASES))
+    def test_every_file_command(self, tmp_path, capsys, command, scale):
+        mats = _SCALE_CASES[command](np.random.default_rng(20))
+        for scaled in [{k} for k in range(len(mats))] + [set(range(len(mats)))]:
+            files = [
+                write(tmp_path, f"m{k}.csv", M * (scale if k in scaled else 1.0))
+                for k, M in enumerate(mats)
+            ]
+            self.run_quiet(capsys, command.split() + files)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e170, 1e300])
+    @pytest.mark.parametrize(
+        "argv", [["hilbert", "--N", "64"], ["trig", "--K", "5"], ["sweep", "16", "32"]]
+    )
+    def test_every_fileless_command(self, capsys, argv, scale):
+        # these read no matrix, so the scale goes into the tolerance
+        self.run_quiet(capsys, ["multiplier"] + argv + ["--tol", repr(scale)])
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e170])
+    @pytest.mark.parametrize("sub", ["bounds", "rebrick"])
+    def test_frame_bounds_out_of_range_is_input_error(self, tmp_path, capsys, sub, scale):
+        rng = np.random.default_rng(21)
+        files = [write(tmp_path, f"{k}.csv", scale * rng.standard_normal((3, 5))) for k in "fg"]
+        code, report = self.run_quiet(capsys, ["frame", sub] + files[: 1 if sub == "bounds" else 2])
+        assert code == 2 and "float64 range" in report["error"]
+
+    def test_rebrick_pair_out_of_range_is_input_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(22)
+        v1 = write(tmp_path, "v1.csv", rng.standard_normal((3, 3)))
+        v2 = write(tmp_path, "v2.csv", 1e170 * rng.standard_normal((3, 3)))
+        code, report = self.run_quiet(capsys, ["rebrick", v1, v2])
+        assert code == 2 and "float64 range" in report["error"]
 
 
 class TestSizeCaps:

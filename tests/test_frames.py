@@ -5,6 +5,7 @@ from rebrick import errors, frames, linalg
 from rebrick.frames import FiniteFrame
 from support import (
     appended_vector_frame,
+    count_svd_calls,
     duplicated_e1_frame,
     parseval_split_frame,
     random_invertible,
@@ -56,6 +57,12 @@ class TestFrameBounds:
         S = np.zeros((3, 4))
         S[0, 0] = 1.0
         with pytest.raises(errors.NotAFrame):
+            frames.frame_bounds(FiniteFrame(S))
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e170])
+    def test_squares_outside_float64_rejected(self, scale):
+        S = scale * np.random.default_rng(18).standard_normal((3, 5))
+        with pytest.raises(errors.InvalidMatrix, match="float64 range"):
             frames.frame_bounds(FiniteFrame(S))
 
     def test_too_few_vectors_rejected(self):
@@ -179,6 +186,28 @@ class TestCompatibilityOperator:
                 has_T = frames.compatibility_operator(F, G) is not None
                 assert has_T == frames.frame_leq(F, G).leq
 
+    def test_pseudo_inverse_cuts_where_the_kernels_were_cut(self):
+        # the third singular value of each synthesis lies below the rank cutoff
+        # rank_rel * 6 * sigma_max, so frame_leq counts it as zero; a
+        # pseudo-inverse that inverts 2e-15 instead blows rounding up into T
+        rng = np.random.default_rng(3)
+        U = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        W = np.linalg.qr(rng.standard_normal((6, 3)))[0]
+        F = FiniteFrame(U @ np.diag([0.9, 0.5, 5e-14]) @ W.T)
+        G = FiniteFrame(U @ np.diag([1.0, 0.7, 2e-15]) @ W.T)
+        v = frames.frame_leq(F, G)
+        assert v.equivalent and v.ker_dim_F == v.ker_dim_G == 4
+        T = frames.compatibility_operator(F, G)
+        assert T is not None
+        assert np.linalg.norm(T, 2) == pytest.approx(0.9, rel=1e-9)
+        assert np.max(np.abs(T @ G.synthesis - F.synthesis)) <= 1e-12
+
+    def test_three_svds(self, monkeypatch):
+        F = FiniteFrame(np.random.default_rng(16).standard_normal((3, 6)))
+        calls = count_svd_calls(monkeypatch)
+        assert frames.compatibility_operator(F, F) is not None
+        assert len(calls) == 3  # two kernels and the pseudo-inverse
+
 
 class TestRebrickFrames:
     def test_redundant_pair_bounds(self):
@@ -203,7 +232,7 @@ class TestRebrickFrames:
     def test_quarter_turn_pair_degenerates(self):
         F = FiniteFrame(np.eye(2))
         G = FiniteFrame(rotation(np.pi / 2) @ np.eye(2))
-        with pytest.raises(errors.NotAFrame):
+        with pytest.raises(errors.NotRebrickable):
             frames.rebrick_frames(F, G)
 
     def test_incompatible_pair_still_rebricks(self):
@@ -258,7 +287,9 @@ class TestFrRebrick:
         A, S, p = self.example(6)
         BS = np.eye(p) + 1j * S
         assert linalg.rank(BS) == p - 1  # not surjective on its own
-        assert frames.frrebrick_check(A, S)
+        v = frames.frrebrick_check(A, S)
+        assert v.surjective is True
+        assert (v.rank_id_iS, v.rank_product) == (p - 1, 6)
         assert linalg.rank(A @ BS) == 6
 
     def test_invertible_a_cannot_absorb(self):
@@ -266,13 +297,13 @@ class TestFrRebrick:
         A = random_invertible(rng, 4)
         S = np.eye(4)
         S[:2, :2] = rotation(np.pi / 2)
-        assert not frames.frrebrick_check(A, S)
+        assert frames.frrebrick_check(A, S).surjective is False
 
     def test_regular_symbol_always_passes(self):
         rng = np.random.default_rng(9)
         S = random_symmetric(rng, 6) + 4 * np.eye(6)
         A = truncating_shift(4, 6)
-        assert frames.frrebrick_check(A, S)
+        assert frames.frrebrick_check(A, S).surjective is True
 
     def test_agreement_with_direct_product_rank(self):
         rng = np.random.default_rng(10)
@@ -283,15 +314,22 @@ class TestFrRebrick:
             S = random_invertible(rng, p)
             if rng.integers(0, 2):
                 S[:2, :2] = rotation(np.pi / 2)
-            ok = frames.frrebrick_check(A, S)
+            v = frames.frrebrick_check(A, S)
             BS = np.eye(p) + 1j * S
-            assert ok == (linalg.rank(A @ BS) == n)
+            assert v.surjective == (linalg.rank(A @ BS) == n)
+            assert (v.rank_id_iS, v.rank_product) == (linalg.rank(BS), linalg.rank(A @ BS))
 
     def test_rank_deficient_inputs_rejected(self):
         A = np.zeros((2, 4))
         S = np.eye(4)
         with pytest.raises(errors.RankDeficientInput):
             frames.frrebrick_check(A, S)
+
+    def test_five_svds(self, monkeypatch):
+        A, S, p = self.example(6)
+        calls = count_svd_calls(monkeypatch)
+        frames.frrebrick_check(A, S)
+        assert len(calls) == 5  # ker(A) with rank(A), rank(S), the two routes, rank(Id + iS)
 
 
 class TestSurjectiveFactor:
@@ -348,6 +386,19 @@ class TestSurjectiveFactor:
         assert (
             linalg.kernel_basis(A).shape[1] == linalg.kernel_basis(A @ R).shape[1]
         )
+
+    def test_three_svds(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        A, B = rng.standard_normal((3, 7)), rng.standard_normal((3, 5))
+        calls = count_svd_calls(monkeypatch)
+        assert frames.surjective_factor(A, B) is not None
+        assert len(calls) == 3  # the two kernels give the ranks; the pseudo-inverse
+
+    def test_rank_deficient_inputs_rejected(self):
+        with pytest.raises(errors.RankDeficientInput):
+            frames.surjective_factor(np.zeros((2, 4)), np.eye(2))
+        with pytest.raises(errors.RankDeficientInput):
+            frames.surjective_factor(np.eye(3), np.ones((3, 5)))
 
 
 class TestParsevalRebrick:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rebrick import errors, linalg
-from support import exact_rank, random_invertible, rotation
+from support import count_svd_calls, exact_rank, random_invertible, rotation
 
 
 def test_svd_identity():
@@ -132,14 +132,7 @@ def test_kernel_orthonormal_and_annihilated():
 
 @pytest.mark.parametrize("shape", [(3, 7), (5, 5), (7, 3)])
 def test_kernel_takes_one_svd(shape, monkeypatch):
-    calls = []
-    svd = np.linalg.svd
-
-    def counting(*args, **kwargs):
-        calls.append(kwargs)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    calls = count_svd_calls(monkeypatch)
     M = np.random.default_rng(10).standard_normal(shape)
     K = linalg.kernel_basis(M)
     assert len(calls) == 1
@@ -204,6 +197,34 @@ def test_invert_decision_matches_sigma_min():
         else:
             with pytest.raises(errors.Singular):
                 linalg.invert(M, tol)
+
+
+def test_pinv_cuts_at_the_rank_rule():
+    rng = np.random.default_rng(3)
+    U = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    W = np.linalg.qr(rng.standard_normal((6, 3)))[0]
+    s = np.array([1.0, 0.7, 2e-15])  # 2e-15 lies below rank_rel * 6 * sigma_max
+    P = linalg.pinv(U @ np.diag(s) @ W.T)
+    np.testing.assert_allclose(P, W[:, :2] @ np.diag(1.0 / s[:2]) @ U[:, :2].T, atol=1e-12)
+    M = random_invertible(rng, 4) + 1j * random_invertible(rng, 4)
+    np.testing.assert_allclose(linalg.pinv(M), np.linalg.inv(M), atol=1e-9)
+
+
+def test_pinv_takes_one_svd(monkeypatch):
+    calls = count_svd_calls(monkeypatch)
+    linalg.pinv(np.random.default_rng(11).standard_normal((3, 5)))
+    assert len(calls) == 1
+
+
+def test_square_pair_messages():
+    V, A = linalg.require_square_pair(np.eye(2), np.ones((2, 2)), ("V", "A"))
+    assert V.shape == A.shape == (2, 2)
+    with pytest.raises(errors.ShapeMismatch, match=r"^V is \(2, 2\), A is \(3, 3\)$"):
+        linalg.require_square_pair(np.eye(2), np.eye(3), ("V", "A"))
+    with pytest.raises(errors.ShapeMismatch, match="^A: expected square, got 2x3$"):
+        linalg.require_square_pair(np.eye(2), np.ones((2, 3)), ("V", "A"))
+    with pytest.raises(errors.InvalidMatrix, match="^V: entries must be finite"):
+        linalg.require_square_pair([[np.inf]], [[1.0]], ("V", "A"))
 
 
 def test_tolerance_validation():

@@ -148,7 +148,7 @@ def rebrick_pair(V1, V2, tol: Tolerance = DEFAULT_TOL):
     if not linalg.is_invertible(A2, tol):
         raise NotABasis("columns of V2 do not form a basis", which="V2")
     B = A1 + 1j * A2
-    A = A2 @ inv1
+    A = linalg.as_matrix(A2 @ inv1, "V2 @ inv(V1)")
     # B = (Id + iA) @ V1 carries the scale of V1, so ||Id + iA||^2 is taken
     # from A: for real A it lies in [1 + ||A||^2, 2 * (1 + ||A||^2)]
     norm_A = float(linalg.singular_values(A)[0])
@@ -239,11 +239,11 @@ def rebricked_dual(V, A, tol: Tolerance = DEFAULT_TOL):
     B, _, verdict = _operator_verdict(A_, tol)
     if not verdict.rebrickable:
         raise NotRebrickable("A has eigenvalue i at tolerance; Id + iA is singular")
-    if not linalg.is_invertible(V_, tol):
-        raise NotABasis("columns of V do not form a basis", which="V")
-    primal = B @ V_
-    dual = linalg.invert(B.conj().T, tol) @ linalg.invert(V_.T, tol)
-    return primal, dual
+    try:
+        inv_VT = linalg.invert(V_.T, tol)  # its SVD also decides whether V is a basis
+    except Singular:
+        raise NotABasis("columns of V do not form a basis", which="V") from None
+    return B @ V_, linalg.invert(B.conj().T, tol) @ inv_VT
 
 
 def real_part_preservation_lambda(A, tol: Tolerance = DEFAULT_TOL):
@@ -267,7 +267,7 @@ def real_part_preservation_lambda(A, tol: Tolerance = DEFAULT_TOL):
         return None
     # cross-check the advertised dual identity before reporting the constant
     B = np.eye(n) + 1j * A_
-    R = np.linalg.inv(B.conj().T).real
+    R = linalg.invert(B.conj().T, tol).real
     if not linalg.matrices_close(R, lam * np.eye(n), 1e3 * tol.equality_abs):
         raise InternalConsistencyError(
             "scalar relation A^2 = mu*Id found but the dual real part is not lambda*g"
@@ -276,7 +276,11 @@ def real_part_preservation_lambda(A, tol: Tolerance = DEFAULT_TOL):
 
 
 def rebricked_frame_bounds(V, A, tol: Tolerance = DEFAULT_TOL) -> RieszBoundReport:
-    """Exact and estimated frame bounds of the rebricked basis (Id + i*A) @ V."""
+    """Exact and estimated frame bounds of the rebricked basis (Id + i*A) @ V.
+
+    InvalidMatrix when a squared singular value of V or of (Id + i*A) @ V
+    leaves the float64 range.
+    """
     V_, A_ = linalg.require_square_pair(V, A, ("V", "A"))
     B, s_B, verdict = _operator_verdict(A_, tol)
     if not verdict.rebrickable:
@@ -284,14 +288,16 @@ def rebricked_frame_bounds(V, A, tol: Tolerance = DEFAULT_TOL) -> RieszBoundRepo
     V_reg = linalg.regularity(linalg.singular_values(V_), V_.shape[0], tol)
     if not V_reg.regular:
         raise NotABasis("columns of V do not form a basis", which="V")
-    s_BV = linalg.singular_values(B @ V_)
-    smin_B, smax_B = float(s_B[-1]), float(s_B[0])
+    c_V, C_V = V_reg.squares("V")
+    BV = linalg.as_matrix(B @ V_, "B @ V")
+    c, C = linalg.regularity(linalg.singular_values(BV), V_.shape[0], tol).squares("B @ V")
+    norm_B = float(s_B[0])
     return RieszBoundReport(
-        c_exact=float(s_BV[-1]) ** 2,
-        C_exact=float(s_BV[0]) ** 2,
-        c_lower_estimate=V_reg.sigma_min**2 * smin_B**2,
-        C_upper_estimate=V_reg.sigma_max**2 * smax_B**2,
-        norm_B=smax_B,
+        c_exact=c,
+        C_exact=C,
+        c_lower_estimate=c_V * float(s_B[-1]) ** 2,
+        C_upper_estimate=C_V * norm_B**2,
+        norm_B=norm_B,
     )
 
 

@@ -134,7 +134,7 @@ def _write_out(args, M) -> str | None:
 
 def cmd_check_basis(args, tol):
     M, info = _load(args.file, want_real=False, name="matrix")
-    linalg.require_square(M)
+    M = linalg.require_square(M)
     reg = linalg.regularity(linalg.singular_values(M), M.shape[0], tol)
     verdicts = {"is_basis": reg.regular}
     certs = {"sigma_min": reg.sigma_min, "sigma_max": reg.sigma_max, "n": int(M.shape[0])}

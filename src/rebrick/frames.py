@@ -95,23 +95,12 @@ def _require_spanning(F: FiniteFrame, tol: Tolerance) -> linalg.Regularity:
     return reg
 
 
-def _bounds(reg: linalg.Regularity, F: FiniteFrame) -> FrameBounds:
-    # c = sigma_min^2 must not underflow and C = sigma_max^2 must not overflow
-    lo, hi = linalg.SQUARE_RANGE
-    if not (lo <= reg.sigma_min and reg.sigma_max <= hi):
-        raise InvalidMatrix(
-            f"frame {F.label or '(unlabeled)'}: singular values in "
-            f"[{reg.sigma_min:.3e}, {reg.sigma_max:.3e}] square outside the float64 range"
-        )
-    return FrameBounds(c=reg.sigma_min**2, C=reg.sigma_max**2)
-
-
 def frame_bounds(F: FiniteFrame, tol: Tolerance = DEFAULT_TOL) -> FrameBounds:
     """Sharp bounds c, C with c*||f||^2 <= sum |<f, f_n>|^2 <= C*||f||^2.
 
     NotAFrame unless F spans; InvalidMatrix when c or C leaves the float64 range.
     """
-    return _bounds(_require_spanning(F, tol), F)
+    return FrameBounds(*_require_spanning(F, tol).squares(f"frame {F.label or '(unlabeled)'}"))
 
 
 def is_parseval(F: FiniteFrame, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -173,8 +162,7 @@ def compatibility_operator(F: FiniteFrame, G: FiniteFrame, tol: Tolerance = DEFA
     when the kernels are equal T is invertible.  The pseudo-inverse cuts
     at the rank rule that decided the kernels.
     """
-    _check_comparable(F, G)
-    if not frame_leq(F, G, tol).leq:
+    if not frame_leq(F, G, tol).leq:  # frame_leq checks that F and G are comparable
         return None
     T = F.synthesis @ linalg.pinv(G.synthesis, tol)
     if not linalg.matrices_close(T @ G.synthesis, F.synthesis, 1e2 * tol.equality_abs):
@@ -200,7 +188,7 @@ def rebrick_frames(F: FiniteFrame, G: FiniteFrame, tol: Tolerance = DEFAULT_TOL)
     reg = linalg.regularity(linalg.singular_values(S), combined.count, tol)
     if not reg.regular:
         raise NotRebrickable("combined synthesis does not span the complex space")
-    return combined, _bounds(reg, combined)
+    return combined, FrameBounds(*reg.squares(f"frame {combined.label or '(unlabeled)'}"))
 
 
 def operator_rebrick_frame(F: FiniteFrame, A, tol: Tolerance = DEFAULT_TOL):
@@ -245,7 +233,8 @@ def frrebrick_check(A, S, tol: Tolerance = DEFAULT_TOL) -> FrRebrickVerdict:
     BS = np.eye(p) + 1j * S_
     # the complex span of a real kernel basis covers ker(A) + i*ker(A)
     filled = linalg.rank(np.hstack([BS, K.astype(complex)]), tol) == p
-    rank_product = linalg.rank(A_ @ BS, tol)
+    AB = linalg.as_matrix(A_ @ BS, "A @ (Id + iS)")
+    rank_product = linalg.regularity(linalg.singular_values(AB), max(AB.shape), tol).rank
     if filled != (rank_product == n):
         raise InternalConsistencyError(
             "range+kernel test and direct product-rank test disagree; "

@@ -9,6 +9,11 @@ singular value counts as nonzero when it exceeds
 with scale = sigma_max unless the caller knows the scale the operator
 was computed at (Id + A@A is judged against ||Id + iA||^2).
 
+Arrays are validated once, where they enter: each exported function runs
+`as_matrix` or `require_square(_pair)` on its arguments, and a product the
+package forms is checked where it is formed.  The helpers not exported from
+the package take checked arrays and validate nothing.
+
 Everything here is a pure function of its arguments; nothing mutates
 its inputs and there is no module state, so concurrent use is safe.
 """
@@ -100,7 +105,7 @@ def svd(M):
 
 
 def singular_values(M) -> np.ndarray:
-    return np.linalg.svd(as_matrix(M), compute_uv=False)
+    return np.linalg.svd(M, compute_uv=False)
 
 
 class Regularity(NamedTuple):
@@ -115,6 +120,15 @@ class Regularity(NamedTuple):
     def regular(self) -> bool:
         """Every singular value clears the cutoff (full rank)."""
         return self.sigma_min > self.cutoff
+
+    def squares(self, what: str) -> tuple[float, float]:
+        """(sigma_min^2, sigma_max^2); InvalidMatrix when either leaves the normal float64 range."""
+        if not (SQUARE_RANGE[0] <= self.sigma_min and self.sigma_max <= SQUARE_RANGE[1]):
+            raise InvalidMatrix(
+                f"{what}: singular values in [{self.sigma_min:.3e}, {self.sigma_max:.3e}] "
+                "square outside the float64 range"
+            )
+        return self.sigma_min**2, self.sigma_max**2
 
 
 def regularity(
@@ -168,7 +182,7 @@ def invert(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     The decision and the inverse share one SVD.
     """
     A = require_square(M)
-    U, s, V = svd(A)
+    U, s, Vh = np.linalg.svd(A, full_matrices=False)
     reg = regularity(s, A.shape[0], tol)
     if not reg.regular:
         raise Singular(
@@ -176,7 +190,7 @@ def invert(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
             f"(sigma_min={reg.sigma_min:.3e}, cutoff={reg.cutoff:.3e})",
             sigma_min=reg.sigma_min,
         )
-    return (V / s) @ U.conj().T
+    return (Vh.conj().T / s) @ U.conj().T
 
 
 def pinv(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -185,33 +199,29 @@ def pinv(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     Inverts exactly the singular values that `regularity` counts, so its
     rank agrees with `rank` and `kernel_basis`.  One SVD.
     """
-    U, s, V = svd(M)
-    r = regularity(s, max(U.shape[0], V.shape[0]), tol).rank
-    return (V[:, :r] / s[:r]) @ U[:, :r].conj().T
+    U, s, Vh = np.linalg.svd(M, full_matrices=False)
+    r = regularity(s, max(M.shape), tol).rank
+    return (Vh[:r].conj().T / s[:r]) @ U[:, :r].conj().T
 
 
 def is_invertible(M, tol: Tolerance = DEFAULT_TOL) -> bool:
-    A = require_square(M)
-    return regularity(singular_values(A), A.shape[0], tol).regular
+    return regularity(singular_values(M), M.shape[0], tol).regular
 
 
 def max_abs(M) -> float:
-    A = np.asarray(M)
-    return float(np.max(np.abs(A))) if A.size else 0.0
+    return float(np.max(np.abs(M))) if M.size else 0.0
 
 
 def matrices_close(A, B, tol_abs: float) -> bool:
     """Entrywise |A - B| <= tol_abs."""
-    return max_abs(np.asarray(A) - np.asarray(B)) <= tol_abs
+    return max_abs(A - B) <= tol_abs
 
 
 def is_orthogonal(E, tol: Tolerance = DEFAULT_TOL) -> bool:
     """E.T @ E == identity within equality_abs (real orthogonal columns)."""
-    A = require_square(E)
-    return matrices_close(A.conj().T @ A, np.eye(A.shape[1]), tol.equality_abs)
+    return matrices_close(E.conj().T @ E, np.eye(E.shape[1]), tol.equality_abs)
 
 
 def is_unitary_defect(U) -> float:
     """Entrywise deviation of U*U from the identity."""
-    A = as_matrix(U)
-    return max_abs(A.conj().T @ A - np.eye(A.shape[1]))
+    return max_abs(U.conj().T @ U - np.eye(U.shape[1]))

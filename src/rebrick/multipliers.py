@@ -75,10 +75,9 @@ def multiplier_matrix(m) -> np.ndarray:
 
 
 def is_real_symbol_operator(m, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True when the operator with symbol m maps real signals to real ones."""
-    mv = _as_signal(m, "multiplier")
-    N = mv.size
-    return bool(np.max(np.abs(mv - np.conj(mv[(-np.arange(N)) % N]))) <= tol.equality_abs)
+    """True when the operator with the checked symbol m maps real signals to real ones."""
+    N = m.size
+    return bool(np.max(np.abs(m - np.conj(m[(-np.arange(N)) % N]))) <= tol.equality_abs)
 
 
 def validate_rebrick_multiplier(m, tol: Tolerance = DEFAULT_TOL):
@@ -136,13 +135,13 @@ def rebrick_translates(x, m, tol: Tolerance = DEFAULT_TOL):
     if xv.shape != mv.shape:
         raise LengthMismatch(f"generator length {xv.size} != multiplier length {mv.size}")
     N = xv.size
-    mags = np.abs(dft(xv))
-    if np.max(np.abs(mags - 1.0 / np.sqrt(N))) > max(tol.equality_abs, 1e-10):
+    X = np.fft.fft(xv, norm="ortho")  # dft(xv), on the signal checked above
+    if np.max(np.abs(np.abs(X) - 1.0 / np.sqrt(N))) > max(tol.equality_abs, 1e-10):
         raise GeneratorNotONB(
             "translates of the generator are not orthonormal "
             "(DFT magnitudes deviate from 1/sqrt(N))"
         )
-    bx = idft((1.0 + 1j * mv) / np.sqrt(2.0) * dft(xv))
+    bx = np.fft.ifft((1.0 + 1j * mv) / np.sqrt(2.0) * X, norm="ortho")
     unitary = _circulant_unitary_defect(bx) <= max(tol.equality_abs, 1e-10)
     return _circulant(bx), unitary
 

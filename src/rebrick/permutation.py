@@ -78,10 +78,7 @@ def permutation_matrix(pi, n: int) -> np.ndarray:
 def apply_column_permutation(A, pi) -> np.ndarray:
     """A @ P_pi: column pi[k] of the result is column k of A."""
     M = linalg.as_matrix(A)
-    p = _check_permutation(pi, M.shape[1])
-    out = np.empty_like(M)
-    out[:, list(p)] = M
-    return out
+    return M[:, np.argsort(_check_permutation(pi, M.shape[1]))]
 
 
 def compose(pi, sigma) -> tuple[int, ...]:
@@ -161,12 +158,6 @@ def invariant_eigenvalue_candidates(A) -> tuple[float, float]:
     return 0.0, float(np.sum(M)) / M.shape[0]
 
 
-def _repair_score(A: np.ndarray, pi, tol: Tolerance):
-    AP = apply_column_permutation(A, pi)
-    n = A.shape[0]
-    return linalg.regularity(linalg.singular_values(np.eye(n) + 1j * AP), n, tol), AP
-
-
 def _candidate_order(n: int):
     # identity, all transpositions in lexicographic order, then every
     # permutation in lexicographic order (duplicates skipped)
@@ -202,7 +193,8 @@ def repair_permutation(A, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Permut
         source = (tuple(int(j) for j in rng.permutation(n)) for _ in range(_RANDOM_TRIAL_CAP))
     for pi in source:
         trials += 1
-        reg, AP = _repair_score(M, pi, tol)
+        AP = M[:, np.argsort(pi)]  # apply_column_permutation, with M and pi known valid
+        reg = linalg.regularity(linalg.singular_values(np.eye(n) + 1j * AP), n, tol)
         if reg.regular:
             eigs = linalg.eigenvalues(AP)
             min_dist = float(np.min(np.abs(eigs - 1j)))
@@ -229,7 +221,8 @@ def rebrick_with_permutation(V, A, pi, tol: Tolerance = DEFAULT_TOL) -> np.ndarr
     """
     V_, A_ = linalg.require_square_pair(V, A, ("V", "A"))
     p = _check_permutation(pi, V_.shape[1])
-    W = V_ + 1j * apply_column_permutation(A_ @ V_, p)
+    AV = linalg.as_matrix(A_ @ V_, "A @ V")
+    W = V_ + 1j * AV[:, np.argsort(p)]
     reg = linalg.regularity(linalg.singular_values(W), W.shape[0], tol)
     if not reg.regular:
         raise NotRepaired(

@@ -210,3 +210,16 @@ def count_svd_calls(monkeypatch) -> list:
 
     monkeypatch.setattr(np.linalg, "svd", counting)
     return calls
+
+
+def count_validations(monkeypatch) -> list:
+    """Record every linalg.as_matrix call from now on; returns the growing record of names."""
+    calls = []
+    as_matrix = linalg.as_matrix
+
+    def counting(M, name="matrix"):
+        calls.append(name)
+        return as_matrix(M, name)
+
+    monkeypatch.setattr(linalg, "as_matrix", counting)
+    return calls

@@ -4,6 +4,7 @@ import pytest
 from rebrick import basis, errors, linalg
 from support import (
     block_rotation,
+    count_svd_calls,
     plant_eigenvalue_i,
     random_invertible,
     random_orthogonal,
@@ -74,6 +75,13 @@ class TestRebrickPair:
     def test_shape_mismatch(self):
         with pytest.raises(errors.ShapeMismatch):
             basis.rebrick_pair(np.eye(2), np.eye(3))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_transfer_operator_is_named(self):
+        rng = np.random.default_rng(4)
+        V1, V2 = 1e-170 * random_invertible(rng, 3), 1e300 * random_invertible(rng, 3)
+        with pytest.raises(errors.InvalidMatrix, match=r"^V2 @ inv\(V1\): entries must be finite"):
+            basis.rebrick_pair(V1, V2)
 
     def test_symmetry_of_the_relation(self):
         rng = np.random.default_rng(3)
@@ -296,6 +304,18 @@ class TestRebrickedDual:
         with pytest.raises(errors.NotRebrickable):
             basis.rebricked_dual(np.eye(2), ROT90)
 
+    def test_rejects_singular_basis(self):
+        with pytest.raises(errors.NotABasis) as info:
+            basis.rebricked_dual(np.ones((2, 2)), np.zeros((2, 2)))
+        assert info.value.which == "V"
+
+    def test_four_svds(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        V, A = random_invertible(rng, 5), random_symmetric(rng, 5)
+        calls = count_svd_calls(monkeypatch)
+        basis.rebricked_dual(V, A)
+        assert len(calls) == 4  # Id + iA, Id + A^2, and the two inverses
+
 
 class TestRealPartPreservation:
     def test_identity_gives_half(self):
@@ -319,6 +339,13 @@ class TestRealPartPreservation:
     def test_quarter_turn_squares_to_minus_identity(self):
         # A^2 = -Id leaves no admissible constant
         assert basis.real_part_preservation_lambda(ROT90) is None
+
+    def test_cross_check_inverts_at_the_rank_rule(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.inv bypasses the package rank rule")
+
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        assert basis.real_part_preservation_lambda(2.0 * np.eye(3)) == pytest.approx(0.2, abs=1e-12)
 
 
 class TestRebrickedFrameBounds:
@@ -348,6 +375,13 @@ class TestRebrickedFrameBounds:
             assert rep.c_lower_estimate <= rep.c_exact + slack
             assert rep.c_exact <= rep.C_exact + slack
             assert rep.C_exact <= rep.C_upper_estimate + slack
+
+    @pytest.mark.parametrize("scale", [1e170, 1e-170])
+    def test_out_of_range_bounds_are_input_errors(self, scale):
+        rng = np.random.default_rng(19)
+        V, A = scale * rng.standard_normal((3, 3)), 0.1 * rng.standard_normal((3, 3))
+        with pytest.raises(errors.InvalidMatrix, match="float64 range"):
+            basis.rebricked_frame_bounds(V, A)
 
     def test_norm_identity_for_symmetric_operators(self):
         rng = np.random.default_rng(18)

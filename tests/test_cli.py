@@ -355,9 +355,7 @@ class TestExtremeScale:
         assert report["exit_code"] == code
         return code, report
 
-    @pytest.mark.parametrize("scale", [1e-170, 1e170, 1e300])
-    @pytest.mark.parametrize("command", sorted(_SCALE_CASES))
-    def test_every_file_command(self, tmp_path, capsys, command, scale):
+    def scale_every_input(self, tmp_path, capsys, command, scale):
         mats = _SCALE_CASES[command](np.random.default_rng(20))
         for scaled in [{k} for k in range(len(mats))] + [set(range(len(mats)))]:
             files = [
@@ -365,6 +363,35 @@ class TestExtremeScale:
                 for k, M in enumerate(mats)
             ]
             self.run_quiet(capsys, command.split() + files)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e170, 1e300])
+    @pytest.mark.parametrize("command", sorted(_SCALE_CASES))
+    def test_every_file_command(self, tmp_path, capsys, command, scale):
+        self.scale_every_input(tmp_path, capsys, command, scale)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e170, 1e300])
+    @pytest.mark.parametrize("command", sorted(_SCALE_CASES))
+    def test_lapack_sees_only_finite_arrays(self, tmp_path, capsys, monkeypatch, command, scale):
+        # LAPACK reports a non-finite argument on fd 2, which --quiet cannot silence
+        nonfinite = []
+        for name in ("svd", "eigvals", "eigh"):
+            def finite_only(M, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+                if not np.all(np.isfinite(M)):
+                    nonfinite.append(_name)
+                return _fn(M, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, finite_only)
+        self.scale_every_input(tmp_path, capsys, command, scale)
+        assert nonfinite == []
+
+    @pytest.mark.parametrize(
+        "command, product", [("repair", "A @ V"), ("frame frrebrick", "A @ (Id + iS)")]
+    )
+    def test_overflowing_product_is_named(self, tmp_path, capsys, command, product):
+        mats = _SCALE_CASES[command](np.random.default_rng(20))
+        files = [write(tmp_path, f"m{k}.csv", 1e170 * M) for k, M in enumerate(mats)]
+        code, report = self.run_quiet(capsys, command.split() + files)
+        assert code == 2 and report["error"].startswith(f"{product}: entries must be finite")
 
     @pytest.mark.parametrize("scale", [1e-170, 1e170, 1e300])
     @pytest.mark.parametrize(

@@ -325,6 +325,13 @@ class TestFrRebrick:
         with pytest.raises(errors.RankDeficientInput):
             frames.frrebrick_check(A, S)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowing_product_is_named(self):
+        A, S, p = self.example(6)
+        with pytest.raises(errors.InvalidMatrix, match=r"^A @ \(Id \+ iS\): entries must be finite"):
+            frames.frrebrick_check(1e170 * A, 1e170 * S)
+
     def test_five_svds(self, monkeypatch):
         A, S, p = self.example(6)
         calls = count_svd_calls(monkeypatch)

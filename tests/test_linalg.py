@@ -3,8 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rebrick import errors, linalg
-from support import count_svd_calls, exact_rank, random_invertible, rotation
+from rebrick import basis, errors, frames, linalg, permutation
+from support import (
+    count_svd_calls,
+    count_validations,
+    exact_rank,
+    random_invertible,
+    random_orthogonal,
+    rotation,
+    truncating_shift,
+)
 
 
 def test_svd_identity():
@@ -214,6 +222,34 @@ def test_pinv_takes_one_svd(monkeypatch):
     calls = count_svd_calls(monkeypatch)
     linalg.pinv(np.random.default_rng(11).standard_normal((3, 5)))
     assert len(calls) == 1
+
+
+def _validation_cases():
+    rng = np.random.default_rng(12)
+    V, E = random_invertible(rng, 4), random_orthogonal(rng, 4)
+    A = 0.1 * rng.standard_normal((4, 4))
+    S = rng.standard_normal((6, 6)) + 4 * np.eye(6)
+    quarter_turn = rotation(np.pi / 2)
+    quarter_turns = np.kron(np.eye(2), quarter_turn)
+    return {
+        "rebrick_pair": (5, lambda: basis.rebrick_pair(V, A @ V)),
+        "rebricked_dual": (5, lambda: basis.rebricked_dual(V, A)),
+        "rebricked_frame_bounds": (4, lambda: basis.rebricked_frame_bounds(V, A)),
+        "onb_rebrick_check": (2, lambda: basis.onb_rebrick_check(E, E)),
+        "frrebrick_check": (7, lambda: frames.frrebrick_check(truncating_shift(4, 6), S)),
+        # 2 and 8 trials: the count does not grow with the search
+        "repair_permutation 2 trials": (3, lambda: permutation.repair_permutation(quarter_turn)),
+        "repair_permutation 8 trials": (3, lambda: permutation.repair_permutation(quarter_turns)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_validation_cases()))
+def test_validations_per_call(case, monkeypatch):
+    # as_matrix runs once per argument and once per product formed inside
+    most, call = _validation_cases()[case]
+    calls = count_validations(monkeypatch)
+    call()
+    assert 0 < len(calls) <= most, calls
 
 
 def test_square_pair_messages():

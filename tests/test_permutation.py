@@ -286,3 +286,10 @@ class TestRebrickWithPermutation:
     def test_rejects_non_repairing_permutation(self):
         with pytest.raises(errors.NotRepaired):
             permutation.rebrick_with_permutation(np.eye(2), ROT90, (0, 1))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_product_is_named(self):
+        rng = np.random.default_rng(12)
+        V, A = 1e170 * random_invertible(rng, 3), 1e170 * plant_eigenvalue_i(rng, 3)
+        with pytest.raises(errors.InvalidMatrix, match="^A @ V: entries must be finite"):
+            permutation.rebrick_with_permutation(V, A, (1, 0, 2))

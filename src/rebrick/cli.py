@@ -1,11 +1,14 @@
 """Command-line front end.
 
-Usage: rebrick <command> [args] [--tol T] [--seed S] [--format json|text]
-                [--out PATH] [--quiet]
+Usage: rebrick <command> [<subcommand>] ARGS [--tol T] [--seed S]
+                [--format json|text] [--out PATH] [--quiet]
 
-Every run produces a report carrying the verdict, the numeric
-certificates behind it and the tolerance block that the verdict depends
-on.  Exit codes are the scripting contract: 0 affirmative verdict,
+Each of the 13 leaf commands is declared once in `build_parser`, with
+its positionals and flags, so argparse alone checks the shape of a
+command line.  Every run produces a report carrying the verdict, the
+numeric certificates behind it and the tolerance block that the verdict
+depends on; a usage error gets one too, whose `command` is the argv as
+given.  Exit codes are the scripting contract: 0 affirmative verdict,
 1 negative verdict, 2 input error, 3 internal inconsistency (two
 decision routes disagree decisively, which is a bug).  An error's exit
 code is the `exit_code` of its kind in `rebrick.errors`.  --quiet
@@ -18,6 +21,7 @@ an explicit --tol flag wins over the environment.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -33,6 +37,7 @@ from .errors import (
     InvalidMatrix,
     MatrixParseError,
     NegativeVerdict,
+    UsageError,
 )
 from .frames import FiniteFrame
 from .linalg import Tolerance
@@ -69,14 +74,9 @@ def _jsonable(value):
     return value
 
 
-def _digest(path) -> dict:
-    data = Path(path).read_bytes()
-    return {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
-
-
 def _load(path, want_real=False, name="matrix"):
     M = matio.load_matrix(path)
-    info = _digest(path)
+    info = {"path": str(path), "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
     info["rows"], info["cols"] = int(M.shape[0]), int(M.shape[1])
     if want_real and np.iscomplexobj(M):
         raise InvalidMatrix(f"{name} ({path}): expected real entries")
@@ -110,18 +110,6 @@ def _check_cap(what: str, value: int, cap: int) -> None:
         raise InvalidMatrix(f"{what}={value} exceeds the cap {cap}")
 
 
-def _verdict_dict(v: basis.RebrickVerdict) -> dict:
-    return {
-        "rebrickable": v.rebrickable,
-        "sigma_min_B": v.sigma_min_B,
-        "eigenvalues_A": v.eigenvalues_A,
-        "min_dist_to_i": v.min_dist_to_i,
-        "idA2_sigma_min": v.idA2_sigma_min,
-        "condition_number": v.condition_number,
-        "warning": v.warning,
-    }
-
-
 def _write_out(args, M) -> str | None:
     if args.out is None:
         return None
@@ -145,15 +133,9 @@ def cmd_rebrick(args, tol):
     V1, i1 = _load(args.file_v1, want_real=True, name="V1")
     V2, i2 = _load(args.file_v2, want_real=True, name="V2")
     B, v = basis.rebrick_pair(V1, V2, tol)
-    out = _write_out(args, B) if v.rebrickable else None
-    certs = _verdict_dict(v)
-    certs["out"] = out
-    return (
-        {"V1": i1, "V2": i2},
-        {"rebrickable": v.rebrickable},
-        certs,
-        0 if v.rebrickable else 1,
-    )
+    certs = dataclasses.asdict(v)
+    certs["out"] = _write_out(args, B) if v.rebrickable else None
+    return {"V1": i1, "V2": i2}, {"rebrickable": v.rebrickable}, certs, 0 if v.rebrickable else 1
 
 
 def cmd_repair(args, tol):
@@ -176,131 +158,113 @@ def cmd_repair(args, tol):
     return {"V": iv, "A": ia}, {"repaired": True}, certs, 0
 
 
-def cmd_frame(args, tol):
-    sub = args.frame_command
-    if sub == "bounds":
-        S, info = _load(args.files[0], name="frame")
-        fb = frames.frame_bounds(FiniteFrame(S), tol)
-        return {"frame": info}, {"is_frame": True}, {"c": fb.c, "C": fb.C}, 0
-    if sub == "parseval":
-        S, info = _load(args.files[0], name="frame")
-        ok = frames.is_parseval(FiniteFrame(S), tol)
-        return {"frame": info}, {"parseval": ok}, {}, 0 if ok else 1
-    if sub == "order":
-        SF, i1 = _load(args.files[0], name="F")
-        SG, i2 = _load(args.files[1], name="G")
-        v = frames.frame_leq(FiniteFrame(SF, "F"), FiniteFrame(SG, "G"), tol)
-        verdicts = {"leq": v.leq, "geq": v.geq, "equivalent": v.equivalent}
-        certs = {"ker_dim_F": v.ker_dim_F, "ker_dim_G": v.ker_dim_G}
-        return {"F": i1, "G": i2}, verdicts, certs, 0 if (v.leq or v.geq) else 1
-    if sub == "rebrick":
-        SF, i1 = _load(args.files[0], want_real=True, name="F")
-        SG, i2 = _load(args.files[1], want_real=True, name="G")
-        F, G = FiniteFrame(SF, "F"), FiniteFrame(SG, "G")
-        try:
-            combined, fb = frames.rebrick_frames(F, G, tol)
-        except NegativeVerdict:
-            return {"F": i1, "G": i2}, {"rebrickable": False}, {}, 1
-        out = _write_out(args, combined.synthesis)
-        certs = {"c": fb.c, "C": fb.C, "out": out}
-        return {"F": i1, "G": i2}, {"rebrickable": True}, certs, 0
-    if sub == "frrebrick":
-        A, i1 = _load(args.files[0], want_real=True, name="A")
-        S, i2 = _load(args.files[1], want_real=True, name="S")
-        v = frames.frrebrick_check(A, S, tol)
-        certs = {
-            "rank_id_iS": v.rank_id_iS,
-            "rank_product": v.rank_product,
-            "p": int(S.shape[0]),
-            "n": int(A.shape[0]),
-        }
-        verdicts = {"surjective_product": v.surjective}
-        return {"A": i1, "S": i2}, verdicts, certs, 0 if v.surjective else 1
-    raise InvalidMatrix(f"unknown frame subcommand {sub!r}")  # pragma: no cover
+def cmd_frame_bounds(args, tol):
+    S, info = _load(args.file_f, name="frame")
+    fb = frames.frame_bounds(FiniteFrame(S), tol)
+    return {"frame": info}, {"is_frame": True}, {"c": fb.c, "C": fb.C}, 0
 
 
-def cmd_multiplier(args, tol):
-    sub = args.multiplier_command
-    if sub == "validate":
-        m, info = _load_vector(args.files[0], name="multiplier")
-        ok, reasons = multipliers.validate_rebrick_multiplier(m, tol)
-        return {"multiplier": info}, {"valid": ok}, {"reasons": reasons}, 0 if ok else 1
-    if sub == "rebrick":
-        x, i1 = _load_vector(args.files[0], name="generator")
-        m, i2 = _load_vector(args.files[1], name="multiplier")
-        cols, unitary = multipliers.rebrick_translates(x, m, tol)
-        out = _write_out(args, cols)
-        certs = {"unitary": unitary, "out": out}
-        return {"generator": i1, "multiplier": i2}, {"onb": unitary}, certs, 0 if unitary else 1
-    if sub == "hilbert":
-        if args.N is None:
-            raise InvalidMatrix("hilbert needs --N")
-        _check_cap("--N", args.N, MAX_SYMBOL_N)
-        r, k = multipliers.analytic_defect(args.N, tol)
-        certs = {"N": args.N, "rank": r, "kernel_dim": k}
-        return {}, {"analytic_defect": True}, certs, 0
-    if sub == "trig":
-        if args.K is None:
-            raise InvalidMatrix("trig needs --K")
-        _check_cap("--K", args.K, MAX_TRIG_K)
-        if args.N is not None:
-            _check_cap("--N", args.N, MAX_TRIG_N)
-        rep = multipliers.trig_rebrick_demo(args.K, args.N)
-        ok = rep.max_dev <= tol.equality_abs
-        certs = {
-            "K": rep.K,
-            "N": rep.N,
-            "max_dev": rep.max_dev,
-            "max_dev_constant": rep.max_dev_constant,
-            "max_dev_exp_pos": rep.max_dev_exp_pos,
-            "max_dev_exp_neg": rep.max_dev_exp_neg,
-        }
-        return {}, {"matches_exponentials": ok}, certs, 0 if ok else 1
-    if sub == "sweep":
-        try:
-            sizes = [int(f) for f in args.files] or [16, 32, 64, 128, 256]
-        except ValueError as exc:
-            raise InvalidMatrix(f"sweep sizes must be integers: {exc}") from exc
-        _check_cap("number of sweep sizes", len(sizes), MAX_SWEEP_SIZES)
-        _check_cap("sweep size", max(sizes), MAX_SYMBOL_N)
-        rows = multipliers.conditioning_sweep(sizes)
-        decreasing = all(b.sigma_min < a.sigma_min for a, b in zip(rows, rows[1:]))
-        injective = all(r.kernel_dim == 0 for r in rows)
-        certs = {
-            "rows": [
-                {"N": r.N, "sigma_min": r.sigma_min, "kernel_dim": r.kernel_dim}
-                for r in rows
-            ],
-            "note": "sigma_min values are modeling-dependent (sampled symbol band)",
-        }
-        verdicts = {"strictly_decreasing": decreasing, "always_injective": injective}
-        return {}, verdicts, certs, 0 if (decreasing and injective) else 1
-    raise InvalidMatrix(f"unknown multiplier subcommand {sub!r}")  # pragma: no cover
+def cmd_frame_parseval(args, tol):
+    S, info = _load(args.file_f, name="frame")
+    ok = frames.is_parseval(FiniteFrame(S), tol)
+    return {"frame": info}, {"parseval": ok}, {}, 0 if ok else 1
+
+
+def cmd_frame_order(args, tol):
+    SF, i1 = _load(args.file_f, name="F")
+    SG, i2 = _load(args.file_g, name="G")
+    v = frames.frame_leq(FiniteFrame(SF, "F"), FiniteFrame(SG, "G"), tol)
+    verdicts = {"leq": v.leq, "geq": v.geq, "equivalent": v.equivalent}
+    certs = {"ker_dim_F": v.ker_dim_F, "ker_dim_G": v.ker_dim_G}
+    return {"F": i1, "G": i2}, verdicts, certs, 0 if (v.leq or v.geq) else 1
+
+
+def cmd_frame_rebrick(args, tol):
+    SF, i1 = _load(args.file_f, want_real=True, name="F")
+    SG, i2 = _load(args.file_g, want_real=True, name="G")
+    F, G = FiniteFrame(SF, "F"), FiniteFrame(SG, "G")
+    try:
+        combined, fb = frames.rebrick_frames(F, G, tol)
+    except NegativeVerdict:
+        return {"F": i1, "G": i2}, {"rebrickable": False}, {}, 1
+    out = _write_out(args, combined.synthesis)
+    certs = {"c": fb.c, "C": fb.C, "out": out}
+    return {"F": i1, "G": i2}, {"rebrickable": True}, certs, 0
+
+
+def cmd_frame_frrebrick(args, tol):
+    A, i1 = _load(args.file_a, want_real=True, name="A")
+    S, i2 = _load(args.file_s, want_real=True, name="S")
+    v = frames.frrebrick_check(A, S, tol)
+    certs = {"rank_id_iS": v.rank_id_iS, "rank_product": v.rank_product}
+    certs.update(p=S.shape[0], n=A.shape[0])
+    verdicts = {"surjective_product": v.surjective}
+    return {"A": i1, "S": i2}, verdicts, certs, 0 if v.surjective else 1
+
+
+def cmd_multiplier_validate(args, tol):
+    m, info = _load_vector(args.file_m, name="multiplier")
+    ok, reasons = multipliers.validate_rebrick_multiplier(m, tol)
+    return {"multiplier": info}, {"valid": ok}, {"reasons": reasons}, 0 if ok else 1
+
+
+def cmd_multiplier_rebrick(args, tol):
+    x, i1 = _load_vector(args.file_x, name="generator")
+    m, i2 = _load_vector(args.file_m, name="multiplier")
+    cols, unitary = multipliers.rebrick_translates(x, m, tol)
+    out = _write_out(args, cols)
+    certs = {"unitary": unitary, "out": out}
+    return {"generator": i1, "multiplier": i2}, {"onb": unitary}, certs, 0 if unitary else 1
+
+
+def cmd_multiplier_hilbert(args, tol):
+    _check_cap("--N", args.N, MAX_SYMBOL_N)
+    r, k = multipliers.analytic_defect(args.N, tol)
+    certs = {"N": args.N, "rank": r, "kernel_dim": k}
+    return {}, {"analytic_defect": True}, certs, 0
+
+
+def cmd_multiplier_trig(args, tol):
+    _check_cap("--K", args.K, MAX_TRIG_K)
+    if args.N is not None:
+        _check_cap("--N", args.N, MAX_TRIG_N)
+    rep = multipliers.trig_rebrick_demo(args.K, args.N)
+    ok = rep.max_dev <= tol.equality_abs
+    fields = ("K", "N", "max_dev", "max_dev_constant", "max_dev_exp_pos", "max_dev_exp_neg")
+    certs = {f: getattr(rep, f) for f in fields}
+    return {}, {"matches_exponentials": ok}, certs, 0 if ok else 1
+
+
+def cmd_multiplier_sweep(args, tol):
+    sizes = args.sizes or [16, 32, 64, 128, 256]
+    _check_cap("number of sweep sizes", len(sizes), MAX_SWEEP_SIZES)
+    _check_cap("sweep size", max(sizes), MAX_SYMBOL_N)
+    rows = multipliers.conditioning_sweep(sizes)
+    decreasing = all(b.sigma_min < a.sigma_min for a, b in zip(rows, rows[1:]))
+    injective = all(r.kernel_dim == 0 for r in rows)
+    certs = {
+        "rows": [{"N": r.N, "sigma_min": r.sigma_min, "kernel_dim": r.kernel_dim} for r in rows],
+        "note": "sigma_min values are modeling-dependent (sampled symbol band)",
+    }
+    verdicts = {"strictly_decreasing": decreasing, "always_injective": injective}
+    return {}, verdicts, certs, 0 if (decreasing and injective) else 1
 
 
 # ---------------------------------------------------------------- plumbing
 
 
-def _tol_block(tol: Tolerance) -> dict:
-    return {
-        "rank_rel": tol.rank_rel,
-        "eig_abs": tol.eig_abs,
-        "equality_abs": tol.equality_abs,
-    }
-
-
-def _render_text(report: dict) -> str:
+def _render(report: dict, as_json: bool) -> str:
+    report = _jsonable(report)
+    if as_json:
+        return json.dumps(report, sort_keys=True, indent=2)
     lines = [f"command: {' '.join(report['command'])}"]
-    for name, info in report.get("inputs", {}).items():
-        if isinstance(info, dict) and "path" in info:
-            lines.append(
-                f"input {name}: {info['path']} ({info.get('rows', '?')}x{info.get('cols', '?')})"
-            )
+    for name, info in report["inputs"].items():
+        lines.append(f"input {name}: {info['path']} ({info['rows']}x{info['cols']})")
     if "error" in report:
         lines.append(f"error: {report['error']}")
-    for key, val in report.get("verdicts", {}).items():
+    for key, val in report["verdicts"].items():
         lines.append(f"verdict {key}: {val}")
-    for key, val in report.get("certificates", {}).items():
+    for key, val in report["certificates"].items():
         lines.append(f"{key}: {val}")
     t = report["tolerances"]
     lines.append(
@@ -311,11 +275,24 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _emit(report: dict, args) -> None:
-    if args.quiet or args.format == "json":
-        print(json.dumps(_jsonable(report), sort_keys=True, indent=2))
-    else:
-        print(_render_text(_jsonable(report)))
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise UsageError instead of exiting."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def _wants_json(args, argv) -> bool:
+    """--quiet or --format json, from the parsed flags or, after a usage error, from argv."""
+    if args is None:
+        style = _Parser(add_help=False)
+        style.add_argument("--quiet", action="store_true")
+        style.add_argument("--format", nargs="?")
+        try:
+            args = style.parse_known_args(argv)[0]
+        except UsageError:
+            return False
+    return args.quiet or args.format == "json"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,57 +303,81 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", type=Path, default=None, help="write the result matrix here")
     common.add_argument("--quiet", action="store_true", help="print only the JSON report")
 
-    p = argparse.ArgumentParser(prog="rebrick", description=__doc__)
-    sub = p.add_subparsers(dest="command", required=True)
-
-    s = sub.add_parser("check-basis", parents=[common], help="do the columns form a basis?")
-    s.add_argument("file")
-    s.set_defaults(handler=cmd_check_basis)
-
-    s = sub.add_parser("rebrick", parents=[common], help="combine two real bases into V1 + i*V2")
-    s.add_argument("file_v1")
-    s.add_argument("file_v2")
-    s.set_defaults(handler=cmd_rebrick)
-
-    s = sub.add_parser("repair", parents=[common], help="permute columns until Id + i*A*P is regular")
-    s.add_argument("file_v")
-    s.add_argument("file_a")
-    s.set_defaults(handler=cmd_repair)
-
-    s = sub.add_parser("frame", parents=[common], help="frame bounds, order and rebricking")
-    s.add_argument(
-        "frame_command", choices=("bounds", "parseval", "order", "rebrick", "frrebrick")
+    p = _Parser(
+        prog="rebrick", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
-    s.add_argument("files", nargs="+")
-    s.set_defaults(handler=cmd_frame)
+    top = p.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("multiplier", parents=[common], help="shift-invariant rebricking on Z_N")
-    s.add_argument(
-        "multiplier_command", choices=("validate", "rebrick", "hilbert", "trig", "sweep")
-    )
-    s.add_argument("files", nargs="*", help="input files, or sweep sizes")
-    s.add_argument("--N", type=int, default=None)
-    s.add_argument("--K", type=int, default=None)
-    s.set_defaults(handler=cmd_multiplier)
+    def leaf(group, name, handler, help, *arguments):
+        # each argument is a positional name or (name or --flag, add_argument options),
+        # in the order the command echo lists them
+        s = group.add_parser(name, parents=[common], help=help)
+        arguments = [(a, {}) if isinstance(a, str) else a for a in arguments]
+        for arg, options in arguments:
+            s.add_argument(arg, **options)
+        # prog reads "rebrick frame order": the path to this leaf
+        s.set_defaults(handler=handler, path=s.prog.split()[1:], echoed=[a for a, _ in arguments])
 
+    def group(name, help):
+        return top.add_parser(name, help=help).add_subparsers(dest="subcommand", required=True)
+
+    leaf(top, "check-basis", cmd_check_basis, "do the columns form a basis?", "file")
+    leaf(top, "rebrick", cmd_rebrick, "combine two real bases into V1 + i*V2", "file_v1", "file_v2")
+    leaf(top, "repair", cmd_repair, "permute columns until Id + iAP is regular", "file_v", "file_a")
+
+    frame = group("frame", "frame bounds, order and rebricking")
+    leaf(frame, "bounds", cmd_frame_bounds, "sharp frame bounds c, C", "file_f")
+    leaf(frame, "parseval", cmd_frame_parseval, "is the frame Parseval?", "file_f")
+    leaf(frame, "order", cmd_frame_order, "kernel order, both directions", "file_f", "file_g")
+    leaf(frame, "rebrick", cmd_frame_rebrick, "combine F + i*G", "file_f", "file_g")
+    leaf(frame, "frrebrick", cmd_frame_frrebrick, "is A (Id + i*S) surjective?", "file_a", "file_s")
+
+    mult = group("multiplier", "shift-invariant rebricking on Z_N")
+    N, K = ("--N", {"type": int, "required": True}), ("--K", {"type": int, "required": True})
+    leaf(mult, "validate", cmd_multiplier_validate, "is m a rebricking symbol?", "file_m")
+    leaf(mult, "rebrick", cmd_multiplier_rebrick, "are the translates an ONB?", "file_x", "file_m")
+    leaf(mult, "hilbert", cmd_multiplier_hilbert, "rank / kernel of Id + iH", N)
+    leaf(mult, "trig", cmd_multiplier_trig, "trigonometric demo", ("--N", {"type": int}), K)
+    sizes = {"nargs": "*", "type": int, "help": "even sizes N (default 16 32 64 128 256)"}
+    leaf(mult, "sweep", cmd_multiplier_sweep, "sigma_min of Id + iA over N", ("sizes", sizes))
     return p
 
 
+# built once per process: building it costs about as much as a small question
+_PARSER = build_parser()
+
+
+def _command_echo(args) -> list[str]:
+    """The parsed command: its path, arguments in declared order, --seed, then --tol if given."""
+    echo = list(args.path)
+    for name in args.echoed:
+        value = getattr(args, name.lstrip("-"))
+        if not name.startswith("-"):
+            echo += [str(v) for v in value] if isinstance(value, list) else [str(value)]
+        elif value is not None:
+            echo += [name, str(value)]
+    echo += ["--seed", str(args.seed)]
+    if args.tol is not None:
+        echo += ["--tol", repr(args.tol)]
+    return echo
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
     report = {
         "schema": SCHEMA_VERSION,
-        "command": [args.command] + [str(a) for a in getattr(args, "files", [])],
+        "command": argv,
         "inputs": {},
         "verdicts": {},
         "certificates": {},
-        "tolerances": _tol_block(Tolerance()),
+        "tolerances": dataclasses.asdict(Tolerance()),
     }
+    args = None
     try:
-        tol = _resolve_tol(args)
-        report["tolerances"] = _tol_block(tol)
+        args = _PARSER.parse_args(argv)
         report["command"] = _command_echo(args)
+        tol = _resolve_tol(args)
+        report["tolerances"] = dataclasses.asdict(tol)
         inputs, verdicts, certs, code = args.handler(args, tol)
     except (InputError, NegativeVerdict, InternalConsistencyError, OSError) as exc:
         code = getattr(exc, "exit_code", 2)  # OSError: an unreadable file is bad input
@@ -388,26 +389,8 @@ def run(argv=None) -> int:
     else:
         report.update(inputs=inputs, verdicts=verdicts, certificates=certs)
     report["exit_code"] = code
-    _emit(report, args)
+    print(_render(report, _wants_json(args, argv)))
     return code
-
-
-def _command_echo(args) -> list[str]:
-    echo = [args.command]
-    for attr in ("frame_command", "multiplier_command"):
-        if getattr(args, attr, None):
-            echo.append(getattr(args, attr))
-    for attr in ("file", "file_v1", "file_v2", "file_v", "file_a"):
-        if getattr(args, attr, None):
-            echo.append(str(getattr(args, attr)))
-    echo.extend(str(f) for f in getattr(args, "files", []) or [])
-    for attr, flag in (("N", "--N"), ("K", "--K")):
-        if getattr(args, attr, None) is not None:
-            echo.extend([flag, str(getattr(args, attr))])
-    echo.extend(["--seed", str(args.seed)])
-    if args.tol is not None:
-        echo.extend(["--tol", repr(args.tol)])
-    return echo
 
 
 def main() -> None:

@@ -9,6 +9,8 @@ hierarchy and nothing else:
   InputError                the question itself is malformed   exit 2
   NegativeVerdict           a well-posed question answered no  exit 1
   InternalConsistencyError  two decision routes disagree       exit 3
+
+A command line that matches no declared CLI command is a UsageError (exit 2).
 """
 
 
@@ -32,6 +34,10 @@ class InternalConsistencyError(RebrickError):
     """Two independent decision routes disagree outside their guard bands."""
 
     exit_code = 3
+
+
+class UsageError(InputError):
+    """A command line does not match any declared CLI command."""
 
 
 class InvalidMatrix(InputError):

@@ -85,13 +85,15 @@ class FrRebrickVerdict:
     rank_product: int
 
 
+def _not_spanning(F: FiniteFrame) -> NotAFrame:
+    return NotAFrame(f"frame {F.label or '(unlabeled)'} does not span: rank < {F.dim}")
+
+
 def _require_spanning(F: FiniteFrame, tol: Tolerance) -> linalg.Regularity:
     """Regularity of the synthesis, from one singular-value pass; NotAFrame unless it spans."""
     reg = linalg.regularity(linalg.singular_values(F.synthesis), F.count, tol)
     if not reg.regular:
-        raise NotAFrame(
-            f"frame {F.label or '(unlabeled)'} does not span: rank < {F.dim}"
-        )
+        raise _not_spanning(F)
     return reg
 
 
@@ -112,8 +114,10 @@ def is_parseval(F: FiniteFrame, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 def frame_kernel(F: FiniteFrame, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of {c : synthesis @ c = 0}, dimension m - n."""
-    _require_spanning(F, tol)
-    return linalg.kernel_basis(F.synthesis, tol)
+    K = linalg.kernel_basis(F.synthesis, tol)
+    if K.shape[1] != F.count - F.dim:  # the spanning check, at the same cutoff size m
+        raise _not_spanning(F)
+    return K
 
 
 def _contains(K_big: np.ndarray, K_small: np.ndarray, tol: Tolerance) -> bool:

@@ -59,7 +59,8 @@ def apply_multiplier(m, x) -> np.ndarray:
     xv = _as_signal(x)
     if mv.shape != xv.shape:
         raise LengthMismatch(f"multiplier length {mv.size} != signal length {xv.size}")
-    return idft(mv * dft(xv))
+    spectrum = _as_signal(mv * np.fft.fft(xv, norm="ortho"), "spectrum")  # m * X can overflow
+    return np.fft.ifft(spectrum, norm="ortho")
 
 
 def multiplier_matrix(m) -> np.ndarray:

@@ -1,11 +1,15 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from rebrick import basis, errors, matio, multipliers
+from rebrick import basis, cli, errors, matio, multipliers
 from rebrick.cli import run
 from support import (
     count_svd_calls,
@@ -522,3 +526,181 @@ class TestReportContract:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["verdicts"]["is_basis"] is True
+
+
+class TestUsageErrors:
+    """A command line that matches no declared command is exit 2 with a report."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["frame", "order", "F"],
+            ["multiplier", "validate"],
+            ["frame", "bounds", "F", "F"],
+            ["multiplier", "hilbert"],
+            ["multiplier", "trig", "--N", "64"],
+            ["multiplier", "hilbert", "--N", "1.5"],
+            ["multiplier", "sweep", "16", "x"],
+            ["check-basis", "F", "--tol", "abc"],
+            ["check-basis", "F", "--N", "4"],
+            ["check-basis"],
+            ["frame"],
+            ["frame", "kernel", "F"],
+            ["bogus"],
+            [],
+        ],
+    )
+    @pytest.mark.parametrize("style", ["--quiet", "--format=text"])
+    def test_exit_2_with_report(self, tmp_path, capsys, argv, style):
+        f = write(tmp_path, "f.csv", np.eye(2))
+        argv = [f if a == "F" else a for a in argv] + [style]
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: rebrick")
+        if style == "--quiet":
+            report = json.loads(captured.out)
+            assert report["exit_code"] == 2
+            assert report["command"] == argv  # as given, not as parsed
+            assert report["error"].startswith("rebrick")
+            assert report["verdicts"] == {} and report["inputs"] == {}
+        else:
+            lines = captured.out.splitlines()
+            assert lines[0] == f"command: {' '.join(argv)}"
+            assert lines[-1] == "exit_code: 2"
+
+    @pytest.mark.parametrize(
+        "style, as_json",
+        [
+            (["--format", "json"], True),
+            (["--form=json"], True),
+            (["--quiet", "--format"], True),
+            (["--out", "--quiet"], True),
+            (["--format", "xml"], False),
+            ([], False),
+        ],
+    )
+    def test_style_read_from_unparsed_argv(self, capsys, style, as_json):
+        assert run(["frame", "order"] + style) == 2
+        out = capsys.readouterr().out
+        if as_json:
+            assert json.loads(out)["exit_code"] == 2
+        else:
+            assert out.splitlines()[-1] == "exit_code: 2"
+
+    def test_echo_in_declared_order(self, capsys):
+        argv = ["multiplier", "trig", "--tol", "1e-9", "--K", "5", "--seed", "3", "--N", "64"]
+        _, report = run_json(capsys, argv)
+        assert report["command"] == [
+            "multiplier", "trig", "--N", "64", "--K", "5", "--seed", "3", "--tol", "1e-09"
+        ]
+
+    def test_echo_built_before_tolerance_is_resolved(self, tmp_path, capsys):
+        f = write(tmp_path, "i.csv", np.eye(2))
+        code, report = run_json(capsys, ["check-basis", f, "--tol", "-1"])
+        assert code == 2 and "--tol" in report["error"]
+        assert report["command"] == ["check-basis", f, "--seed", "0", "--tol", "-1.0"]
+
+    def test_parser_built_once_per_process(self, tmp_path, capsys, monkeypatch):
+        def refuse():
+            raise AssertionError("parser rebuilt")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        f = write(tmp_path, "i.csv", np.eye(2))
+        assert run(["check-basis", f, "--quiet"]) == 0
+        assert run(["multiplier", "hilbert", "--quiet"]) == 2
+
+    def test_console_script_usage_error(self, tmp_path):
+        f = write(tmp_path, "s.csv", np.ones((2, 2)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rebrick.cli", "frame", "order", f, "--quiet"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["exit_code"] == 2
+
+
+# every leaf command and the number of positionals it declares
+_LEAVES = {command: len(make(np.random.default_rng(0))) for command, make in _SCALE_CASES.items()}
+_LEAVES.update({"multiplier hilbert": 0, "multiplier trig": 0, "multiplier sweep": 3})
+_SIZES = st.one_of(st.integers(-2, 1024), st.integers(2, 512).map(lambda n: 2 * n))
+_TOLS = st.sampled_from(["nan", "-1", "abc", "0", "inf", "1e-9", "1e-6", "1e-3"])
+_CELLS = st.one_of(st.integers(-3, 3).map(float), st.sampled_from([0.5, 1e-170, 1e170, 1e300]))
+_MALFORMED = st.sampled_from(
+    [
+        "",
+        "1,2\n3\n",
+        "1,x\n",
+        "nan,1\n1,1\n",
+        "1;2\n",
+        "[[1, 2]]",
+        '{"data": []}',
+        '{"data": 5}',
+        '{"rows": "x", "data": [[1]]}',
+        '{"rows": 2, "cols": 1, "data": [[1]]}',
+    ]
+)
+# (extra argv, whether the report is JSON)
+_STYLES = [
+    ([], False),
+    (["--quiet"], True),
+    (["--format", "json"], True),
+    (["--format=text"], False),
+    (["--quiet", "--format=text"], True),
+    (["--format", "xml"], False),
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _draw_positional(data, workdir, k, shape):
+    """A small matrix file (CSV or JSON), a malformed or missing file, or a size."""
+    kind = data.draw(st.sampled_from(["csv", "json"] * 3 + ["malformed", "missing", "size"]))
+    if kind == "size":
+        return str(data.draw(_SIZES))
+    if kind == "missing":
+        return str(workdir / "missing.csv")
+    path = workdir / f"in{k}.{'json' if kind == 'json' else 'csv'}"
+    if kind == "malformed":
+        path.write_text(data.draw(_MALFORMED))
+    else:
+        # the files of one command line mostly share a shape, so that some are compatible
+        rows, cols = data.draw(st.sampled_from([shape] * 3 + [(1, 4), (4, 1), (2, 3)]))
+        cells = data.draw(st.lists(_CELLS, min_size=rows * cols, max_size=rows * cols))
+        matio.save_matrix(path, np.reshape(cells, (rows, cols)))
+    return str(path)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_every_command_line_ends_in_a_report(fuzz_dir, data):
+    """Whatever the command line, cli.run returns 0-3 and prints one report."""
+    command = data.draw(st.sampled_from(sorted(_LEAVES)))
+    count = data.draw(st.sampled_from([_LEAVES[command]] * 4 + [0, 1, 2, 3]))
+    shape = (data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4)))
+    argv = command.split() + [_draw_positional(data, fuzz_dir, k, shape) for k in range(count)]
+    flags = [
+        ["--tol", data.draw(_TOLS)],
+        ["--N", data.draw(st.one_of(st.integers(-2, 1024).map(str), st.just("1.5")))],
+        ["--K", data.draw(st.one_of(st.integers(-2, 64).map(str), st.sampled_from(["2.0", ""])))],
+        ["--seed", data.draw(st.sampled_from(["0", "7", "x"]))],
+        ["--out", str(fuzz_dir / data.draw(st.sampled_from(["out.csv", "out.json"])))],
+    ]
+    chosen = data.draw(st.permutations([f for f in flags if data.draw(st.integers(0, 3)) == 0]))
+    style, as_json = data.draw(st.sampled_from(_STYLES))
+    argv += [a for flag in chosen for a in flag] + style
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    event(f"exit {code}")  # pytest --hypothesis-show-statistics shows the spread
+    assert code in (0, 1, 2, 3)
+    if as_json:
+        assert json.loads(out.getvalue())["exit_code"] == code
+    else:
+        assert out.getvalue().splitlines()[-1] == f"exit_code: {code}"

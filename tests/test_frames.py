@@ -100,6 +100,43 @@ class TestFrameKernel:
         assert K.shape == (5, 1)
         np.testing.assert_allclose(np.abs(K[:, 0]), [1, 0, 0, 0, 0], atol=1e-12)
 
+    def test_takes_one_svd(self, monkeypatch):
+        F = FiniteFrame(np.random.default_rng(2).standard_normal((3, 5)))
+        calls = count_svd_calls(monkeypatch)
+        assert frames.frame_kernel(F).shape == (5, 2)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-170, 1e170])
+    def test_non_spanning_is_not_a_frame(self, scale):
+        # third row is the sum of the first two: rank 2 < 3 at every scale
+        S = np.random.default_rng(3).standard_normal((3, 5))
+        S[2] = S[0] + S[1]
+        F = FiniteFrame(scale * S, "F")
+        with pytest.raises(errors.NotAFrame) as kernel_err:
+            frames.frame_kernel(F)
+        with pytest.raises(errors.NotAFrame) as bounds_err:
+            frames.frame_bounds(F)
+        assert str(kernel_err.value) == "frame F does not span: rank < 3"
+        assert str(bounds_err.value) == str(kernel_err.value)
+
+    def test_spans_exactly_when_frame_bounds_exist(self):
+        # the kernel dimension decides spanning at the cutoff frame_bounds uses
+        rng = np.random.default_rng(4)
+        for eps in (1e-3, 1e-12, 1e-14, 1e-16, 0.0):
+            S = rng.standard_normal((3, 6))
+            S[2] = S[0] + S[1] + eps * rng.standard_normal(6)
+            F = FiniteFrame(S)
+            try:
+                frames.frame_bounds(F)
+                spans = True
+            except errors.NotAFrame:
+                spans = False
+            try:
+                frames.frame_kernel(F)
+                assert spans
+            except errors.NotAFrame:
+                assert not spans
+
 
 class TestFrameOrder:
     def test_equal_frames_equivalent(self):

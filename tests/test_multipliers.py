@@ -80,6 +80,33 @@ class TestShiftAndMultiplier:
         with pytest.raises(errors.LengthMismatch):
             multipliers.apply_multiplier(np.ones(4), np.ones(5))
 
+    def test_checks_each_array_once(self, monkeypatch):
+        # m, x and the formed spectrum m * X; the FFTs take the checked arrays
+        names = []
+        as_signal = multipliers._as_signal
+
+        def counting(x, name="signal"):
+            names.append(name)
+            return as_signal(x, name)
+
+        monkeypatch.setattr(multipliers, "_as_signal", counting)
+        multipliers.apply_multiplier(np.ones(8), np.arange(8.0))
+        assert names == ["multiplier", "signal", "spectrum"]
+
+    def test_bit_identical_to_dft_route(self):
+        rng = np.random.default_rng(7)
+        for N in (1, 2, 7, 16, 64):
+            m = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+            x = rng.standard_normal(N)
+            want = multipliers.idft(m * multipliers.dft(x))
+            assert np.array_equal(multipliers.apply_multiplier(m, x), want)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowing_spectrum_is_refused(self):
+        with pytest.raises(errors.LengthMismatch, match="spectrum must be finite"):
+            multipliers.apply_multiplier(np.full(4, 1e300), np.full(4, 1e300))
+
 
 class TestValidateMultiplier:
     def test_all_ones(self):

@@ -5,26 +5,49 @@ spaces for complex ones (scientific notation allowed in both parts).
 JSON files look like {"rows": n, "cols": m, "data": [[...]]} with complex
 entries encoded as two-element [re, im] arrays.  Writers emit full
 precision so a written file re-parses to the same values.
+
+Files are UTF-8.  A matrix has at most MAX_CELLS cells, and a file at most
+_BYTES_PER_CELL bytes per allowed cell; the size is checked before the file
+is read, the cell count before the array is built.
+
+Readers and writers take a CSV row, or a whole JSON document, per step.
+parse_cell runs only on a CSV row that the row patterns do not match, so
+that a bad cell is named by its row and column.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
+import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .errors import MatrixParseError
 
+# 2**20 cells is a 1024 x 1024 matrix, 16 MiB as complex doubles.
+MAX_CELLS = 2**20
+# a written cell takes at most 51 bytes (two 24-character %.17g parts, a sign, an i and a comma)
+_BYTES_PER_CELL = 64
+
 _NUM = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-_CELL_RE = re.compile(rf"^(?P<re>{_NUM})(?:(?P<im>[+-](?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)i)?$")
+_IMAG = r"[+-](?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_CELL_RE = re.compile(rf"(?P<re>{_NUM})(?:(?P<im>{_IMAG})i)?")
+_REAL_ROW_RE = re.compile(rf"{_NUM}(?:,{_NUM})*")
+_ROW_RE = re.compile(rf"{_NUM}(?:{_IMAG}i)?(?:,{_NUM}(?:{_IMAG}i)?)*")
+# CSV cell formats by the imaginary part: zero (of either sign) is not written, a nan
+# one gets "-"; "%.0s" takes the unwritten imaginary part and prints nothing
+_CELL_FORMATS = ("%.17g%.0s", "%.17g+%.17gi", "%.17g-%.17gi")
+_REAL_TYPES = frozenset((int, float))  # type(True) is bool: booleans take the per-cell loop
 
 
 def parse_cell(text: str, row: int, col: int) -> complex | float:
     """One CSV cell; positions are 1-based and only used for error messages."""
     s = text.strip()
-    m = _CELL_RE.match(s)
+    m = _CELL_RE.fullmatch(s)
     if not m:
         raise MatrixParseError(
             f"cannot parse cell {s!r} at row {row}, column {col}", row=row, col=col
@@ -36,44 +59,80 @@ def parse_cell(text: str, row: int, col: int) -> complex | float:
     return complex(re_part, float(im_part))
 
 
-def _format_float(x: float) -> str:
-    return format(float(x), ".17g")
+def _csv_lines(A: np.ndarray):
+    """The CSV lines of a 2-D array, one %-format per line."""
+    if not np.iscomplexobj(A):
+        line = ",".join(["%.17g"] * A.shape[1])
+        for row in A.astype(float):
+            yield line % tuple(row.tolist())
+        return
+    im = A.imag.astype(float)
+    kinds = np.where(im == 0.0, 0, np.where(im >= 0.0, 1, 2))
+    values = np.stack([A.real.astype(float), np.abs(im)], axis=-1).reshape(A.shape[0], -1)
+    for kind, row in zip(kinds, values):
+        yield ",".join(map(_CELL_FORMATS.__getitem__, kind.tolist())) % tuple(row.tolist())
 
 
 def format_cell(value) -> str:
-    v = complex(value)
-    if v.imag == 0.0:
-        return _format_float(v.real)
-    sign = "+" if v.imag >= 0.0 else "-"
-    return f"{_format_float(v.real)}{sign}{_format_float(abs(v.imag))}i"
+    return next(_csv_lines(np.array([[complex(value)]])))
+
+
+def _read_text(path) -> str:
+    """The file's text, decoded as UTF-8, once its size is known to be within the cap."""
+    size = os.stat(path).st_size
+    cap = MAX_CELLS * _BYTES_PER_CELL
+    if size > cap:
+        raise MatrixParseError(
+            f"{path}: {size} bytes exceeds the cap of {cap} bytes"
+            f" ({MAX_CELLS} cells of {_BYTES_PER_CELL} bytes)",
+            row=1,
+            col=1,
+        )
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MatrixParseError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})", row=1, col=1
+        ) from exc
+
+
+def _too_many_cells(path, row: int) -> MatrixParseError:
+    return MatrixParseError(f"{path}: more than {MAX_CELLS} cells (the cap)", row=row, col=1)
 
 
 def load_csv(path) -> np.ndarray:
     rows = []
     width = None
-    text = Path(path).read_text()
-    for r, line in enumerate(text.splitlines(), start=1):
+    cells = 0
+    has_complex = False
+    for r, line in enumerate(_read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
-        cells = [parse_cell(c, r, ci + 1) for ci, c in enumerate(line.split(","))]
+        cells += line.count(",") + 1
+        if cells > MAX_CELLS:
+            raise _too_many_cells(path, r)
+        if _REAL_ROW_RE.fullmatch(line):
+            parsed = list(map(float, line.split(",")))
+        elif _ROW_RE.fullmatch(line):  # complex() reads a matched "a+bj" as parse_cell reads "a+bi"
+            parsed = list(map(complex, line.replace("i", "j").split(",")))
+            has_complex = True
+        else:  # spaces around cells, or a cell that parse_cell rejects with its position
+            parsed = [parse_cell(c, r, ci + 1) for ci, c in enumerate(line.split(","))]
+            has_complex = has_complex or any(isinstance(c, complex) for c in parsed)
         if width is None:
-            width = len(cells)
-        elif len(cells) != width:
+            width = len(parsed)
+        elif len(parsed) != width:
             raise MatrixParseError(
-                f"row {r} has {len(cells)} cells, expected {width}", row=r, col=1
+                f"row {r} has {len(parsed)} cells, expected {width}", row=r, col=1
             )
-        rows.append(cells)
+        rows.append(parsed)
     if not rows:
         raise MatrixParseError(f"{path}: no data rows", row=1, col=1)
-    if any(isinstance(c, complex) for row in rows for c in row):
-        return np.array(rows, dtype=complex)
-    return np.array(rows, dtype=float)
+    return np.array(rows, dtype=complex if has_complex else float)
 
 
 def save_csv(path, M) -> None:
-    A = np.asarray(M)
-    lines = [",".join(format_cell(v) for v in row) for row in A]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(_csv_lines(np.asarray(M))) + "\n")
 
 
 def _json_dim(doc: dict, key: str, default: int, path) -> int:
@@ -84,10 +143,20 @@ def _json_dim(doc: dict, key: str, default: int, path) -> int:
 
 
 def load_json(path) -> np.ndarray:
+    text = _read_text(path)
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MatrixParseError(f"{path}: invalid JSON ({exc})", row=1, col=1) from exc
+    except ValueError as exc:  # an integer literal beyond Python's int-conversion digit limit
+        raise MatrixParseError(
+            f"{path}: an integer has more than {sys.get_int_max_str_digits()} digits,"
+            " outside the float64 range",
+            row=1,
+            col=1,
+        ) from exc
+    except RecursionError as exc:
+        raise MatrixParseError(f"{path}: invalid JSON (nested too deeply)", row=1, col=1) from exc
     if not isinstance(doc, dict) or "data" not in doc:
         raise MatrixParseError(f"{path}: expected an object with a 'data' field", row=1, col=1)
     data = doc["data"]
@@ -99,6 +168,15 @@ def load_json(path) -> np.ndarray:
     cols = _json_dim(doc, "cols", len(data[0]), path)
     if len(data) != rows:
         raise MatrixParseError(f"{path}: 'rows'={rows} but data has {len(data)} rows", row=1, col=1)
+    if max(rows * cols, sum(map(len, data))) > MAX_CELLS:
+        raise _too_many_cells(path, 1)
+    if all(len(row) == cols for row in data) and _REAL_TYPES.issuperset(
+        map(type, chain.from_iterable(data))
+    ):
+        try:
+            return np.array(data, dtype=float)
+        except OverflowError:
+            pass  # an integer beyond float64: the loop below names its cell
     out = []
     has_complex = False
     for r, row in enumerate(data, start=1):
@@ -107,20 +185,25 @@ def load_json(path) -> np.ndarray:
                 f"{path}: row {r} has {len(row)} entries, expected {cols}", row=r, col=1
             )
         parsed = []
-        for c, cell in enumerate(row, start=1):
-            if isinstance(cell, (int, float)) and not isinstance(cell, bool):
-                parsed.append(float(cell))
-            elif (
-                isinstance(cell, list)
-                and len(cell) == 2
-                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in cell)
-            ):
-                parsed.append(complex(cell[0], cell[1]))
-                has_complex = True
-            else:
-                raise MatrixParseError(
-                    f"{path}: bad cell at row {r}, column {c}: {cell!r}", row=r, col=c
-                )
+        try:
+            for c, cell in enumerate(row, start=1):
+                if isinstance(cell, (int, float)) and not isinstance(cell, bool):
+                    parsed.append(float(cell))
+                elif (
+                    isinstance(cell, list)
+                    and len(cell) == 2
+                    and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in cell)
+                ):
+                    parsed.append(complex(cell[0], cell[1]))
+                    has_complex = True
+                else:
+                    raise MatrixParseError(
+                        f"{path}: bad cell at row {r}, column {c}: {cell!r}", row=r, col=c
+                    )
+        except OverflowError as exc:  # an integer cell, or part, beyond float64
+            raise MatrixParseError(
+                f"{path}: cell at row {r}, column {c} is outside the float64 range", row=r, col=c
+            ) from exc
         out.append(parsed)
     return np.array(out, dtype=complex if has_complex else float)
 
@@ -128,10 +211,8 @@ def load_json(path) -> np.ndarray:
 def save_json(path, M) -> None:
     A = np.asarray(M)
     if np.iscomplexobj(A):
-        data = [[[float(v.real), float(v.imag)] for v in row] for row in A]
-    else:
-        data = [[float(v) for v in row] for row in A]
-    doc = {"rows": int(A.shape[0]), "cols": int(A.shape[1]), "data": data}
+        A = np.stack([A.real, A.imag], axis=-1)
+    doc = {"rows": int(A.shape[0]), "cols": int(A.shape[1]), "data": A.astype(float).tolist()}
     Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
 
 

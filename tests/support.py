@@ -1,11 +1,15 @@
 """Shared constructions and exact-arithmetic oracles for the test suite."""
 
+import json
+import re
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
 from rebrick import linalg, multipliers
+from rebrick.errors import MatrixParseError
 
 
 def rotation(theta: float) -> np.ndarray:
@@ -223,3 +227,127 @@ def count_validations(monkeypatch) -> list:
 
     monkeypatch.setattr(linalg, "as_matrix", counting)
     return calls
+
+
+# ------------------------------------------------- per-cell matrix files
+# The cell-at-a-time readers and writers that rebrick.matio replaced, kept as
+# the reference its row-at-a-time code must match: the same bytes written, the
+# same values read bit for bit, the same MatrixParseError on a malformed file.
+
+_REF_NUM = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_REF_CELL_RE = re.compile(
+    rf"^(?P<re>{_REF_NUM})(?:(?P<im>[+-](?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)i)?$"
+)
+
+
+def reference_parse_cell(text: str, row: int, col: int) -> complex | float:
+    s = text.strip()
+    m = _REF_CELL_RE.match(s)
+    if not m:
+        raise MatrixParseError(
+            f"cannot parse cell {s!r} at row {row}, column {col}", row=row, col=col
+        )
+    re_part = float(m.group("re"))
+    im_part = m.group("im")
+    if im_part is None:
+        return re_part
+    return complex(re_part, float(im_part))
+
+
+def _reference_format_float(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+def reference_format_cell(value) -> str:
+    v = complex(value)
+    if v.imag == 0.0:
+        return _reference_format_float(v.real)
+    sign = "+" if v.imag >= 0.0 else "-"
+    return f"{_reference_format_float(v.real)}{sign}{_reference_format_float(abs(v.imag))}i"
+
+
+def reference_load_csv(path) -> np.ndarray:
+    rows = []
+    width = None
+    text = Path(path).read_text(encoding="utf-8")
+    for r, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        cells = [reference_parse_cell(c, r, ci + 1) for ci, c in enumerate(line.split(","))]
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            raise MatrixParseError(
+                f"row {r} has {len(cells)} cells, expected {width}", row=r, col=1
+            )
+        rows.append(cells)
+    if not rows:
+        raise MatrixParseError(f"{path}: no data rows", row=1, col=1)
+    if any(isinstance(c, complex) for row in rows for c in row):
+        return np.array(rows, dtype=complex)
+    return np.array(rows, dtype=float)
+
+
+def reference_save_csv(path, M) -> None:
+    A = np.asarray(M)
+    lines = [",".join(reference_format_cell(v) for v in row) for row in A]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _reference_json_dim(doc: dict, key: str, default: int, path) -> int:
+    value = doc.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise MatrixParseError(f"{path}: {key!r} must be an integer, got {value!r}", row=1, col=1)
+    return value
+
+
+def reference_load_json(path) -> np.ndarray:
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise MatrixParseError(f"{path}: invalid JSON ({exc})", row=1, col=1) from exc
+    if not isinstance(doc, dict) or "data" not in doc:
+        raise MatrixParseError(f"{path}: expected an object with a 'data' field", row=1, col=1)
+    data = doc["data"]
+    if not (isinstance(data, list) and data and all(isinstance(r, list) and r for r in data)):
+        raise MatrixParseError(
+            f"{path}: 'data' must be a non-empty list of non-empty rows", row=1, col=1
+        )
+    rows = _reference_json_dim(doc, "rows", len(data), path)
+    cols = _reference_json_dim(doc, "cols", len(data[0]), path)
+    if len(data) != rows:
+        raise MatrixParseError(f"{path}: 'rows'={rows} but data has {len(data)} rows", row=1, col=1)
+    out = []
+    has_complex = False
+    for r, row in enumerate(data, start=1):
+        if len(row) != cols:
+            raise MatrixParseError(
+                f"{path}: row {r} has {len(row)} entries, expected {cols}", row=r, col=1
+            )
+        parsed = []
+        for c, cell in enumerate(row, start=1):
+            if isinstance(cell, (int, float)) and not isinstance(cell, bool):
+                parsed.append(float(cell))
+            elif (
+                isinstance(cell, list)
+                and len(cell) == 2
+                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in cell)
+            ):
+                parsed.append(complex(cell[0], cell[1]))
+                has_complex = True
+            else:
+                raise MatrixParseError(
+                    f"{path}: bad cell at row {r}, column {c}: {cell!r}", row=r, col=c
+                )
+        out.append(parsed)
+    return np.array(out, dtype=complex if has_complex else float)
+
+
+def reference_save_json(path, M) -> None:
+    A = np.asarray(M)
+    if np.iscomplexobj(A):
+        data = [[[float(v.real), float(v.imag)] for v in row] for row in A]
+    else:
+        data = [[float(v) for v in row] for row in A]
+    doc = {"rows": int(A.shape[0]), "cols": int(A.shape[1]), "data": data}
+    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")

@@ -58,6 +58,32 @@ class TestCheckBasis:
         code, report = run_json(capsys, ["check-basis", str(tmp_path / "nope.csv")])
         assert code == 2
 
+    # 4301 digits: one beyond Python's default int-conversion limit
+    @pytest.mark.parametrize(
+        "name, content, position",
+        [
+            ("big.json", b'{"data": [[1, 1' + b"0" * 400 + b"]]}", {"row": 1, "col": 2}),
+            ("long.json", b'{"data": [[' + b"1" * 4301 + b"]]}", None),
+            ("bad.csv", b"1,2\n3,4\xff\n", None),
+            ("bad.json", b'{"data": [[1]], "note": "\xff"}', None),
+            ("deep.json", b"[" * 100_000 + b"]" * 100_000, None),
+        ],
+        ids=["big.json", "long.json", "bad.csv", "bad.json", "deep.json"],
+    )
+    def test_unparseable_file_is_a_report(self, tmp_path, capsys, name, content, position):
+        p = tmp_path / name
+        p.write_bytes(content)
+        code = run(["check-basis", str(p), "--quiet"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 2 and report["exit_code"] == 2
+        assert report["error_position"] == (position or {"row": 1, "col": 1})
+
+    def test_cell_cap(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(matio, "MAX_CELLS", 8)
+        f = write(tmp_path, "i.csv", np.eye(3))
+        code, report = run_json(capsys, ["check-basis", f])
+        assert code == 2 and "more than 8 cells" in report["error"]
+
 
 class TestRebrick:
     def test_counterexample(self, tmp_path, capsys):
@@ -625,21 +651,33 @@ class TestUsageErrors:
 # every leaf command and the number of positionals it declares
 _LEAVES = {command: len(make(np.random.default_rng(0))) for command, make in _SCALE_CASES.items()}
 _LEAVES.update({"multiplier hilbert": 0, "multiplier trig": 0, "multiplier sweep": 3})
-_SIZES = st.one_of(st.integers(-2, 1024), st.integers(2, 512).map(lambda n: 2 * n))
+# sizes, --N and --K values just above their caps are refused before anything is allocated
+_SIZES = st.one_of(
+    st.integers(-2, 1024), st.integers(2, 512).map(lambda n: 2 * n), st.just(cli.MAX_SYMBOL_N + 2)
+)
+_EDGE_N = ["1.5", str(cli.MAX_TRIG_N + 2), str(cli.MAX_SYMBOL_N + 2)]
+_EDGE_K = ["2.0", "", str(cli.MAX_TRIG_K + 1)]
 _TOLS = st.sampled_from(["nan", "-1", "abc", "0", "inf", "1e-9", "1e-6", "1e-3"])
 _CELLS = st.one_of(st.integers(-3, 3).map(float), st.sampled_from([0.5, 1e-170, 1e170, 1e300]))
+# (extension, content): files that no reader accepts, the last two just above the cell cap
 _MALFORMED = st.sampled_from(
     [
-        "",
-        "1,2\n3\n",
-        "1,x\n",
-        "nan,1\n1,1\n",
-        "1;2\n",
-        "[[1, 2]]",
-        '{"data": []}',
-        '{"data": 5}',
-        '{"rows": "x", "data": [[1]]}',
-        '{"rows": 2, "cols": 1, "data": [[1]]}',
+        ("csv", b""),
+        ("csv", b"1,2\n3\n"),
+        ("csv", b"1,x\n"),
+        ("csv", b"nan,1\n1,1\n"),
+        ("csv", b"1;2\n"),
+        ("csv", b"[[1, 2]]"),
+        ("csv", b"1,2\n3,4\xff\n"),
+        ("json", b'{"data": []}'),
+        ("json", b'{"data": 5}'),
+        ("json", b'{"rows": "x", "data": [[1]]}'),
+        ("json", b'{"rows": 2, "cols": 1, "data": [[1]]}'),
+        ("json", b'{"data": [[1, 1' + b"0" * 400 + b"]]}"),
+        ("json", b'{"data": [[' + b"1" * 4301 + b"]]}"),
+        ("json", b'{"data": [[1]], "note": "\xff"}'),
+        ("csv", b"0," * matio.MAX_CELLS + b"0\n"),
+        ("json", b'{"data": [[' + b"0," * matio.MAX_CELLS + b"0]]}"),
     ]
 )
 # (extra argv, whether the report is JSON)
@@ -665,10 +703,12 @@ def _draw_positional(data, workdir, k, shape):
         return str(data.draw(_SIZES))
     if kind == "missing":
         return str(workdir / "missing.csv")
-    path = workdir / f"in{k}.{'json' if kind == 'json' else 'csv'}"
     if kind == "malformed":
-        path.write_text(data.draw(_MALFORMED))
+        ext, content = data.draw(_MALFORMED)
+        path = workdir / f"in{k}.{ext}"
+        path.write_bytes(content)
     else:
+        path = workdir / f"in{k}.{kind}"
         # the files of one command line mostly share a shape, so that some are compatible
         rows, cols = data.draw(st.sampled_from([shape] * 3 + [(1, 4), (4, 1), (2, 3)]))
         cells = data.draw(st.lists(_CELLS, min_size=rows * cols, max_size=rows * cols))
@@ -687,8 +727,8 @@ def test_every_command_line_ends_in_a_report(fuzz_dir, data):
     argv = command.split() + [_draw_positional(data, fuzz_dir, k, shape) for k in range(count)]
     flags = [
         ["--tol", data.draw(_TOLS)],
-        ["--N", data.draw(st.one_of(st.integers(-2, 1024).map(str), st.just("1.5")))],
-        ["--K", data.draw(st.one_of(st.integers(-2, 64).map(str), st.sampled_from(["2.0", ""])))],
+        ["--N", data.draw(st.one_of(st.integers(-2, 1024).map(str), st.sampled_from(_EDGE_N)))],
+        ["--K", data.draw(st.one_of(st.integers(-2, 64).map(str), st.sampled_from(_EDGE_K)))],
         ["--seed", data.draw(st.sampled_from(["0", "7", "x"]))],
         ["--out", str(fuzz_dir / data.draw(st.sampled_from(["out.csv", "out.json"])))],
     ]

@@ -1,8 +1,19 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rebrick import matio
 from rebrick.errors import MatrixParseError
+from support import (
+    reference_format_cell,
+    reference_load_csv,
+    reference_load_json,
+    reference_save_csv,
+    reference_save_json,
+)
 
 
 class TestCells:
@@ -119,3 +130,271 @@ class TestJson:
             p = tmp_path / name
             matio.save_matrix(p, M)
             np.testing.assert_array_equal(matio.load_matrix(p), M)
+
+
+class TestEscapes:
+    """Files that fail in Python's own parsers still fail as a MatrixParseError."""
+
+    def test_integer_above_float64_names_its_cell(self, tmp_path):
+        big = "1" + "0" * 400
+        for data, col in ((f"[[1, {big}]]", 2), (f"[[1, 2, [{big}, 0]]]", 3)):
+            p = tmp_path / "big.json"
+            p.write_text(f'{{"data": {data}}}')
+            with pytest.raises(MatrixParseError, match="float64 range") as exc:
+                matio.load_json(p)
+            assert (exc.value.row, exc.value.col) == (1, col)
+
+    def test_integer_beyond_the_digit_limit(self, tmp_path):
+        p = tmp_path / "long.json"
+        p.write_text('{"data": [[1, ' + "1" * 4301 + "]]}")  # Python's default limit is 4300
+        with pytest.raises(MatrixParseError, match="float64 range"):
+            matio.load_json(p)
+
+    @pytest.mark.parametrize(
+        "name, content",
+        [("bad.csv", b"1,2\n3,4\xff\n"), ("bad.json", b'{"data": [[1]], "note": "\xff"}')],
+    )
+    def test_not_utf8(self, tmp_path, name, content):
+        p = tmp_path / name
+        p.write_bytes(content)
+        with pytest.raises(MatrixParseError, match="not UTF-8"):
+            matio.load_matrix(p)
+
+    def test_nested_too_deeply(self, tmp_path):
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(MatrixParseError, match="nested too deeply"):
+            matio.load_json(p)
+
+
+class TestCaps:
+    """The cell cap, patched down so that no large file is written."""
+
+    @pytest.fixture(autouse=True)
+    def six_cells(self, monkeypatch):
+        monkeypatch.setattr(matio, "MAX_CELLS", 6)
+
+    def test_csv_cells(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text("1,2,3\n\n4,5,6\n")
+        assert matio.load_csv(p).shape == (2, 3)
+        p.write_text("1,2,3\n\n4,5,6\n7,8,9\n")
+        with pytest.raises(MatrixParseError, match="more than 6 cells") as exc:
+            matio.load_csv(p)
+        assert exc.value.row == 4
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"rows": 1, "cols": 7, "data": [[1]]},  # declared 7 cells, 1 in the data
+            {"data": [[1] * 4, [2] * 4]},
+            {"cols": 1, "data": [[1], [1] * 6]},  # declared 2 cells, 7 in the data
+        ],
+    )
+    def test_json_cells(self, tmp_path, doc):
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(MatrixParseError, match="more than 6 cells"):
+            matio.load_json(p)
+
+    @pytest.mark.parametrize("name", ["m.csv", "m.json"])
+    def test_file_size_checked_before_reading(self, tmp_path, monkeypatch, name):
+        p = tmp_path / name
+        p.write_text("1" + " " * 6 * 64)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an oversized file was read")
+
+        monkeypatch.setattr(matio.Path, "read_text", refuse)
+        with pytest.raises(MatrixParseError, match="385 bytes exceeds the cap of 384 bytes"):
+            matio.load_matrix(p)
+
+
+# ------------------------------------- pinned against the per-cell reference
+
+def _outcome(load, path):
+    """What a reader makes of a file: the array's exact bytes, or the parse error."""
+    try:
+        A = load(path)
+    except MatrixParseError as exc:
+        return ("error", str(exc), exc.row, exc.col)
+    return ("array", A.dtype.str, A.shape, A.tobytes())
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    return tmp_path_factory.mktemp("reference")
+
+
+_SPECIAL = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300, 1e-300, -1e-300,
+    1.7976931348623157e308, 0.1, -1.5, 1.0, float("nan"), float("inf"), float("-inf"),
+]
+_FLOATS = st.one_of(st.sampled_from(_SPECIAL), st.floats())
+
+
+@st.composite
+def _matrices(draw):
+    rows, cols = draw(
+        st.one_of(
+            st.sampled_from([(1, 1), (1, 6), (6, 1)]),
+            st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        )
+    )
+    n = rows * cols
+    kind = draw(st.sampled_from(["real", "complex", "int", "bool"]))
+    if kind == "real":
+        A = np.array(draw(st.lists(_FLOATS, min_size=n, max_size=n)), dtype=float)
+    elif kind == "complex":
+        A = np.empty(n, dtype=complex)
+        A.real = draw(st.lists(_FLOATS, min_size=n, max_size=n))
+        A.imag = draw(st.lists(_FLOATS, min_size=n, max_size=n))
+    elif kind == "int":
+        A = np.array(draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n)))
+    else:
+        A = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return A.reshape(rows, cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(A=_matrices(), ext=st.sampled_from(["csv", "json"]))
+def test_writers_match_the_per_cell_reference(files, A, ext):
+    write, reference = {
+        "csv": (matio.save_csv, reference_save_csv),
+        "json": (matio.save_json, reference_save_json),
+    }[ext]
+    write(files / f"new.{ext}", A)
+    reference(files / f"reference.{ext}", A)
+    assert (files / f"new.{ext}").read_bytes() == (files / f"reference.{ext}").read_bytes()
+
+
+_CSV_CELLS = st.one_of(
+    st.sampled_from(
+        [
+            "1", "-2", "+.5", "5.", "1e-3", "1E+300", "-0", "0.1", "1e309", "4.9e-324",
+            "1+2i", "1.5-0.25i", "-0-0i", "0+1e-320i", "1e5+.5i", "3+0i",
+            "\u0661", "\uff11.\uff15", "\u0663+\u0661i",
+            " 1", "1 ", "\t2", "\u00a03", "4\u2003", "\u3000-1+1i", " 1+2i ",
+            "", "nan", "inf", "-inf", "1_0", "0x1", "1+2x", "i", "2i", "1+i", "--3", "1 + 2i",
+            "\ufeff1", "1e", "1.2.3", "+",
+        ]
+    ),
+    _FLOATS.map(repr),
+    st.tuples(_FLOATS, _FLOATS).map(lambda z: reference_format_cell(complex(*z))),
+)
+
+
+@st.composite
+def _csv_texts(draw):
+    width = draw(st.integers(1, 4))
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t", " \u00a0 "])))
+            continue
+        count = draw(st.sampled_from([width] * 4 + [1, 2, 5]))
+        cells = draw(st.lists(_CSV_CELLS, min_size=count, max_size=count))
+        lines.append(",".join(cells) + draw(st.sampled_from(["", "", "", ","])))
+    text = draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
+    text += draw(st.sampled_from(["", "\n", "\r\n"]))
+    return draw(st.sampled_from(["", "", "", "\ufeff"])) + text
+
+
+_CSV_CASES = [
+    "1,2\n3,4\n",
+    "1,2\n\n  \n3,4",
+    "1,2\r\n3,4\r\n",
+    "1,2\r3,4\r",
+    " 1 ,\t2\n\u00a03,4\u2003\n",
+    "1,2\n3,\n",
+    "1,2,\n3,4,\n",
+    "nan,1\n",
+    "inf,1\n",
+    "1_0,1\n",
+    "0x1,1\n",
+    "\ufeff1,2\n3,4\n",
+    "1,2+3i\n4,5\n",
+    "1+0i,2\n3,4-1e-300i\n",
+    "1,2,3\nx,4\n",  # ragged, with a bad cell before the missing one
+    "1,2\n3,4,5\n",
+    "1,2\n3\n",
+    "",
+    "\n \n",
+]
+
+
+@pytest.mark.parametrize("text", _CSV_CASES)
+def test_csv_reader_cases_match_the_per_cell_reference(files, text):
+    p = files / "case.csv"
+    p.write_text(text, encoding="utf-8", newline="")
+    assert _outcome(matio.load_csv, p) == _outcome(reference_load_csv, p)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=_csv_texts())
+def test_csv_reader_matches_the_per_cell_reference(files, text):
+    p = files / "drawn.csv"
+    p.write_text(text, encoding="utf-8", newline="")
+    assert _outcome(matio.load_csv, p) == _outcome(reference_load_csv, p)
+
+
+_JSON_NUMBERS = st.one_of(
+    st.integers(-(2**1023), 2**1023), st.integers(-5, 5), _FLOATS
+)
+_JSON_CELLS = st.one_of(
+    _JSON_NUMBERS,
+    _JSON_NUMBERS,
+    st.booleans(),
+    st.lists(st.one_of(_JSON_NUMBERS, st.booleans()), min_size=2, max_size=2),
+    st.sampled_from([None, "1", "x", [], [1], [1, 2, 3], [[1, 2]], {"re": 1}]),
+)
+
+
+@st.composite
+def _json_docs(draw):
+    width = draw(st.integers(1, 4))
+    data = []
+    for _ in range(draw(st.integers(1, 4))):
+        count = draw(st.sampled_from([width] * 4 + [0, 1, 5]))
+        data.append(draw(st.lists(_JSON_CELLS, min_size=count, max_size=count)))
+    doc = {"data": draw(st.sampled_from([data] * 8 + [[], 5, [1, 2], None]))}
+    for key, size in (("rows", len(data)), ("cols", width)):
+        value = draw(st.sampled_from([None, None, size, size, size + 1, str(size), True, 2.0]))
+        if value is not None:
+            doc[key] = value
+    text = json.dumps(doc)  # NaN and Infinity constants for non-finite floats
+    return draw(st.sampled_from([text] * 6 + ["\ufeff" + text, text[:-1], "[" + text + "]"]))
+
+
+_JSON_CASES = [
+    '{"data": [[1, 2.5], [-0.0, 1e-320]]}',
+    '{"rows": 1, "cols": 2, "data": [[NaN, -Infinity]]}',
+    '{"data": [[true, 1]]}',
+    '{"data": [[1, false]]}',
+    '{"data": [[1, "2"]]}',
+    '{"data": [[1, [[2, 3]]]]}',
+    '{"data": [[1, [2, 3, 4]]]}',
+    '{"data": [[1, [2, true]]]}',
+    '{"data": [[[1, 2], 3]]}',
+    '{"data": [[1, 2], [3]]}',
+    '{"data": [[1, "x"], [3]]}',
+    '{"cols": 1, "data": [[1, 2]]}',
+    '{"data": [[9007199254740993, 18446744073709551617]]}',
+    '\ufeff{"data": [[1]]}',
+    '{"data": [[1]]',
+]
+
+
+@pytest.mark.parametrize("text", _JSON_CASES)
+def test_json_reader_cases_match_the_per_cell_reference(files, text):
+    p = files / "case.json"
+    p.write_text(text, encoding="utf-8")
+    assert _outcome(matio.load_json, p) == _outcome(reference_load_json, p)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=_json_docs())
+def test_json_reader_matches_the_per_cell_reference(files, text):
+    p = files / "drawn.json"
+    p.write_text(text, encoding="utf-8")
+    assert _outcome(matio.load_json, p) == _outcome(reference_load_json, p)

@@ -243,7 +243,8 @@ def rebricked_dual(V, A, tol: Tolerance = DEFAULT_TOL):
         inv_VT = linalg.invert(V_.T, tol)  # its SVD also decides whether V is a basis
     except Singular:
         raise NotABasis("columns of V do not form a basis", which="V") from None
-    return B @ V_, linalg.invert(B.conj().T, tol) @ inv_VT
+    # the verdict has judged B (B* has the same singular values): solve by LU
+    return B @ V_, np.linalg.solve(B.conj().T, inv_VT)
 
 
 def real_part_preservation_lambda(A, tol: Tolerance = DEFAULT_TOL):
@@ -320,10 +321,9 @@ def spectral_factorize_orthosym(A, tol: Tolerance = DEFAULT_TOL):
     w = w[order]
     R = R[:, order]
     d = np.where(w >= 0.0, 1.0, -1.0)
-    for j in range(R.shape[1]):
-        k = int(np.argmax(np.abs(R[:, j])))
-        if R[k, j] < 0.0:
-            R[:, j] = -R[:, j]
+    # the entry of largest magnitude in each column (the first on a tie) becomes positive
+    peak = R[np.argmax(np.abs(R), axis=0), np.arange(R.shape[1])]
+    R = np.where(peak < 0.0, -R, R)
     D = np.diag(d)
     if not linalg.matrices_close(R @ D @ R.T, A_, 1e2 * tol.equality_abs):
         raise NotOrthogonalSymmetric("eigenvalues are not +/-1 at tolerance")

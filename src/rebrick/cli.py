@@ -75,8 +75,9 @@ def _jsonable(value):
 
 
 def _load(path, want_real=False, name="matrix"):
-    M = matio.load_matrix(path)
-    info = {"path": str(path), "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
+    digest = hashlib.sha256()
+    M = matio.load_matrix(path, digest)
+    info = {"path": str(path), "sha256": digest.hexdigest()}
     info["rows"], info["cols"] = int(M.shape[0]), int(M.shape[1])
     if want_real and np.iscomplexobj(M):
         raise InvalidMatrix(f"{name} ({path}): expected real entries")

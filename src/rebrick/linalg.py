@@ -32,6 +32,10 @@ EPS = float(np.finfo(np.float64).eps)
 SQUARE_RANGE = (float(np.sqrt(np.finfo(np.float64).tiny)), float(np.sqrt(np.finfo(np.float64).max)))
 # a verdict within WARN_BAND times its threshold is flagged as near-degenerate
 WARN_BAND = 100.0
+# dtype kinds of np.number: signed and unsigned integers, floats, complex, timedelta64
+_NUMBER_KINDS = frozenset("iufcm")
+# the kinds that can hold a non-finite entry (NaN, Inf or NaT)
+_INEXACT_KINDS = frozenset("fcm")
 
 
 @dataclass(frozen=True)
@@ -65,17 +69,22 @@ DEFAULT_TOL = Tolerance()
 
 
 def as_matrix(M, name: str = "matrix") -> np.ndarray:
-    """Validate and return M as a finite 2-D ndarray (real or complex)."""
+    """Validate and return M as a finite 2-D ndarray (real or complex).
+
+    Every np.number dtype is accepted, timedelta64 (a signed-integer
+    subtype) included; bool, object, str, bytes, datetime64 and structured
+    dtypes are not.
+    """
     A = np.asarray(M)
-    if A.dtype == object or not np.issubdtype(A.dtype, np.number):
+    kind = A.dtype.kind
+    if kind not in _NUMBER_KINDS:
         raise InvalidMatrix(f"{name}: entries must be numeric")
     if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
         raise InvalidMatrix(f"{name}: expected a 2-D array, got shape {A.shape}")
-    if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
+    # integers are always finite; a complex entry is finite when both parts are
+    if kind in _INEXACT_KINDS and not np.isfinite(A).all():
         raise InvalidMatrix(f"{name}: entries must be finite (no NaN/Inf)")
-    if np.issubdtype(A.dtype, np.complexfloating):
-        return A.astype(np.complex128, copy=False)
-    return A.astype(np.float64, copy=False)
+    return A.astype(np.complex128 if kind == "c" else np.float64, copy=False)
 
 
 def require_square(M, name: str = "matrix") -> np.ndarray:
@@ -140,9 +149,9 @@ def regularity(
     rank_rel * size * scale, with scale = max(s) unless given.
     """
     s = np.asarray(s)
-    smax = float(np.max(s))
+    smax = float(s.max())
     cutoff = tol.rank_rel * size * (smax if scale is None else scale)
-    return Regularity(float(np.min(s)), smax, cutoff, int(np.count_nonzero(s > cutoff)))
+    return Regularity(float(s.min()), smax, cutoff, int(np.count_nonzero(s > cutoff)))
 
 
 def eigenvalues(M) -> np.ndarray:

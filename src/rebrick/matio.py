@@ -41,6 +41,9 @@ _ROW_RE = re.compile(rf"{_NUM}(?:{_IMAG}i)?(?:,{_NUM}(?:{_IMAG}i)?)*")
 # CSV cell formats by the imaginary part: zero (of either sign) is not written, a nan
 # one gets "-"; "%.0s" takes the unwritten imaginary part and prints nothing
 _CELL_FORMATS = ("%.17g%.0s", "%.17g+%.17gi", "%.17g-%.17gi")
+# the line ends of str.splitlines; a CSV file is split 2**16 characters at a time
+_LINE_END_RE = re.compile(r"\r\n|[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
+_LINE_BLOCK = 2**16
 _REAL_TYPES = frozenset((int, float))  # type(True) is bool: booleans take the per-cell loop
 
 
@@ -77,8 +80,12 @@ def format_cell(value) -> str:
     return next(_csv_lines(np.array([[complex(value)]])))
 
 
-def _read_text(path) -> str:
-    """The file's text, decoded as UTF-8, once its size is known to be within the cap."""
+def _read_text(path, digest=None) -> str:
+    """The file's text, decoded as UTF-8, once its size is known to be within the cap.
+
+    Line ends are read as open() reads them in text mode: "\r\n" and "\r"
+    become "\n".  `digest`, a hashlib object, is fed the file's bytes.
+    """
     size = os.stat(path).st_size
     cap = MAX_CELLS * _BYTES_PER_CELL
     if size > cap:
@@ -88,24 +95,42 @@ def _read_text(path) -> str:
             row=1,
             col=1,
         )
+    data = Path(path).read_bytes()
+    if digest is not None:
+        digest.update(data)
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MatrixParseError(
             f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})", row=1, col=1
         ) from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _lines(text: str):
+    """The lines of text.splitlines(), split a block of whole lines at a time.
+
+    A block ends at the first line end past _LINE_BLOCK characters, so the
+    list of a file's lines is never built whole.
+    """
+    start = 0
+    while start < len(text):
+        end = _LINE_END_RE.search(text, start + _LINE_BLOCK)
+        stop = end.end() if end else len(text)
+        yield from text[start:stop].splitlines()
+        start = stop
 
 
 def _too_many_cells(path, row: int) -> MatrixParseError:
     return MatrixParseError(f"{path}: more than {MAX_CELLS} cells (the cap)", row=row, col=1)
 
 
-def load_csv(path) -> np.ndarray:
+def load_csv(path, digest=None) -> np.ndarray:
     rows = []
     width = None
     cells = 0
     has_complex = False
-    for r, line in enumerate(_read_text(path).splitlines(), start=1):
+    for r, line in enumerate(_lines(_read_text(path, digest)), start=1):
         if not line.strip():
             continue
         cells += line.count(",") + 1
@@ -142,8 +167,8 @@ def _json_dim(doc: dict, key: str, default: int, path) -> int:
     return value
 
 
-def load_json(path) -> np.ndarray:
-    text = _read_text(path)
+def load_json(path, digest=None) -> np.ndarray:
+    text = _read_text(path, digest)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -216,12 +241,17 @@ def save_json(path, M) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
 
 
-def load_matrix(path) -> np.ndarray:
-    """Load a matrix, with the format decided by the file extension."""
+def load_matrix(path, digest=None) -> np.ndarray:
+    """Load a matrix, with the format decided by the file extension.
+
+    `digest`, a hashlib object, is fed the bytes of the file as read, here
+    and in load_csv / load_json, so a caller that reports the file's hash
+    reads it once.
+    """
     p = Path(path)
     if p.suffix.lower() == ".json":
-        return load_json(p)
-    return load_csv(p)
+        return load_json(p, digest)
+    return load_csv(p, digest)
 
 
 def save_matrix(path, M) -> None:

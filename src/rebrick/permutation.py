@@ -191,12 +191,14 @@ def repair_permutation(A, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Permut
     else:
         rng = np.random.default_rng(seed)
         source = (tuple(int(j) for j in rng.permutation(n)) for _ in range(_RANDOM_TRIAL_CAP))
+    # a trial is Id + (iM) @ P_pi, the same bits as Id + i * (M @ P_pi)
+    Id, iM = np.eye(n), 1j * M
     for pi in source:
         trials += 1
-        AP = M[:, np.argsort(pi)]  # apply_column_permutation, with M and pi known valid
-        reg = linalg.regularity(linalg.singular_values(np.eye(n) + 1j * AP), n, tol)
+        order = np.argsort(pi)  # apply_column_permutation, with M and pi known valid
+        reg = linalg.regularity(linalg.singular_values(Id + iM[:, order]), n, tol)
         if reg.regular:
-            eigs = linalg.eigenvalues(AP)
+            eigs = linalg.eigenvalues(M[:, order])
             min_dist = float(np.min(np.abs(eigs - 1j)))
             return PermutationRepair(
                 permutation=pi,

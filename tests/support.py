@@ -3,13 +3,14 @@
 import json
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import numpy as np
 
 from rebrick import linalg, multipliers
-from rebrick.errors import MatrixParseError
+from rebrick.errors import InvalidMatrix, MatrixParseError, NotOrthogonalSymmetric, ShapeMismatch
+from rebrick.permutation import PermutationRepair
 
 
 def rotation(theta: float) -> np.ndarray:
@@ -227,6 +228,110 @@ def count_validations(monkeypatch) -> list:
 
     monkeypatch.setattr(linalg, "as_matrix", counting)
     return calls
+
+
+# ------------------------------------------------- per-call guards
+# The guards that rebrick.linalg, .permutation and .basis replaced with fewer
+# numpy calls, kept as the reference the new code must match: the same dtype
+# and bytes, the same exception and message, the same tuples and arrays bit
+# for bit.
+
+
+def reference_as_matrix(M, name: str = "matrix") -> np.ndarray:
+    A = np.asarray(M)
+    if A.dtype == object or not np.issubdtype(A.dtype, np.number):
+        raise InvalidMatrix(f"{name}: entries must be numeric")
+    if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
+        raise InvalidMatrix(f"{name}: expected a 2-D array, got shape {A.shape}")
+    if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
+        raise InvalidMatrix(f"{name}: entries must be finite (no NaN/Inf)")
+    if np.issubdtype(A.dtype, np.complexfloating):
+        return A.astype(np.complex128, copy=False)
+    return A.astype(np.float64, copy=False)
+
+
+def _reference_require_square(M, name: str = "matrix") -> np.ndarray:
+    A = reference_as_matrix(M, name)
+    if A.shape[0] != A.shape[1]:
+        raise ShapeMismatch(f"{name}: expected square, got {A.shape[0]}x{A.shape[1]}")
+    return A
+
+
+def reference_regularity(s, size: int, tol=linalg.DEFAULT_TOL, scale=None) -> linalg.Regularity:
+    s = np.asarray(s)
+    smax = float(np.max(s))
+    cutoff = tol.rank_rel * size * (smax if scale is None else scale)
+    return linalg.Regularity(float(np.min(s)), smax, cutoff, int(np.count_nonzero(s > cutoff)))
+
+
+def _reference_candidate_order(n: int):
+    ident = tuple(range(n))
+    yield ident
+    tried = {ident}
+    for a in range(n):
+        for b in range(a + 1, n):
+            p = list(range(n))
+            p[a], p[b] = p[b], p[a]
+            t = tuple(p)
+            tried.add(t)
+            yield t
+    for p in permutations(range(n)):
+        if p not in tried:
+            yield p
+
+
+def reference_repair_permutation(A, tol=linalg.DEFAULT_TOL, seed: int = 0):
+    M = _reference_require_square(A)
+    n = M.shape[0]
+    trials = 0
+    if n <= 8:
+        source = _reference_candidate_order(n)
+    else:
+        rng = np.random.default_rng(seed)
+        source = (tuple(int(j) for j in rng.permutation(n)) for _ in range(1_000_000))
+    for pi in source:
+        trials += 1
+        AP = M[:, np.argsort(pi)]
+        s = np.linalg.svd(np.eye(n) + 1j * AP, compute_uv=False)
+        reg = reference_regularity(s, n, tol)
+        if reg.regular:
+            eigs = np.linalg.eigvals(AP)
+            eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
+            min_dist = float(np.min(np.abs(eigs - 1j)))
+            return PermutationRepair(
+                permutation=pi,
+                trials=trials,
+                min_dist_to_i_after=min_dist,
+                sigma_min_after=reg.sigma_min,
+                degenerate=(
+                    min_dist <= linalg.WARN_BAND * tol.eig_abs
+                    or reg.sigma_min <= linalg.WARN_BAND * reg.cutoff
+                ),
+            )
+    raise AssertionError(f"no repairing permutation in {trials} trials")
+
+
+def reference_spectral_factorize_orthosym(A, tol=linalg.DEFAULT_TOL):
+    A_ = _reference_require_square(A, "A")
+    if np.iscomplexobj(A_):
+        raise NotOrthogonalSymmetric("input must be real")
+    if not linalg.matrices_close(A_, A_.T, tol.equality_abs):
+        raise NotOrthogonalSymmetric("input is not symmetric at tolerance")
+    if not linalg.is_orthogonal(A_, tol):
+        raise NotOrthogonalSymmetric("input is not orthogonal at tolerance")
+    w, R = np.linalg.eigh(A_)
+    order = np.argsort(-w)  # +1 eigenvalues first
+    w = w[order]
+    R = R[:, order]
+    d = np.where(w >= 0.0, 1.0, -1.0)
+    for j in range(R.shape[1]):
+        k = int(np.argmax(np.abs(R[:, j])))
+        if R[k, j] < 0.0:
+            R[:, j] = -R[:, j]
+    D = np.diag(d)
+    if not linalg.matrices_close(R @ D @ R.T, A_, 1e2 * tol.equality_abs):
+        raise NotOrthogonalSymmetric("eigenvalues are not +/-1 at tolerance")
+    return R, D
 
 
 # ------------------------------------------------- per-cell matrix files

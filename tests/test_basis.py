@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rebrick import basis, errors, linalg
 from support import (
@@ -10,6 +12,7 @@ from support import (
     random_orthogonal,
     random_special_orthogonal,
     random_symmetric,
+    reference_spectral_factorize_orthosym,
     rotation,
 )
 
@@ -309,12 +312,12 @@ class TestRebrickedDual:
             basis.rebricked_dual(np.ones((2, 2)), np.zeros((2, 2)))
         assert info.value.which == "V"
 
-    def test_four_svds(self, monkeypatch):
+    def test_three_svds(self, monkeypatch):
         rng = np.random.default_rng(15)
         V, A = random_invertible(rng, 5), random_symmetric(rng, 5)
         calls = count_svd_calls(monkeypatch)
         basis.rebricked_dual(V, A)
-        assert len(calls) == 4  # Id + iA, Id + A^2, and the two inverses
+        assert len(calls) == 3  # Id + iA, Id + A^2 and inv(V.T); B* is solved by LU
 
 
 class TestRealPartPreservation:
@@ -433,6 +436,36 @@ class TestSpectralFactorize:
     def test_rejects_symmetric_nonorthogonal(self):
         with pytest.raises(errors.NotOrthogonalSymmetric):
             basis.spectral_factorize_orthosym(np.diag([2.0, 1.0]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        kind=st.sampled_from(["rotated", "signed involution", "rotation"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_reference(self, n, kind, seed):
+        rng = np.random.default_rng(seed)
+        signs = rng.choice([-1.0, 1.0], size=n)
+        if kind == "rotated":
+            R0 = random_orthogonal(rng, n)
+            A = R0 @ np.diag(signs) @ R0.T
+        elif kind == "signed involution":  # eigenvectors with entries of equal magnitude
+            image = np.arange(n)
+            pairs = rng.permutation(n)[: n // 2 * 2].reshape(-1, 2)
+            for a, b in pairs[: rng.integers(0, n // 2 + 1)]:
+                image[a], image[b] = b, a
+            A = signs[:, None] * np.eye(n)[image] * signs
+        else:  # not symmetric
+            A = block_rotation(n, np.pi / 4) if n >= 2 else -np.eye(1)
+        outcomes = []
+        for factorize in (basis.spectral_factorize_orthosym, reference_spectral_factorize_orthosym):
+            try:
+                R, D = factorize(A)
+            except errors.NotOrthogonalSymmetric as exc:
+                outcomes.append(str(exc))
+            else:
+                outcomes.append((R.tobytes(), D.tobytes()))
+        assert outcomes[0] == outcomes[1]
 
 
 def test_block_rotation_witness_used_by_other_tests():

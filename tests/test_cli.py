@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -744,3 +745,72 @@ def test_every_command_line_ends_in_a_report(fuzz_dir, data):
         assert json.loads(out.getvalue())["exit_code"] == code
     else:
         assert out.getvalue().splitlines()[-1] == f"exit_code: {code}"
+
+
+# (name, extension, content): one malformed file of each kind; "over the cap" is
+# built per command, one cell above a cap patched down to the largest valid input
+_DIRECTED_MALFORMED = [
+    ("bad cell", "csv", b"1,x\n1,1\n"),
+    ("ragged row", "csv", b"1,2\n3\n"),
+    ("empty data", "json", b'{"data": []}'),
+    ("not UTF-8", "csv", b"1,2\n3,4\xff\n"),
+    ("401 digits", "json", b'{"data": [[1' + b"0" * 400 + b"]]}"),
+    ("4301 digits", "json", b'{"data": [[' + b"1" * 4301 + b"]]}"),
+    ("deep nesting", "json", b"[" * 100_000 + b"]" * 100_000),
+    ("over the cap", "csv", None),
+]
+_FILE_POSITIONALS = [(c, k) for c in sorted(_SCALE_CASES) for k in range(_LEAVES[c])]
+
+
+@pytest.mark.parametrize(
+    "name, ext, content", _DIRECTED_MALFORMED, ids=[m[0] for m in _DIRECTED_MALFORMED]
+)
+@pytest.mark.parametrize(
+    "command, k", _FILE_POSITIONALS, ids=[f"{c}-{k}" for c, k in _FILE_POSITIONALS]
+)
+def test_malformed_file_at_every_position(
+    tmp_path, capsys, monkeypatch, command, k, name, ext, content
+):
+    """Each file positional of each command hands a malformed file to the reader: exit 2."""
+    mats = _SCALE_CASES[command](np.random.default_rng(0))
+    files = [write(tmp_path, f"m{j}.csv", M) for j, M in enumerate(mats)]
+    if content is None:
+        cap = max(np.size(M) for M in mats)
+        monkeypatch.setattr(matio, "MAX_CELLS", cap)
+        content = b",".join([b"0"] * (cap + 1)) + b"\n"
+    bad = tmp_path / f"bad.{ext}"
+    bad.write_bytes(content)
+    files[k] = str(bad)
+    refused = []
+    load_matrix = matio.load_matrix
+
+    def recording(path, *args, **kwargs):
+        try:
+            return load_matrix(path, *args, **kwargs)
+        except errors.MatrixParseError:
+            refused.append(str(path))
+            raise
+
+    monkeypatch.setattr(matio, "load_matrix", recording)
+    code = run(command.split() + files + ["--quiet"])
+    report = json.loads(capsys.readouterr().out)
+    assert refused == [str(bad)]
+    assert code == 2 and report["exit_code"] == 2
+    assert set(report["error_position"]) == {"row", "col"}
+
+
+def test_each_input_file_is_read_once(tmp_path, capsys, monkeypatch):
+    v1 = write(tmp_path, "v1.csv", np.eye(2))
+    v2 = tmp_path / "v2.csv"
+    v2.write_bytes(b"1,2\r\n3,4\r\n")
+    reads = []
+    for read in ("read_bytes", "read_text"):
+        def counting(self, *args, _read=getattr(matio.Path, read), **kwargs):
+            reads.append(self.name)
+            return _read(self, *args, **kwargs)
+
+        monkeypatch.setattr(matio.Path, read, counting)
+    code, report = run_json(capsys, ["rebrick", v1, str(v2)])
+    assert code == 0 and sorted(reads) == ["v1.csv", "v2.csv"]
+    digests = [report["inputs"][key]["sha256"] for key in sorted(report["inputs"])]
+    assert digests == [hashlib.sha256(open(f, "rb").read()).hexdigest() for f in (v1, v2)]

@@ -10,6 +10,8 @@ from support import (
     exact_rank,
     random_invertible,
     random_orthogonal,
+    reference_as_matrix,
+    reference_regularity,
     rotation,
     truncating_shift,
 )
@@ -270,3 +272,119 @@ def test_tolerance_validation():
         linalg.Tolerance(eig_abs=-1.0)
     t = linalg.Tolerance.from_scalar(1e-7)
     assert t.eig_abs == 1e-7 and t.equality_abs == 1e-7
+
+
+# ------------------------------------------ pinned against the parent's guards
+
+_SPECIAL = [0.0, -0.0, 1.0, -2.5, 5e-324, 1e300, np.nan, np.inf, -np.inf]
+_PARTS = st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=True, allow_infinity=True))
+_SHAPES = [(), (3,), (2, 2, 2), (0, 3), (3, 0), (1, 1), (2, 3), (3, 2), (4, 4)]
+_INT64_MIN = np.iinfo(np.int64).min  # NaT as a timedelta64 or datetime64
+
+
+def _of_dtype(re, im, ints, dtype):
+    """Arrays of every dtype family, from drawn real parts, imaginary parts and integers."""
+    kind = np.dtype(dtype).kind
+    if kind == "c":
+        z = np.empty(re.shape, dtype=np.complex128)
+        z.real, z.imag = re, im
+        return z.astype(dtype)
+    if kind == "f":
+        return re.astype(dtype)
+    if kind in "iu":
+        return ints.astype(dtype)  # wraps: int8 and uint64 see their whole range
+    if kind in "mM":
+        return ints.view(dtype)
+    if kind == "b":
+        return re != 0.0
+    if kind == "O":
+        return re.astype(object)
+    return np.zeros(re.shape, dtype=dtype)  # str, bytes, structured
+
+
+@st.composite
+def _matrix_inputs(draw):
+    shape = draw(st.sampled_from(_SHAPES))
+    size = int(np.prod(shape))
+    re = np.reshape(draw(st.lists(_PARTS, min_size=size, max_size=size)), shape)
+    im = np.reshape(draw(st.lists(_PARTS, min_size=size, max_size=size)), shape)
+    int64s = st.integers(int(_INT64_MIN), np.iinfo(np.int64).max)
+    ints = np.reshape(  # NaT drawn often
+        draw(st.lists(st.one_of(int64s, st.just(int(_INT64_MIN))), min_size=size, max_size=size)),
+        shape,
+    ).astype(np.int64)
+    dtype = draw(
+        st.sampled_from(
+            [
+                np.bool_, np.int8, np.int64, np.uint64, np.float16, np.float32, np.float64,
+                np.longdouble, np.complex64, np.complex128, np.clongdouble, "m8[s]", "M8[s]",
+                object, "U3", "S3", [("a", "f8")],
+            ]
+        )
+    )
+    A = _of_dtype(re, im, ints, dtype)
+    return A.tolist() if draw(st.booleans()) and A.ndim == 2 else A
+
+
+def _guard_outcome(check, M):
+    """The dtype, shape and bytes a guard returns, or the exception it raises."""
+    try:
+        A = check(M, "X")
+    except Exception as exc:
+        return type(exc), str(exc)
+    return A.dtype.str, A.shape, A.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=600, deadline=None)
+@given(M=_matrix_inputs())
+def test_as_matrix_matches_the_reference(M):
+    assert _guard_outcome(linalg.as_matrix, M) == _guard_outcome(reference_as_matrix, M)
+
+
+@pytest.mark.parametrize(
+    "M",
+    [
+        np.array([[1, 2]], dtype="m8[s]"),
+        np.array([[1, "NaT"]], dtype="m8[s]"),
+        np.array([[1, 2]], dtype="M8[s]"),
+        np.array([[True]]),
+        np.array([[1 + 2j]], dtype=np.clongdouble),
+        np.array([[complex(1.0, np.nan)]], dtype=np.complex64),
+        np.array([[complex(np.inf, 0.0)]]),
+        np.array([[-0.0, 0.0]]),
+        np.zeros((2, 2), dtype=[("a", "f8")]),
+        np.zeros((0, 2)),
+        np.float64(1.0),
+    ],
+    ids=[
+        "timedelta", "NaT", "datetime", "bool", "clongdouble", "nan-imag", "inf-real",
+        "signed-zeros", "structured", "0x2", "0-d",
+    ],
+)
+def test_as_matrix_listed_cases(M):
+    assert _guard_outcome(linalg.as_matrix, M) == _guard_outcome(reference_as_matrix, M)
+
+
+_SIGMAS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-16, 1.0, 3.0, 1e300]),
+    st.floats(min_value=0.0, max_value=1e300),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    s=st.lists(_SIGMAS, min_size=1, max_size=24),
+    ties=st.integers(0, 8),
+    size=st.integers(1, 64),
+    scale=st.one_of(st.none(), _SIGMAS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_regularity_matches_the_reference(s, ties, size, scale, seed):
+    rng = np.random.default_rng(seed)
+    values = np.array(s + s[:1] * ties)  # ties with the first drawn value
+    rng.shuffle(values)
+    for arg in (values, values.tolist()):
+        got = linalg.regularity(arg, size, scale=scale)
+        want = reference_regularity(arg, size, scale=scale)
+        assert got == want and list(map(type, got)) == list(map(type, want))

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,9 +207,57 @@ class TestCaps:
         def refuse(*args, **kwargs):
             raise AssertionError("an oversized file was read")
 
-        monkeypatch.setattr(matio.Path, "read_text", refuse)
+        for read in ("read_text", "read_bytes"):
+            monkeypatch.setattr(matio.Path, read, refuse)
         with pytest.raises(MatrixParseError, match="385 bytes exceeds the cap of 384 bytes"):
             matio.load_matrix(p)
+
+
+class TestReadOnce:
+    """A file is read once, as bytes; its text is what open() reads in text mode."""
+
+    @pytest.mark.parametrize(
+        "ext, content", [("csv", b"1,2\r\n1,2\r\n"), ("json", b'{"data": [[1, 2]]}\r\n')]
+    )
+    def test_digest_is_of_the_bytes_read(self, tmp_path, ext, content):
+        p = tmp_path / f"m.{ext}"
+        p.write_bytes(content)
+        digest = hashlib.sha256()
+        assert matio.load_matrix(p, digest)[0].tolist() == [1.0, 2.0]
+        assert digest.hexdigest() == hashlib.sha256(content).hexdigest()
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"\xff",
+            b"1,2\r\n" * 5000 + b"\xff\n",  # past the first 8 KiB, after CRLF line ends
+            b"1,2\r" * 3000 + b"3,\xe2\x82",  # a truncated multi-byte sequence at the end
+            b"1,\xed\xa0\x80\n",  # an encoded surrogate
+            b"1,\xc0\xaf\n",  # an overlong encoding
+        ],
+    )
+    def test_not_utf8_position_as_text_mode_reads_it(self, tmp_path, content):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(content)
+        with pytest.raises(UnicodeDecodeError) as text_mode:
+            p.read_text(encoding="utf-8")
+        exc = text_mode.value
+        with pytest.raises(MatrixParseError) as parsed:
+            matio.load_csv(p)
+        assert str(parsed.value) == f"{p}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+
+    def test_line_breaks_are_not_listed_whole(self, tmp_path):
+        # 2 MiB of line breaks: 16 MiB as one list of lines, 4 MiB as bytes plus text
+        p = tmp_path / "breaks.csv"
+        p.write_bytes(b"\n" * 2**21 + b"1")
+        tracemalloc.start()
+        try:
+            A = matio.load_csv(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert A.tolist() == [[1.0]]
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # ------------------------------------- pinned against the per-cell reference
@@ -295,7 +345,7 @@ def _csv_texts(draw):
         count = draw(st.sampled_from([width] * 4 + [1, 2, 5]))
         cells = draw(st.lists(_CSV_CELLS, min_size=count, max_size=count))
         lines.append(",".join(cells) + draw(st.sampled_from(["", "", "", ","])))
-    text = draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
+    text = draw(st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x85", "\u2028", "\n\r"])).join(lines)
     text += draw(st.sampled_from(["", "\n", "\r\n"]))
     return draw(st.sampled_from(["", "", "", "\ufeff"])) + text
 
@@ -320,6 +370,11 @@ _CSV_CASES = [
     "1,2\n3\n",
     "",
     "\n \n",
+    "1,2\x0b3,4\x0c5,6\x1c7,8\n",  # every line end of str.splitlines
+    "1,2\x1d3,4\x1e5,6\x857,8\u20289,0\u2029",
+    "1,2\r\r\n3,4\n\r5,6",
+    "\n" * 70_000 + "1,2\n3\n",  # a ragged row past the first block of lines
+    "1,2\n" * 20_000 + "3,4",
 ]
 
 
@@ -382,13 +437,16 @@ _JSON_CASES = [
     '{"data": [[9007199254740993, 18446744073709551617]]}',
     '\ufeff{"data": [[1]]}',
     '{"data": [[1]]',
+    '{"data":\r\n [[1,\r\n 2]]\r\n}\r\n',
+    '{"data":\r\n [[1,\r\n x]]\r\n}',  # the error's line and column, with CRLF line ends
+    '{"data":\r [[1,\r x]]\r}',
 ]
 
 
 @pytest.mark.parametrize("text", _JSON_CASES)
 def test_json_reader_cases_match_the_per_cell_reference(files, text):
     p = files / "case.json"
-    p.write_text(text, encoding="utf-8")
+    p.write_text(text, encoding="utf-8", newline="")
     assert _outcome(matio.load_json, p) == _outcome(reference_load_json, p)
 
 

@@ -3,6 +3,8 @@ from itertools import permutations as all_perms
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rebrick import errors, linalg, permutation
 from support import (
@@ -10,6 +12,7 @@ from support import (
     exact_char_poly,
     plant_eigenvalue_i,
     random_invertible,
+    reference_repair_permutation,
     rotation,
 )
 
@@ -293,3 +296,23 @@ class TestRebrickWithPermutation:
         V, A = 1e170 * random_invertible(rng, 3), 1e170 * plant_eigenvalue_i(rng, 3)
         with pytest.raises(errors.InvalidMatrix, match="^A @ V: entries must be finite"):
             permutation.rebrick_with_permutation(V, A, (1, 0, 2))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    kind=st.sampled_from(["planted", "random", "quarter turns"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_repair_matches_the_reference(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "planted":
+        A = plant_eigenvalue_i(rng, n)
+    elif kind == "random":
+        A = rng.standard_normal((n, n))
+    else:  # eigenvalue i of every 2x2 block; the search runs past the identity
+        A = np.eye(n)
+        A[: n // 2 * 2, : n // 2 * 2] = np.kron(np.eye(n // 2), ROT90)
+    search_seed = int(rng.integers(0, 100))
+    got = permutation.repair_permutation(A, seed=search_seed)
+    assert got == reference_repair_permutation(A, seed=search_seed)

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Usage: rebrick <command> [<subcommand>] ARGS [--tol T] [--seed S]
-                [--format json|text] [--out PATH] [--quiet]
+                [--format json|text] [--quiet] [--out PATH]
 
 Each of the 13 leaf commands is declared once in `build_parser`, with
 its positionals and flags, so argparse alone checks the shape of a
@@ -212,6 +212,8 @@ def cmd_multiplier_validate(args, tol):
 def cmd_multiplier_rebrick(args, tol):
     x, i1 = _load_vector(args.file_x, name="generator")
     m, i2 = _load_vector(args.file_m, name="multiplier")
+    # the N x N translate matrix is built whole: bound it like a matrix file
+    _check_cap("translate matrix cells N*N", x.size * x.size, matio.MAX_CELLS)
     cols, unitary = multipliers.rebrick_translates(x, m, tol)
     out = _write_out(args, cols)
     certs = {"unitary": unitary, "out": out}
@@ -299,9 +301,8 @@ def _wants_json(args, argv) -> bool:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=None, help="absolute tolerance")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized search")
+    common.add_argument("--seed", type=int, default=0, help="seed of the repair search")
     common.add_argument("--format", choices=("json", "text"), default="text")
-    common.add_argument("--out", type=Path, default=None, help="write the result matrix here")
     common.add_argument("--quiet", action="store_true", help="print only the JSON report")
 
     p = _Parser(
@@ -309,13 +310,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top = p.add_subparsers(dest="command", required=True)
 
-    def leaf(group, name, handler, help, *arguments):
+    def leaf(group, name, handler, help, *arguments, out=False):
         # each argument is a positional name or (name or --flag, add_argument options),
         # in the order the command echo lists them
         s = group.add_parser(name, parents=[common], help=help)
         arguments = [(a, {}) if isinstance(a, str) else a for a in arguments]
         for arg, options in arguments:
             s.add_argument(arg, **options)
+        if out:  # the commands that build a matrix; --out is not echoed
+            s.add_argument("--out", type=Path, help="write the result matrix here")
         # prog reads "rebrick frame order": the path to this leaf
         s.set_defaults(handler=handler, path=s.prog.split()[1:], echoed=[a for a, _ in arguments])
 
@@ -323,20 +326,23 @@ def build_parser() -> argparse.ArgumentParser:
         return top.add_parser(name, help=help).add_subparsers(dest="subcommand", required=True)
 
     leaf(top, "check-basis", cmd_check_basis, "do the columns form a basis?", "file")
-    leaf(top, "rebrick", cmd_rebrick, "combine two real bases into V1 + i*V2", "file_v1", "file_v2")
-    leaf(top, "repair", cmd_repair, "permute columns until Id + iAP is regular", "file_v", "file_a")
+    leaf(top, "rebrick", cmd_rebrick, "combine two real bases into V1 + i*V2",
+         "file_v1", "file_v2", out=True)
+    leaf(top, "repair", cmd_repair, "permute columns until Id + iAP is regular",
+         "file_v", "file_a", out=True)
 
     frame = group("frame", "frame bounds, order and rebricking")
     leaf(frame, "bounds", cmd_frame_bounds, "sharp frame bounds c, C", "file_f")
     leaf(frame, "parseval", cmd_frame_parseval, "is the frame Parseval?", "file_f")
     leaf(frame, "order", cmd_frame_order, "kernel order, both directions", "file_f", "file_g")
-    leaf(frame, "rebrick", cmd_frame_rebrick, "combine F + i*G", "file_f", "file_g")
+    leaf(frame, "rebrick", cmd_frame_rebrick, "combine F + i*G", "file_f", "file_g", out=True)
     leaf(frame, "frrebrick", cmd_frame_frrebrick, "is A (Id + i*S) surjective?", "file_a", "file_s")
 
     mult = group("multiplier", "shift-invariant rebricking on Z_N")
     N, K = ("--N", {"type": int, "required": True}), ("--K", {"type": int, "required": True})
     leaf(mult, "validate", cmd_multiplier_validate, "is m a rebricking symbol?", "file_m")
-    leaf(mult, "rebrick", cmd_multiplier_rebrick, "are the translates an ONB?", "file_x", "file_m")
+    leaf(mult, "rebrick", cmd_multiplier_rebrick, "are the translates an ONB?",
+         "file_x", "file_m", out=True)
     leaf(mult, "hilbert", cmd_multiplier_hilbert, "rank / kernel of Id + iH", N)
     leaf(mult, "trig", cmd_multiplier_trig, "trigonometric demo", ("--N", {"type": int}), K)
     sizes = {"nargs": "*", "type": int, "help": "even sizes N (default 16 32 64 128 256)"}

@@ -205,14 +205,17 @@ def operator_rebrick_frame(F: FiniteFrame, A, tol: Tolerance = DEFAULT_TOL):
     if A_.shape[0] != F.dim:
         raise ShapeMismatch(f"A is {A_.shape}, frame dimension is {F.dim}")
     _require_spanning(F, tol)
-    B = np.eye(F.dim) + 1j * A_
-    reg = linalg.regularity(linalg.singular_values(B), F.dim, tol)
-    if not reg.regular:
-        raise NotRebrickable(
-            f"Id + iA is singular at tolerance (sigma_min={reg.sigma_min:.3e})"
-        )
-    out = FiniteFrame(B @ F.synthesis, label=F.label)
+    out = FiniteFrame(_regular_id_plus_iA(A_, tol) @ F.synthesis, label=F.label)
     return out, frame_bounds(out, tol)
+
+
+def _regular_id_plus_iA(A_, tol: Tolerance) -> np.ndarray:
+    """Id + i*A for a checked square A; NotRebrickable when it is singular at tolerance."""
+    B = np.eye(A_.shape[0]) + 1j * A_
+    reg = linalg.regularity(linalg.singular_values(B), B.shape[0], tol)
+    if not reg.regular:
+        raise NotRebrickable(f"Id + iA is singular at tolerance (sigma_min={reg.sigma_min:.3e})")
+    return B
 
 
 def frrebrick_check(A, S, tol: Tolerance = DEFAULT_TOL) -> FrRebrickVerdict:
@@ -280,13 +283,14 @@ def parseval_rebrick(F: FiniteFrame, A, tol: Tolerance = DEFAULT_TOL):
 
     Returns (FiniteFrame, bool); the bool says whether the result is again
     Parseval, which happens exactly when A is orthogonal and symmetric.
+    Raises NotRebrickable when Id + i*A is singular at tolerance.
     """
     A_ = linalg.require_square(A, "A")
     if A_.shape[0] != F.dim:
         raise ShapeMismatch(f"A is {A_.shape}, frame dimension is {F.dim}")
     if not is_parseval(F, tol):
         raise NotParsevalInput("input frame is not Parseval at tolerance")
-    B = (np.eye(F.dim) + 1j * A_) / np.sqrt(2.0)
+    B = _regular_id_plus_iA(A_, tol) / np.sqrt(2.0)
     out = FiniteFrame(B @ F.synthesis, label=F.label)
     S = out.synthesis
     still_parseval = linalg.matrices_close(S @ S.conj().T, np.eye(F.dim), tol.equality_abs)

@@ -33,9 +33,7 @@ SQUARE_RANGE = (float(np.sqrt(np.finfo(np.float64).tiny)), float(np.sqrt(np.finf
 # a verdict within WARN_BAND times its threshold is flagged as near-degenerate
 WARN_BAND = 100.0
 # dtype kinds of np.number: signed and unsigned integers, floats, complex, timedelta64
-_NUMBER_KINDS = frozenset("iufcm")
-# the kinds that can hold a non-finite entry (NaN, Inf or NaT)
-_INEXACT_KINDS = frozenset("fcm")
+NUMBER_KINDS = frozenset("iufcm")
 
 
 @dataclass(frozen=True)
@@ -68,6 +66,18 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
+def finite_cast(A: np.ndarray, dtype) -> np.ndarray | None:
+    """A, of a NUMBER_KINDS dtype, cast to dtype; None if an entry is not finite there.
+
+    NaT is sought before the cast, which would hide it; NaN and Inf after
+    it, which also catches a longdouble beyond the float64 range.
+    """
+    if A.dtype.kind == "m" and np.isnat(A).any():
+        return None
+    out = A.astype(dtype, copy=False)
+    return None if A.dtype.kind in "fc" and not np.isfinite(out).all() else out
+
+
 def as_matrix(M, name: str = "matrix") -> np.ndarray:
     """Validate and return M as a finite 2-D ndarray (real or complex).
 
@@ -77,14 +87,13 @@ def as_matrix(M, name: str = "matrix") -> np.ndarray:
     """
     A = np.asarray(M)
     kind = A.dtype.kind
-    if kind not in _NUMBER_KINDS:
+    if kind not in NUMBER_KINDS:
         raise InvalidMatrix(f"{name}: entries must be numeric")
     if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
         raise InvalidMatrix(f"{name}: expected a 2-D array, got shape {A.shape}")
-    # integers are always finite; a complex entry is finite when both parts are
-    if kind in _INEXACT_KINDS and not np.isfinite(A).all():
+    if (out := finite_cast(A, np.complex128 if kind == "c" else np.float64)) is None:
         raise InvalidMatrix(f"{name}: entries must be finite (no NaN/Inf)")
-    return A.astype(np.complex128 if kind == "c" else np.float64, copy=False)
+    return out
 
 
 def require_square(M, name: str = "matrix") -> np.ndarray:

@@ -29,11 +29,13 @@ from .linalg import DEFAULT_TOL, Tolerance
 
 def _as_signal(x, name: str = "signal") -> np.ndarray:
     v = np.asarray(x)
+    if v.dtype.kind not in linalg.NUMBER_KINDS:
+        raise LengthMismatch(f"{name} must be numeric")
     if v.ndim != 1 or v.size == 0:
         raise LengthMismatch(f"{name} must be a nonempty 1-D array")
-    if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
+    if (out := linalg.finite_cast(v, np.complex128)) is None:
         raise LengthMismatch(f"{name} must be finite")
-    return v.astype(np.complex128, copy=False)
+    return out
 
 
 def dft(x) -> np.ndarray:

@@ -15,8 +15,9 @@ image (0, 2, 3, 1) the columns (a1|a2|a3|a4) become (a1|a4|a2|a3).
 from __future__ import annotations
 
 import math
+import operator
+import random
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -24,8 +25,7 @@ from . import linalg
 from .errors import InvalidMatrix, NotAPermutation, NotRepaired, SearchExhausted
 from .linalg import DEFAULT_TOL, WARN_BAND, Tolerance
 
-_RANDOM_TRIAL_CAP = 1_000_000
-_EXHAUSTIVE_MAX = 8
+_TRIAL_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -158,50 +158,29 @@ def invariant_eigenvalue_candidates(A) -> tuple[float, float]:
     return 0.0, float(np.sum(M)) / M.shape[0]
 
 
-def _candidate_order(n: int):
-    # identity, all transpositions in lexicographic order, then every
-    # permutation in lexicographic order (duplicates skipped)
-    ident = tuple(range(n))
-    yield ident
-    tried = {ident}
-    for a in range(n):
-        for b in range(a + 1, n):
-            p = list(range(n))
-            p[a], p[b] = p[b], p[a]
-            t = tuple(p)
-            tried.add(t)
-            yield t
-    for p in permutations(range(n)):
-        if p not in tried:
-            yield p
-
-
 def repair_permutation(A, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> PermutationRepair:
     """Find a column permutation pi so that Id + i * A @ P_pi is regular.
 
-    The search is deterministic: identity first, then transpositions, then
-    full lexicographic enumeration for n <= 8; larger sizes fall back to
-    seeded random draws capped at one million trials.
+    Tries the identity, then permutations shuffled by random.Random(seed),
+    at most one million in all, at every n.  One exists for every real A:
+    det(Id + i * A @ P_pi) averages 1 + i * sum(A) / n over all pi.
     """
     M = linalg.require_square(A)
     n = M.shape[0]
-    trials = 0
-    if n <= _EXHAUSTIVE_MAX:
-        source = _candidate_order(n)
-    else:
-        rng = np.random.default_rng(seed)
-        source = (tuple(int(j) for j in rng.permutation(n)) for _ in range(_RANDOM_TRIAL_CAP))
     # a trial is Id + (iM) @ P_pi, the same bits as Id + i * (M @ P_pi)
     Id, iM = np.eye(n), 1j * M
-    for pi in source:
-        trials += 1
+    pi, rng = list(range(n)), None
+    for trials in range(1, _TRIAL_CAP + 1):
+        if trials > 1:
+            rng = rng or random.Random(operator.index(seed))  # once the identity has failed
+            rng.shuffle(pi)
         order = np.argsort(pi)  # apply_column_permutation, with M and pi known valid
         reg = linalg.regularity(linalg.singular_values(Id + iM[:, order]), n, tol)
         if reg.regular:
             eigs = linalg.eigenvalues(M[:, order])
             min_dist = float(np.min(np.abs(eigs - 1j)))
             return PermutationRepair(
-                permutation=pi,
+                permutation=tuple(pi),
                 trials=trials,
                 min_dist_to_i_after=min_dist,
                 sigma_min_after=reg.sigma_min,
@@ -209,9 +188,7 @@ def repair_permutation(A, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Permut
                     min_dist <= WARN_BAND * tol.eig_abs or reg.sigma_min <= WARN_BAND * reg.cutoff
                 ),
             )
-    raise SearchExhausted(
-        f"no repairing permutation found in {trials} trials", trials=trials
-    )  # unreachable for n <= 8: only real eigenvalues survive all permutations
+    raise SearchExhausted(f"no repairing permutation found in {trials} trials", trials=trials)
 
 
 def rebrick_with_permutation(V, A, pi, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

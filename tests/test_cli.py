@@ -203,6 +203,15 @@ class TestRepair:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_negative_seed_at_nine(self, tmp_path, capsys):
+        rng = np.random.default_rng(2)
+        v = write(tmp_path, "v.csv", np.eye(9) + 0.1 * rng.standard_normal((9, 9)))
+        a = write(tmp_path, "a.csv", plant_eigenvalue_i(rng, 9))
+        code, report = run_json(capsys, ["repair", v, a, "--seed", "-1"])
+        assert code == report["exit_code"] == 0
+        assert report["verdicts"]["repaired"] is True
+        assert report["command"][-2:] == ["--seed", "-1"]
+
 
 class TestFrame:
     def test_bounds_of_redundant_rebricked_frame(self, tmp_path, capsys):
@@ -456,7 +465,9 @@ class TestSizeCaps:
         def refuse(*args, **kwargs):
             raise AssertionError("library called with an uncapped size")
 
-        for name in ("analytic_defect", "trig_rebrick_demo", "conditioning_sweep"):
+        for name in (
+            "analytic_defect", "trig_rebrick_demo", "conditioning_sweep", "rebrick_translates"
+        ):
             monkeypatch.setattr(multipliers, name, refuse)
 
     @pytest.mark.parametrize(
@@ -473,6 +484,16 @@ class TestSizeCaps:
         code, report = run_json(capsys, ["multiplier"] + argv)
         assert code == 2
         assert report["exit_code"] == 2 and "exceeds the cap" in report["error"]
+
+    def test_translate_matrix_above_cell_cap_is_input_error(self, tmp_path, capsys):
+        # a unit generator and a valid symbol, but the N x N translate matrix has N^2 > MAX_CELLS
+        N = 1026
+        x = write(tmp_path, "x.csv", np.eye(1, N))
+        m = write(tmp_path, "m.csv", _sign_pattern(N))
+        code, report = run_json(capsys, ["multiplier", "rebrick", x, m])
+        assert code == report["exit_code"] == 2
+        cap = matio.MAX_CELLS
+        assert report["error"] == f"translate matrix cells N*N={N * N} exceeds the cap {cap}"
 
 
 class TestReportContract:
@@ -595,6 +616,25 @@ class TestUsageErrors:
             lines = captured.out.splitlines()
             assert lines[0] == f"command: {' '.join(argv)}"
             assert lines[-1] == "exit_code: 2"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-basis", "F"],
+            ["frame", "bounds", "F"],
+            ["frame", "order", "F", "F"],
+            ["multiplier", "hilbert", "--N", "64"],
+        ],
+    )
+    def test_out_only_where_a_matrix_is_written(self, tmp_path, capsys, argv):
+        f = write(tmp_path, "f.csv", np.eye(2))
+        out = tmp_path / "x.csv"
+        argv = [f if a == "F" else a for a in argv] + ["--out", str(out), "--quiet"]
+        code = run(argv)
+        report = json.loads(capsys.readouterr().out)
+        assert code == report["exit_code"] == 2
+        assert "unrecognized arguments: --out" in report["error"]
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "style, as_json",
@@ -730,7 +770,7 @@ def test_every_command_line_ends_in_a_report(fuzz_dir, data):
         ["--tol", data.draw(_TOLS)],
         ["--N", data.draw(st.one_of(st.integers(-2, 1024).map(str), st.sampled_from(_EDGE_N)))],
         ["--K", data.draw(st.one_of(st.integers(-2, 64).map(str), st.sampled_from(_EDGE_K)))],
-        ["--seed", data.draw(st.sampled_from(["0", "7", "x"]))],
+        ["--seed", data.draw(st.sampled_from(["0", "7", "-1", "x"]))],
         ["--out", str(fuzz_dir / data.draw(st.sampled_from(["out.csv", "out.json"])))],
     ]
     chosen = data.draw(st.permutations([f for f in flags if data.draw(st.integers(0, 3)) == 0]))

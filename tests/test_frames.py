@@ -485,6 +485,11 @@ class TestParsevalRebrick:
             symmetric = np.max(np.abs(A - A.T)) <= 1e-9
             assert ok == (unitary and symmetric)
 
+    def test_singular_operator_is_not_rebrickable(self):
+        # Id + i*(quarter turn) is singular: the "frame" would span one dimension
+        with pytest.raises(errors.NotRebrickable, match="Id \\+ iA is singular"):
+            frames.parseval_rebrick(FiniteFrame(np.eye(2)), rotation(np.pi / 2))
+
     def test_rejects_non_parseval_input(self):
         with pytest.raises(errors.NotParsevalInput):
             frames.parseval_rebrick(FiniteFrame(duplicated_e1_frame(3)), np.eye(3))

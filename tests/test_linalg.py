@@ -366,6 +366,22 @@ def test_as_matrix_listed_cases(M):
     assert _guard_outcome(linalg.as_matrix, M) == _guard_outcome(reference_as_matrix, M)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+@pytest.mark.parametrize(
+    "M",
+    [
+        np.array([[np.longdouble("1e400")]]),
+        np.array([[1.0, -np.longdouble("1e400")]]),
+        np.array([[complex(1.0, 2.0)]], dtype=np.clongdouble) * np.longdouble("1e400"),
+    ],
+    ids=["longdouble", "longdouble-negative", "clongdouble"],
+)
+def test_finite_as_float64_or_complex128(M):
+    # finite as a longdouble, infinite as a float64
+    with pytest.raises(errors.InvalidMatrix, match="^X: entries must be finite"):
+        linalg.as_matrix(M, "X")
+
+
 _SIGMAS = st.one_of(
     st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-16, 1.0, 3.0, 1e300]),
     st.floats(min_value=0.0, max_value=1e300),

@@ -36,6 +36,38 @@ class TestDft:
         np.testing.assert_allclose(X, mirrored, atol=1e-12)
 
 
+class TestSignalChecks:
+    """Signals are checked by the dtype and finiteness rule of `linalg.as_matrix`."""
+
+    @pytest.mark.parametrize(
+        "x",
+        [np.array(["a", "b"]), np.array([True, False]), np.array([1, 2], dtype=object)],
+        ids=["str", "bool", "object"],
+    )
+    def test_non_numeric_is_refused(self, x):
+        with pytest.raises(errors.LengthMismatch, match="^signal must be numeric$"):
+            multipliers.dft(x)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.array([1.0, np.longdouble("1e400")]),
+            np.array([1.0, complex(0.0, np.nan)]),
+            np.array([1, "NaT"], dtype="m8[s]"),
+        ],
+        ids=["longdouble", "nan-imag", "NaT"],
+    )
+    def test_non_finite_is_refused(self, x):
+        with pytest.raises(errors.LengthMismatch, match="^spectrum must be finite$"):
+            multipliers.idft(x)
+
+    def test_integers_and_timedelta_are_signals(self):
+        want = multipliers.dft(np.array([1.0, 2.0]))
+        assert np.array_equal(multipliers.dft(np.array([1, 2], dtype=np.int8)), want)
+        assert np.array_equal(multipliers.dft(np.array([1, 2], dtype="m8[s]")), want)
+
+
 class TestShiftAndMultiplier:
     def test_unit_symbol_is_identity(self):
         rng = np.random.default_rng(3)

@@ -1,4 +1,3 @@
-import math
 from itertools import permutations as all_perms
 
 import numpy as np
@@ -260,12 +259,29 @@ class TestRepair:
         AP = permutation.apply_column_permutation(A, rep1.permutation)
         assert np.min(np.abs(linalg.eigenvalues(AP) - 1j)) > 1e-8
 
-    def test_search_order_identity_then_transpositions(self):
-        order = list(permutation._candidate_order(3))
-        assert order[0] == (0, 1, 2)
-        assert order[1:4] == [(1, 0, 2), (2, 1, 0), (0, 2, 1)]
-        assert len(order) == math.factorial(3)
-        assert len(set(order)) == len(order)
+    @pytest.mark.parametrize("n", [9, 12])
+    def test_regular_input_keeps_identity_at_every_size(self, n):
+        rng = np.random.default_rng(13)
+        A = rng.standard_normal((n, n)) + 5 * np.eye(n)
+        rep = permutation.repair_permutation(A, seed=3)
+        assert rep.permutation == tuple(range(n))
+        assert rep.trials == 1
+
+    @pytest.mark.parametrize("n", [6, 8])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_quarter_turn_blocks_repaired_in_few_trials(self, n, seed):
+        # every 2x2 block has eigenvalue i, so the identity and most block-preserving orders fail
+        A = np.kron(np.eye(n // 2), ROT90)
+        rep = permutation.repair_permutation(A, seed=seed)
+        assert rep.trials <= 20
+        AP = permutation.apply_column_permutation(A, rep.permutation)
+        assert np.min(np.abs(linalg.eigenvalues(AP) - 1j)) > 1e-8
+
+    def test_numpy_integer_seed(self):
+        A = plant_eigenvalue_i(np.random.default_rng(14), 9)
+        assert permutation.repair_permutation(A, seed=np.int64(5)) == (
+            permutation.repair_permutation(A, seed=5)
+        )
 
 
 class TestRebrickWithPermutation:
@@ -300,11 +316,12 @@ class TestRebrickWithPermutation:
 
 @settings(max_examples=120, deadline=None)
 @given(
-    n=st.integers(2, 12),
+    n=st.integers(2, 8),
     kind=st.sampled_from(["planted", "random", "quarter turns"]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_repair_matches_the_reference(n, kind, seed):
+    """Where the earlier search kept the identity (n <= 8, trial 1), the answer is the same."""
     rng = np.random.default_rng(seed)
     if kind == "planted":
         A = plant_eigenvalue_i(rng, n)
@@ -315,4 +332,8 @@ def test_repair_matches_the_reference(n, kind, seed):
         A[: n // 2 * 2, : n // 2 * 2] = np.kron(np.eye(n // 2), ROT90)
     search_seed = int(rng.integers(0, 100))
     got = permutation.repair_permutation(A, seed=search_seed)
-    assert got == reference_repair_permutation(A, seed=search_seed)
+    want = reference_repair_permutation(A, seed=search_seed)
+    if want.trials == 1:
+        assert got == want
+    else:  # both reject the identity; the shuffles that follow differ
+        assert got.trials > 1 and got.sigma_min_after > 0

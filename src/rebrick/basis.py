@@ -26,7 +26,7 @@ from .errors import (
     Singular,
     TooSmall,
 )
-from .linalg import DEFAULT_TOL, WARN_BAND, Tolerance
+from .linalg import DEFAULT_TOL, Tolerance
 
 # Disagreements between the decision routes are escalated only when every
 # quantity sits this far away from its own threshold.
@@ -89,7 +89,7 @@ def _verdict(s_B: np.ndarray, A: np.ndarray, tol: Tolerance, idA2_scale: float) 
     smin_M, cutoff_M = reg_M.sigma_min, reg_M.cutoff
     ida2_ok = reg_M.regular
 
-    warning = False
+    warning = rebrickable and reg_B.near_edge(min_dist, tol)
     if rebrickable != eig_ok or rebrickable != ida2_ok:
         # A disagreement is legitimate near a decision boundary; only a
         # decisive disagreement means the implementation is inconsistent.
@@ -105,8 +105,6 @@ def _verdict(s_B: np.ndarray, A: np.ndarray, tol: Tolerance, idA2_scale: float) 
                 f"sigma_min(Id+A^2)={smin_M:.3e}"
             )
         warning = True
-    if rebrickable and (smin_B <= WARN_BAND * cutoff_B or min_dist <= WARN_BAND * tol.eig_abs):
-        warning = True
 
     cond = reg_B.sigma_max / smin_B if smin_B > 0.0 else float("inf")
     return RebrickVerdict(
@@ -118,6 +116,14 @@ def _verdict(s_B: np.ndarray, A: np.ndarray, tol: Tolerance, idA2_scale: float) 
         condition_number=cond,
         warning=warning,
     )
+
+
+def _require_basis(V: np.ndarray, which: str, tol: Tolerance) -> linalg.Regularity:
+    """Regularity of a checked square V; NotABasis unless its columns form a basis."""
+    reg = linalg.regularity_of(V, tol)
+    if not reg.regular:
+        raise NotABasis(f"columns of {which} do not form a basis", which=which)
+    return reg
 
 
 def _squared_norm(norm: float, what: str) -> float:
@@ -145,8 +151,7 @@ def rebrick_pair(V1, V2, tol: Tolerance = DEFAULT_TOL):
         inv1 = linalg.invert(A1, tol)  # its SVD also decides whether V1 is a basis
     except Singular:
         raise NotABasis("columns of V1 do not form a basis", which="V1") from None
-    if not linalg.is_invertible(A2, tol):
-        raise NotABasis("columns of V2 do not form a basis", which="V2")
+    _require_basis(A2, "V2", tol)
     B = A1 + 1j * A2
     A = linalg.as_matrix(A2 @ inv1, "V2 @ inv(V1)")
     # B = (Id + iA) @ V1 carries the scale of V1, so ||Id + iA||^2 is taken
@@ -170,8 +175,7 @@ def rebrick_with_operator(A, V, tol: Tolerance = DEFAULT_TOL):
     which basis V is being rebricked.
     """
     A_, V_ = linalg.require_square_pair(A, V, ("A", "V"))
-    if not linalg.is_invertible(V_, tol):
-        raise NotABasis("columns of V do not form a basis", which="V")
+    _require_basis(V_, "V", tol)
     B, _, verdict = _operator_verdict(A_, tol)
     return B @ V_, verdict
 
@@ -195,7 +199,7 @@ def _orthogonal_pair(E1, E2, tol: Tolerance):
     """E1, E2 validated as real orthogonal matrices of one shape."""
     M1, M2 = linalg.require_square_pair(E1, E2, ("E1", "E2"))
     for name, M in (("E1", M1), ("E2", M2)):
-        if np.iscomplexobj(M) or not linalg.is_orthogonal(M, tol):
+        if np.iscomplexobj(M) or not (linalg.is_unitary_defect(M) <= tol.equality_abs):
             raise NotOrthogonal(f"{name} is not orthogonal at tolerance", which=name)
     return M1, M2
 
@@ -254,7 +258,7 @@ def real_part_preservation_lambda(A, tol: Tolerance = DEFAULT_TOL):
     1 + mu != 0; then lambda = 1 / (1 + mu).  Returns None otherwise.
     """
     A_ = linalg.require_square(A, "A")
-    if not linalg.is_invertible(A_, tol):
+    if not linalg.regularity_of(A_, tol).regular:
         raise Singular("A must be invertible")
     n = A_.shape[0]
     A2 = A_ @ A_
@@ -286,12 +290,9 @@ def rebricked_frame_bounds(V, A, tol: Tolerance = DEFAULT_TOL) -> RieszBoundRepo
     B, s_B, verdict = _operator_verdict(A_, tol)
     if not verdict.rebrickable:
         raise NotRebrickable("A has eigenvalue i at tolerance")
-    V_reg = linalg.regularity(linalg.singular_values(V_), V_.shape[0], tol)
-    if not V_reg.regular:
-        raise NotABasis("columns of V do not form a basis", which="V")
-    c_V, C_V = V_reg.squares("V")
+    c_V, C_V = _require_basis(V_, "V", tol).squares("V")
     BV = linalg.as_matrix(B @ V_, "B @ V")
-    c, C = linalg.regularity(linalg.singular_values(BV), V_.shape[0], tol).squares("B @ V")
+    c, C = linalg.regularity_of(BV, tol).squares("B @ V")
     norm_B = float(s_B[0])
     return RieszBoundReport(
         c_exact=c,
@@ -314,7 +315,7 @@ def spectral_factorize_orthosym(A, tol: Tolerance = DEFAULT_TOL):
         raise NotOrthogonalSymmetric("input must be real")
     if not linalg.matrices_close(A_, A_.T, tol.equality_abs):
         raise NotOrthogonalSymmetric("input is not symmetric at tolerance")
-    if not linalg.is_orthogonal(A_, tol):
+    if not (linalg.is_unitary_defect(A_) <= tol.equality_abs):
         raise NotOrthogonalSymmetric("input is not orthogonal at tolerance")
     w, R = np.linalg.eigh(A_)
     order = np.argsort(-w)  # +1 eigenvalues first

@@ -124,7 +124,7 @@ def _write_out(args, M) -> str | None:
 def cmd_check_basis(args, tol):
     M, info = _load(args.file, want_real=False, name="matrix")
     M = linalg.require_square(M)
-    reg = linalg.regularity(linalg.singular_values(M), M.shape[0], tol)
+    reg = linalg.regularity_of(M, tol)
     verdicts = {"is_basis": reg.regular}
     certs = {"sigma_min": reg.sigma_min, "sigma_max": reg.sigma_max, "n": int(M.shape[0])}
     return {"file": info}, verdicts, certs, 0 if reg.regular else 1
@@ -144,6 +144,7 @@ def cmd_repair(args, tol):
     A, ia = _load(args.file_a, want_real=True, name="A")
     linalg.require_square_pair(V, A, ("V", "A"))
     At = linalg.invert(V, tol) @ A @ V
+    linalg.as_matrix(A @ V, "A @ V")  # an overflow ends the command before the search
     rep = permutation.repair_permutation(At, tol, seed=args.seed)
     W = permutation.rebrick_with_permutation(V, A, rep.permutation, tol)
     out = _write_out(args, W)

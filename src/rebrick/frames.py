@@ -91,7 +91,7 @@ def _not_spanning(F: FiniteFrame) -> NotAFrame:
 
 def _require_spanning(F: FiniteFrame, tol: Tolerance) -> linalg.Regularity:
     """Regularity of the synthesis, from one singular-value pass; NotAFrame unless it spans."""
-    reg = linalg.regularity(linalg.singular_values(F.synthesis), F.count, tol)
+    reg = linalg.regularity_of(F.synthesis, tol)
     if not reg.regular:
         raise _not_spanning(F)
     return reg
@@ -189,7 +189,7 @@ def rebrick_frames(F: FiniteFrame, G: FiniteFrame, tol: Tolerance = DEFAULT_TOL)
     _require_spanning(G, tol)
     S = F.synthesis + 1j * G.synthesis
     combined = FiniteFrame(S, label=f"{F.label}+i*{G.label}" if F.label or G.label else "")
-    reg = linalg.regularity(linalg.singular_values(S), combined.count, tol)
+    reg = linalg.regularity_of(S, tol)
     if not reg.regular:
         raise NotRebrickable("combined synthesis does not span the complex space")
     return combined, FrameBounds(*reg.squares(f"frame {combined.label or '(unlabeled)'}"))
@@ -212,7 +212,7 @@ def operator_rebrick_frame(F: FiniteFrame, A, tol: Tolerance = DEFAULT_TOL):
 def _regular_id_plus_iA(A_, tol: Tolerance) -> np.ndarray:
     """Id + i*A for a checked square A; NotRebrickable when it is singular at tolerance."""
     B = np.eye(A_.shape[0]) + 1j * A_
-    reg = linalg.regularity(linalg.singular_values(B), B.shape[0], tol)
+    reg = linalg.regularity_of(B, tol)
     if not reg.regular:
         raise NotRebrickable(f"Id + iA is singular at tolerance (sigma_min={reg.sigma_min:.3e})")
     return B
@@ -235,19 +235,19 @@ def frrebrick_check(A, S, tol: Tolerance = DEFAULT_TOL) -> FrRebrickVerdict:
     K = linalg.kernel_basis(A_, tol)
     if p - K.shape[1] < n:  # rank(A) = p - dim ker(A)
         raise RankDeficientInput("A must be surjective (full row rank)")
-    if linalg.rank(S_, tol) < p:
+    if not linalg.regularity_of(S_, tol).regular:
         raise RankDeficientInput("S must be surjective (full rank)")
     BS = np.eye(p) + 1j * S_
     # the complex span of a real kernel basis covers ker(A) + i*ker(A)
-    filled = linalg.rank(np.hstack([BS, K.astype(complex)]), tol) == p
+    filled = linalg.regularity_of(np.hstack([BS, K.astype(complex)]), tol).rank == p
     AB = linalg.as_matrix(A_ @ BS, "A @ (Id + iS)")
-    rank_product = linalg.regularity(linalg.singular_values(AB), max(AB.shape), tol).rank
+    rank_product = linalg.regularity_of(AB, tol).rank
     if filled != (rank_product == n):
         raise InternalConsistencyError(
             "range+kernel test and direct product-rank test disagree; "
             "input ranks are too close to the tolerance cutoff"
         )
-    return FrRebrickVerdict(filled, linalg.rank(BS, tol), rank_product)
+    return FrRebrickVerdict(filled, linalg.regularity_of(BS, tol).rank, rank_product)
 
 
 def surjective_factor(A, B, tol: Tolerance = DEFAULT_TOL):

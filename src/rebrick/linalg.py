@@ -2,12 +2,11 @@
 
 All rank, kernel and invertibility decisions in the package go through
 `regularity`, so a single threshold convention applies everywhere: a
-singular value counts as nonzero when it exceeds
-
-    rank_rel * max(rows, cols) * scale,
-
+singular value counts as nonzero when it exceeds rank_rel * size * scale,
 with scale = sigma_max unless the caller knows the scale the operator
-was computed at (Id + A@A is judged against ||Id + iA||^2).
+was computed at (Id + A@A is judged against ||Id + iA||^2).  The size is
+max(rows, cols), set in one place: `regularity_of`, which judges a matrix.
+Only a caller holding singular values without their matrix names a size.
 
 Arrays are validated once, where they enter: each exported function runs
 `as_matrix` or `require_square(_pair)` on its arguments, and a product the
@@ -139,6 +138,10 @@ class Regularity(NamedTuple):
         """Every singular value clears the cutoff (full rank)."""
         return self.sigma_min > self.cutoff
 
+    def near_edge(self, min_dist: float, tol: Tolerance) -> bool:
+        """sigma_min within WARN_BAND of the cutoff, or min_dist (an eigenvalue to i) of eig_abs."""
+        return self.sigma_min <= WARN_BAND * self.cutoff or min_dist <= WARN_BAND * tol.eig_abs
+
     def squares(self, what: str) -> tuple[float, float]:
         """(sigma_min^2, sigma_max^2); InvalidMatrix when either leaves the normal float64 range."""
         if not (SQUARE_RANGE[0] <= self.sigma_min and self.sigma_max <= SQUARE_RANGE[1]):
@@ -163,6 +166,11 @@ def regularity(
     return Regularity(float(s.min()), smax, cutoff, int(np.count_nonzero(s > cutoff)))
 
 
+def regularity_of(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Regularity:
+    """Judge a checked matrix M at the cutoff size max(rows, cols); one SVD."""
+    return regularity(singular_values(M), max(M.shape), tol)
+
+
 def eigenvalues(M) -> np.ndarray:
     """Eigenvalue multiset of a square matrix, sorted by (real, imag).
 
@@ -176,8 +184,7 @@ def eigenvalues(M) -> np.ndarray:
 
 def rank(M, tol: Tolerance = DEFAULT_TOL) -> int:
     """Number of singular values above the cutoff."""
-    A = as_matrix(M)
-    return regularity(singular_values(A), max(A.shape), tol).rank
+    return regularity_of(as_matrix(M), tol).rank
 
 
 def kernel_basis(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -222,10 +229,6 @@ def pinv(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return (Vh[:r].conj().T / s[:r]) @ U[:, :r].conj().T
 
 
-def is_invertible(M, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return regularity(singular_values(M), M.shape[0], tol).regular
-
-
 def max_abs(M) -> float:
     return float(np.max(np.abs(M))) if M.size else 0.0
 
@@ -233,11 +236,6 @@ def max_abs(M) -> float:
 def matrices_close(A, B, tol_abs: float) -> bool:
     """Entrywise |A - B| <= tol_abs."""
     return max_abs(A - B) <= tol_abs
-
-
-def is_orthogonal(E, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """E.T @ E == identity within equality_abs (real orthogonal columns)."""
-    return matrices_close(E.conj().T @ E, np.eye(E.shape[1]), tol.equality_abs)
 
 
 def is_unitary_defect(U) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InvalidMatrix, NotAPermutation, NotRepaired, SearchExhausted
-from .linalg import DEFAULT_TOL, WARN_BAND, Tolerance
+from .linalg import DEFAULT_TOL, Tolerance
 
 _TRIAL_CAP = 1_000_000
 
@@ -162,7 +162,8 @@ def repair_permutation(A, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Permut
     """Find a column permutation pi so that Id + i * A @ P_pi is regular.
 
     Tries the identity, then permutations shuffled by random.Random(seed),
-    at most one million in all, at every n.  One exists for every real A:
+    or random.Random(str(seed)) for a negative seed, at most one million
+    in all, at every n.  One exists for every real A:
     det(Id + i * A @ P_pi) averages 1 + i * sum(A) / n over all pi.
     """
     M = linalg.require_square(A)
@@ -172,10 +173,11 @@ def repair_permutation(A, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Permut
     pi, rng = list(range(n)), None
     for trials in range(1, _TRIAL_CAP + 1):
         if trials > 1:
-            rng = rng or random.Random(operator.index(seed))  # once the identity has failed
+            # seeded once the identity has failed; Random(-s) would repeat Random(s)
+            rng = rng or random.Random(s if (s := operator.index(seed)) >= 0 else str(s))
             rng.shuffle(pi)
         order = np.argsort(pi)  # apply_column_permutation, with M and pi known valid
-        reg = linalg.regularity(linalg.singular_values(Id + iM[:, order]), n, tol)
+        reg = linalg.regularity_of(Id + iM[:, order], tol)
         if reg.regular:
             eigs = linalg.eigenvalues(M[:, order])
             min_dist = float(np.min(np.abs(eigs - 1j)))
@@ -184,9 +186,7 @@ def repair_permutation(A, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Permut
                 trials=trials,
                 min_dist_to_i_after=min_dist,
                 sigma_min_after=reg.sigma_min,
-                degenerate=(
-                    min_dist <= WARN_BAND * tol.eig_abs or reg.sigma_min <= WARN_BAND * reg.cutoff
-                ),
+                degenerate=reg.near_edge(min_dist, tol),
             )
     raise SearchExhausted(f"no repairing permutation found in {trials} trials", trials=trials)
 
@@ -202,7 +202,7 @@ def rebrick_with_permutation(V, A, pi, tol: Tolerance = DEFAULT_TOL) -> np.ndarr
     p = _check_permutation(pi, V_.shape[1])
     AV = linalg.as_matrix(A_ @ V_, "A @ V")
     W = V_ + 1j * AV[:, np.argsort(p)]
-    reg = linalg.regularity(linalg.singular_values(W), W.shape[0], tol)
+    reg = linalg.regularity_of(W, tol)
     if not reg.regular:
         raise NotRepaired(
             f"permutation {p} leaves the rebricked matrix singular (sigma_min={reg.sigma_min:.3e})"

@@ -317,7 +317,7 @@ def reference_spectral_factorize_orthosym(A, tol=linalg.DEFAULT_TOL):
         raise NotOrthogonalSymmetric("input must be real")
     if not linalg.matrices_close(A_, A_.T, tol.equality_abs):
         raise NotOrthogonalSymmetric("input is not symmetric at tolerance")
-    if not linalg.is_orthogonal(A_, tol):
+    if not (linalg.is_unitary_defect(A_) <= tol.equality_abs):
         raise NotOrthogonalSymmetric("input is not orthogonal at tolerance")
     w, R = np.linalg.eigh(A_)
     order = np.argsort(-w)  # +1 eigenvalues first

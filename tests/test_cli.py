@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from rebrick import basis, cli, errors, matio, multipliers
+from rebrick import basis, cli, errors, matio, multipliers, permutation
 from rebrick.cli import run
 from support import (
     count_svd_calls,
@@ -26,6 +27,14 @@ def write(tmp_path, name, M):
     p = tmp_path / name
     matio.save_matrix(p, np.asarray(M, dtype=float))
     return str(p)
+
+
+def run_module(argv):
+    """`python -m rebrick.cli` in a child process that imports the rebrick under test."""
+    path = [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    cmd = [sys.executable, "-m", "rebrick.cli", *argv]
+    return subprocess.run(cmd, capture_output=True, text=True, env=env)
 
 
 def run_json(capsys, argv):
@@ -433,6 +442,16 @@ class TestExtremeScale:
         code, report = self.run_quiet(capsys, command.split() + files)
         assert code == 2 and report["error"].startswith(f"{product}: entries must be finite")
 
+    def test_repair_checks_its_product_before_the_search(self, tmp_path, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the search ran before A @ V was checked")
+
+        monkeypatch.setattr(permutation, "repair_permutation", unreachable)
+        mats = _SCALE_CASES["repair"](np.random.default_rng(20))
+        files = [write(tmp_path, f"m{k}.csv", 1e170 * M) for k, M in enumerate(mats)]
+        code, report = self.run_quiet(capsys, ["repair"] + files)
+        assert code == 2 and report["error"].startswith("A @ V: entries must be finite")
+
     @pytest.mark.parametrize("scale", [1e-170, 1e170, 1e300])
     @pytest.mark.parametrize(
         "argv", [["hilbert", "--N", "64"], ["trig", "--K", "5"], ["sweep", "16", "32"]]
@@ -567,11 +586,7 @@ class TestReportContract:
 
     def test_console_entry_point(self, tmp_path):
         f = write(tmp_path, "i.csv", np.eye(2))
-        proc = subprocess.run(
-            [sys.executable, "-m", "rebrick.cli", "check-basis", f, "--quiet"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module(["check-basis", f, "--quiet"])
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["verdicts"]["is_basis"] is True
 
@@ -679,11 +694,7 @@ class TestUsageErrors:
 
     def test_console_script_usage_error(self, tmp_path):
         f = write(tmp_path, "s.csv", np.ones((2, 2)))
-        proc = subprocess.run(
-            [sys.executable, "-m", "rebrick.cli", "frame", "order", f, "--quiet"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module(["frame", "order", f, "--quiet"])
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert json.loads(proc.stdout)["exit_code"] == 2

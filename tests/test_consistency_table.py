@@ -62,17 +62,18 @@ class TestApplyingAnOperator:
         rng = np.random.default_rng(2)
         n = 5
         V = random_invertible(rng, n)
-        assert linalg.is_invertible(random_invertible(rng, n) @ V)
+        assert linalg.regularity_of(random_invertible(rng, n) @ V).regular
         singular = np.eye(n)
         singular[-1, -1] = 0.0
-        assert not linalg.is_invertible(singular @ V)
+        assert not linalg.regularity_of(singular @ V).regular
 
     def test_onb_iff_unitary(self):
         rng = np.random.default_rng(3)
         n = 5
         E = random_orthogonal(rng, n)
-        assert linalg.is_orthogonal(random_orthogonal(rng, n) @ E)
-        assert not linalg.is_orthogonal((np.eye(n) * 1.5) @ E)
+        eq = linalg.DEFAULT_TOL.equality_abs
+        assert linalg.is_unitary_defect(random_orthogonal(rng, n) @ E) <= eq
+        assert not (linalg.is_unitary_defect((np.eye(n) * 1.5) @ E) <= eq)
 
 
 class TestCombiningWithAnOperator:

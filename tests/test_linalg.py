@@ -162,6 +162,29 @@ def test_regularity_cutoff_rule():
     assert linalg.regularity([0.0, 0.0], 2, tol).rank == 0
 
 
+@pytest.mark.parametrize("shape", [(4, 4), (6, 3), (3, 6)])
+@pytest.mark.parametrize("kind", [float, complex])
+def test_regularity_of_takes_the_larger_dimension(shape, kind):
+    rng = np.random.default_rng(11)
+    M = rng.standard_normal(shape).astype(kind)
+    if kind is complex:
+        M = M + 1j * rng.standard_normal(shape)
+    M[:, -1] = M[:, 0]  # rank-deficient, so the cutoff decides the rank
+    tol = linalg.Tolerance(rank_rel=1e-3)
+    for t in (linalg.DEFAULT_TOL, tol):
+        got = linalg.regularity_of(M, t)
+        want = linalg.regularity(np.linalg.svd(M, compute_uv=False), max(M.shape), t)
+        assert got == want and list(map(type, got)) == list(map(type, want))
+
+
+def test_near_edge_band():
+    tol = linalg.DEFAULT_TOL
+    reg = linalg.Regularity(sigma_min=1.0, sigma_max=2.0, cutoff=0.01, rank=2)
+    assert reg.near_edge(1.0, tol)  # sigma_min = WARN_BAND * cutoff
+    assert not reg._replace(cutoff=0.0099).near_edge(1.0, tol)
+    assert reg._replace(cutoff=0.0099).near_edge(linalg.WARN_BAND * tol.eig_abs, tol)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     rows=st.integers(min_value=1, max_value=6),
@@ -238,7 +261,7 @@ def _validation_cases():
         "rebricked_dual": (5, lambda: basis.rebricked_dual(V, A)),
         "rebricked_frame_bounds": (4, lambda: basis.rebricked_frame_bounds(V, A)),
         "onb_rebrick_check": (2, lambda: basis.onb_rebrick_check(E, E)),
-        "frrebrick_check": (7, lambda: frames.frrebrick_check(truncating_shift(4, 6), S)),
+        "frrebrick_check": (4, lambda: frames.frrebrick_check(truncating_shift(4, 6), S)),
         # 2 and 8 trials: the count does not grow with the search
         "repair_permutation 2 trials": (3, lambda: permutation.repair_permutation(quarter_turn)),
         "repair_permutation 8 trials": (3, lambda: permutation.repair_permutation(quarter_turns)),

@@ -277,6 +277,20 @@ class TestRepair:
         AP = permutation.apply_column_permutation(A, rep.permutation)
         assert np.min(np.abs(linalg.eigenvalues(AP) - 1j)) > 1e-8
 
+    @pytest.mark.parametrize("seed", [1, 2, 7, 42])
+    def test_negative_seed_has_its_own_stream(self, seed):
+        # random.Random(-s) repeats random.Random(s); a negative seed must not
+        A = np.kron(np.eye(4), ROT90)
+        plus = permutation.repair_permutation(A, seed=seed)
+        minus = permutation.repair_permutation(A, seed=-seed)
+        assert plus.permutation != minus.permutation
+        AP = permutation.apply_column_permutation(A, minus.permutation)
+        assert np.min(np.abs(linalg.eigenvalues(AP) - 1j)) > 1e-8
+
+    def test_nonnegative_seeds_keep_their_stream(self):
+        A = np.kron(np.eye(4), ROT90)
+        assert permutation.repair_permutation(A, seed=1).permutation == (3, 6, 1, 5, 7, 0, 4, 2)
+
     def test_numpy_integer_seed(self):
         A = plant_eigenvalue_i(np.random.default_rng(14), 9)
         assert permutation.repair_permutation(A, seed=np.int64(5)) == (

@@ -24,6 +24,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -54,6 +55,11 @@ MAX_TRIG_N = 2**16
 
 
 def _jsonable(value):
+    if isinstance(value, (np.floating, float)):
+        f = float(value)
+        if not math.isfinite(f):
+            return "inf" if f > 0 else ("-inf" if f < 0 else "nan")
+        return f
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -66,11 +72,6 @@ def _jsonable(value):
         return int(value)
     if isinstance(value, (complex, np.complexfloating)):
         return [_jsonable(float(value.real)), _jsonable(float(value.imag))]
-    if isinstance(value, (np.floating, float)):
-        f = float(value)
-        if not np.isfinite(f):
-            return "inf" if f > 0 else ("-inf" if f < 0 else "nan")
-        return f
     return value
 
 

@@ -11,8 +11,10 @@ _BYTES_PER_CELL bytes per allowed cell; the size is checked before the file
 is read, the cell count before the array is built.
 
 Readers and writers take a CSV row, or a whole JSON document, per step.
-parse_cell runs only on a CSV row that the row patterns do not match, so
-that a bad cell is named by its row and column.
+A real CSV row is checked by one character class and parsed by float(),
+which on that alphabet accepts exactly the plain decimals; a row with an
+"i" goes through the complex row pattern.  parse_cell runs only on a row
+that neither reads, so that a bad cell is named by its row and column.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ _BYTES_PER_CELL = 64
 _NUM = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _IMAG = r"[+-](?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _CELL_RE = re.compile(rf"(?P<re>{_NUM})(?:(?P<im>{_IMAG})i)?")
-_REAL_ROW_RE = re.compile(rf"{_NUM}(?:,{_NUM})*")
+# on this alphabet float() accepts exactly _NUM: no space, "_", "nan"/"inf" or non-ASCII digit
+_REAL_CHARS_RE = re.compile(r"[0-9eE.+\-,]*")
 _ROW_RE = re.compile(rf"{_NUM}(?:{_IMAG}i)?(?:,{_NUM}(?:{_IMAG}i)?)*")
 # CSV cell formats by the imaginary part: zero (of either sign) is not written, a nan
 # one gets "-"; "%.0s" takes the unwritten imaginary part and prints nothing
@@ -136,12 +139,17 @@ def load_csv(path, digest=None) -> np.ndarray:
         cells += line.count(",") + 1
         if cells > MAX_CELLS:
             raise _too_many_cells(path, r)
-        if _REAL_ROW_RE.fullmatch(line):
-            parsed = list(map(float, line.split(",")))
-        elif _ROW_RE.fullmatch(line):  # complex() reads a matched "a+bj" as parse_cell reads "a+bi"
+        parsed = None
+        if _REAL_CHARS_RE.fullmatch(line):
+            try:
+                parsed = list(map(float, line.split(",")))
+            except ValueError:  # "1e+", "1..2", an empty cell: the row patterns below decide
+                pass
+        if parsed is None and "i" in line and _ROW_RE.fullmatch(line):
+            # complex() reads a matched "a+bj" as parse_cell reads "a+bi"
             parsed = list(map(complex, line.replace("i", "j").split(",")))
             has_complex = True
-        else:  # spaces around cells, or a cell that parse_cell rejects with its position
+        elif parsed is None:  # spaces, non-ASCII digits, or a bad cell that parse_cell names
             parsed = [parse_cell(c, r, ci + 1) for ci, c in enumerate(line.split(","))]
             has_complex = has_complex or any(isinstance(c, complex) for c in parsed)
         if width is None:

@@ -170,11 +170,12 @@ def repair_permutation(A, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Permut
     n = M.shape[0]
     # a trial is Id + (iM) @ P_pi, the same bits as Id + i * (M @ P_pi)
     Id, iM = np.eye(n), 1j * M
+    s = operator.index(seed)  # checked before the identity trial, which draws nothing
     pi, rng = list(range(n)), None
     for trials in range(1, _TRIAL_CAP + 1):
         if trials > 1:
             # seeded once the identity has failed; Random(-s) would repeat Random(s)
-            rng = rng or random.Random(s if (s := operator.index(seed)) >= 0 else str(s))
+            rng = rng or random.Random(s if s >= 0 else str(s))
             rng.shuffle(pi)
         order = np.argsort(pi)  # apply_column_permutation, with M and pi known valid
         reg = linalg.regularity_of(Id + iM[:, order], tol)

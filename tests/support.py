@@ -1,9 +1,10 @@
 """Shared constructions and exact-arithmetic oracles for the test suite."""
 
 import json
+import random
 import re
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -264,33 +265,18 @@ def reference_regularity(s, size: int, tol=linalg.DEFAULT_TOL, scale=None) -> li
     return linalg.Regularity(float(np.min(s)), smax, cutoff, int(np.count_nonzero(s > cutoff)))
 
 
-def _reference_candidate_order(n: int):
-    ident = tuple(range(n))
-    yield ident
-    tried = {ident}
-    for a in range(n):
-        for b in range(a + 1, n):
-            p = list(range(n))
-            p[a], p[b] = p[b], p[a]
-            t = tuple(p)
-            tried.add(t)
-            yield t
-    for p in permutations(range(n)):
-        if p not in tried:
-            yield p
-
-
 def reference_repair_permutation(A, tol=linalg.DEFAULT_TOL, seed: int = 0):
+    """The identity, then the orders that random.Random shuffles into one list, in turn.
+
+    A negative seed seeds with its decimal string, since Random(-s) repeats Random(s).
+    """
     M = _reference_require_square(A)
     n = M.shape[0]
-    trials = 0
-    if n <= 8:
-        source = _reference_candidate_order(n)
-    else:
-        rng = np.random.default_rng(seed)
-        source = (tuple(int(j) for j in rng.permutation(n)) for _ in range(1_000_000))
-    for pi in source:
-        trials += 1
+    rng = random.Random(seed if seed >= 0 else str(seed))
+    pi = list(range(n))
+    for trials in range(1, 1_000_001):
+        if trials > 1:
+            rng.shuffle(pi)
         AP = M[:, np.argsort(pi)]
         s = np.linalg.svd(np.eye(n) + 1j * AP, compute_uv=False)
         reg = reference_regularity(s, n, tol)
@@ -299,7 +285,7 @@ def reference_repair_permutation(A, tol=linalg.DEFAULT_TOL, seed: int = 0):
             eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
             min_dist = float(np.min(np.abs(eigs - 1j)))
             return PermutationRepair(
-                permutation=pi,
+                permutation=tuple(pi),
                 trials=trials,
                 min_dist_to_i_after=min_dist,
                 sigma_min_after=reg.sigma_min,

@@ -584,6 +584,33 @@ class TestReportContract:
         assert not out.exists()
         assert report["certificates"]["out"] is None
 
+    @pytest.mark.parametrize(
+        "value, rendered",
+        [
+            (np.float64(np.inf), '"inf"'),
+            (np.float64(-np.inf), '"-inf"'),
+            (np.float64(np.nan), '"nan"'),
+            (np.float32(np.inf), '"inf"'),
+            (np.float32(-np.inf), '"-inf"'),
+            (np.float32(np.nan), '"nan"'),
+            (np.float32(0.1), "0.10000000149011612"),
+            (-0.0, "-0.0"),
+            (complex(np.inf, np.nan), '["inf", "nan"]'),
+            (np.complex128(complex(-np.inf, -0.0)), '["-inf", -0.0]'),
+            (np.complex64(complex(1.5, np.inf)), '[1.5, "inf"]'),
+            (np.bool_(True), "true"),
+            (np.int64(-7), "-7"),
+            (((1, np.float64(2.5)), (np.bool_(False), (np.nan,))), '[[1, 2.5], [false, ["nan"]]]'),
+            ({"k": (np.int32(3), None, "s")}, '{"k": [3, null, "s"]}'),
+            (
+                np.array([[1 + 2j, complex(np.inf, 0)], [complex(-0.0, -1), complex(0, np.nan)]]),
+                '[[[1.0, 2.0], ["inf", 0.0]], [[-0.0, -1.0], [0.0, "nan"]]]',
+            ),
+        ],
+    )
+    def test_report_values_render_to_fixed_json(self, value, rendered):
+        assert json.dumps(cli._jsonable(value)) == rendered
+
     def test_console_entry_point(self, tmp_path):
         f = write(tmp_path, "i.csv", np.eye(2))
         proc = run_module(["check-basis", f, "--quiet"])

@@ -327,6 +327,8 @@ _CSV_CELLS = st.one_of(
             " 1", "1 ", "\t2", "\u00a03", "4\u2003", "\u3000-1+1i", " 1+2i ",
             "", "nan", "inf", "-inf", "1_0", "0x1", "1+2x", "i", "2i", "1+i", "--3", "1 + 2i",
             "\ufeff1", "1e", "1.2.3", "+",
+            # only the characters of a real row, yet not a number (the last two are numbers)
+            ".", "e5", "1e+", "+-1", "1..2", "1e5.5", ".e1", "1e1e1", "5e", "-", "1.e5", "00.5e-0",
         ]
     ),
     _FLOATS.map(repr),
@@ -375,6 +377,11 @@ _CSV_CASES = [
     "1,2\r\r\n3,4\n\r5,6",
     "\n" * 70_000 + "1,2\n3\n",  # a ragged row past the first block of lines
     "1,2\n" * 20_000 + "3,4",
+    # the real-row alphabet without a number: float() refuses, parse_cell names the cell
+    *(f"1,2\n3,{cell}\n" for cell in (".", "e5", "1e+", "+-1", "1..2", "1e5.5", ".e1", "1e1e1")),
+    *(f"{cell},2\n3,4\n" for cell in ("5e", "-")),
+    "1.e5,00.5e-0\n-1.e5,+00.5E-0\n",
+    "\u0661,2\n3,\uff14e\u0661\n",  # non-ASCII digits in a real row stay real
 ]
 
 

@@ -297,6 +297,12 @@ class TestRepair:
             permutation.repair_permutation(A, seed=5)
         )
 
+    @pytest.mark.parametrize("A", [0.5 * np.eye(3), np.kron(np.eye(2), ROT90)])
+    def test_float_seed_rejected_before_the_first_trial(self, A):
+        # the identity repairs 0.5 * Id at trial 1; the quarter turns need a shuffle
+        with pytest.raises(TypeError):
+            permutation.repair_permutation(A, seed=1.5)
+
 
 class TestRebrickWithPermutation:
     def test_matches_conjugated_form(self):
@@ -328,26 +334,37 @@ class TestRebrickWithPermutation:
             permutation.rebrick_with_permutation(V, A, (1, 0, 2))
 
 
+def _quarter_turns(n):
+    """Eigenvalue i in every 2x2 diagonal block, so the identity fails and a shuffle must repair."""
+    A = np.eye(n)
+    A[: n // 2 * 2, : n // 2 * 2] = np.kron(np.eye(n // 2), ROT90)
+    return A
+
+
 @settings(max_examples=120, deadline=None)
 @given(
-    n=st.integers(2, 8),
+    n=st.integers(2, 12),
     kind=st.sampled_from(["planted", "random", "quarter turns"]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_repair_matches_the_reference(n, kind, seed):
-    """Where the earlier search kept the identity (n <= 8, trial 1), the answer is the same."""
+    """The same trial, permutation, certificates and degenerate flag as the written-out search."""
     rng = np.random.default_rng(seed)
     if kind == "planted":
         A = plant_eigenvalue_i(rng, n)
     elif kind == "random":
         A = rng.standard_normal((n, n))
-    else:  # eigenvalue i of every 2x2 block; the search runs past the identity
-        A = np.eye(n)
-        A[: n // 2 * 2, : n // 2 * 2] = np.kron(np.eye(n // 2), ROT90)
-    search_seed = int(rng.integers(0, 100))
+    else:
+        A = _quarter_turns(n)
+    search_seed = int(rng.integers(-100, 100))
     got = permutation.repair_permutation(A, seed=search_seed)
-    want = reference_repair_permutation(A, seed=search_seed)
-    if want.trials == 1:
-        assert got == want
-    else:  # both reject the identity; the shuffles that follow differ
-        assert got.trials > 1 and got.sigma_min_after > 0
+    assert got == reference_repair_permutation(A, seed=search_seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, -1])
+@pytest.mark.parametrize("n", range(2, 13))
+def test_repair_matches_the_reference_past_the_identity(n, seed):
+    A = _quarter_turns(n)
+    got = permutation.repair_permutation(A, seed=seed)
+    assert got.trials >= 2
+    assert got == reference_repair_permutation(A, seed=seed)

@@ -126,6 +126,14 @@ def _require_basis(V: np.ndarray, which: str, tol: Tolerance) -> linalg.Regulari
     return reg
 
 
+def invert_basis(V, which: str, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """inv(V) from one SVD, which also decides that the columns of V form a basis."""
+    try:
+        return linalg.invert(V, tol)
+    except Singular:
+        raise NotABasis(f"columns of {which} do not form a basis", which=which) from None
+
+
 def _squared_norm(norm: float, what: str) -> float:
     # the scale of Id + A@A; InvalidMatrix when it is not a float64
     if norm > linalg.SQUARE_RANGE[1]:
@@ -135,8 +143,8 @@ def _squared_norm(norm: float, what: str) -> float:
 
 def transfer_operator(V1, V2, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """The operator A = V2 @ inv(V1) mapping basis V1 elementwise onto V2."""
-    A1, A2 = linalg.require_square_pair(V1, V2, ("V1", "V2"))
-    return A2 @ linalg.invert(A1, tol)
+    A1, A2 = linalg.require_square_pair(V1, V2, ("V1", "V2"), real=True)
+    return A2 @ invert_basis(A1, "V1", tol)
 
 
 def rebrick_pair(V1, V2, tol: Tolerance = DEFAULT_TOL):
@@ -146,11 +154,8 @@ def rebrick_pair(V1, V2, tol: Tolerance = DEFAULT_TOL):
     InvalidMatrix when ||V2 @ inv(V1)||^2 leaves the float64 range.
     Returns (complex matrix, RebrickVerdict).
     """
-    A1, A2 = linalg.require_square_pair(V1, V2, ("V1", "V2"))
-    try:
-        inv1 = linalg.invert(A1, tol)  # its SVD also decides whether V1 is a basis
-    except Singular:
-        raise NotABasis("columns of V1 do not form a basis", which="V1") from None
+    A1, A2 = linalg.require_square_pair(V1, V2, ("V1", "V2"), real=True)
+    inv1 = invert_basis(A1, "V1", tol)
     _require_basis(A2, "V2", tol)
     B = A1 + 1j * A2
     A = linalg.as_matrix(A2 @ inv1, "V2 @ inv(V1)")
@@ -174,7 +179,7 @@ def rebrick_with_operator(A, V, tol: Tolerance = DEFAULT_TOL):
     The verdict is computed from Id + i*A alone, so it does not depend on
     which basis V is being rebricked.
     """
-    A_, V_ = linalg.require_square_pair(A, V, ("A", "V"))
+    A_, V_ = linalg.require_square_pair(A, V, ("A", "V"), real=True)
     _require_basis(V_, "V", tol)
     B, _, verdict = _operator_verdict(A_, tol)
     return B @ V_, verdict
@@ -197,9 +202,9 @@ def non_transitivity_witness(dim: int):
 
 def _orthogonal_pair(E1, E2, tol: Tolerance):
     """E1, E2 validated as real orthogonal matrices of one shape."""
-    M1, M2 = linalg.require_square_pair(E1, E2, ("E1", "E2"))
+    M1, M2 = linalg.require_square_pair(E1, E2, ("E1", "E2"), real=True)
     for name, M in (("E1", M1), ("E2", M2)):
-        if np.iscomplexobj(M) or not (linalg.is_unitary_defect(M) <= tol.equality_abs):
+        if not (linalg.is_unitary_defect(M) <= tol.equality_abs):
             raise NotOrthogonal(f"{name} is not orthogonal at tolerance", which=name)
     return M1, M2
 
@@ -239,14 +244,11 @@ def rebricked_dual(V, A, tol: Tolerance = DEFAULT_TOL):
     primal = (Id + i*A) @ V, dual = inv(B*) @ inv(V.T); the columns are
     biorthogonal: dual* @ primal == Id.
     """
-    V_, A_ = linalg.require_square_pair(V, A, ("V", "A"))
+    V_, A_ = linalg.require_square_pair(V, A, ("V", "A"), real=True)
     B, _, verdict = _operator_verdict(A_, tol)
     if not verdict.rebrickable:
         raise NotRebrickable("A has eigenvalue i at tolerance; Id + iA is singular")
-    try:
-        inv_VT = linalg.invert(V_.T, tol)  # its SVD also decides whether V is a basis
-    except Singular:
-        raise NotABasis("columns of V do not form a basis", which="V") from None
+    inv_VT = invert_basis(V_.T, "V", tol)
     # the verdict has judged B (B* has the same singular values): solve by LU
     return B @ V_, np.linalg.solve(B.conj().T, inv_VT)
 
@@ -257,7 +259,7 @@ def real_part_preservation_lambda(A, tol: Tolerance = DEFAULT_TOL):
     Such a lambda exists exactly when A @ A is a real multiple mu * Id with
     1 + mu != 0; then lambda = 1 / (1 + mu).  Returns None otherwise.
     """
-    A_ = linalg.require_square(A, "A")
+    A_ = linalg.require_square(A, "A", real=True)
     if not linalg.regularity_of(A_, tol).regular:
         raise Singular("A must be invertible")
     n = A_.shape[0]
@@ -286,7 +288,7 @@ def rebricked_frame_bounds(V, A, tol: Tolerance = DEFAULT_TOL) -> RieszBoundRepo
     InvalidMatrix when a squared singular value of V or of (Id + i*A) @ V
     leaves the float64 range.
     """
-    V_, A_ = linalg.require_square_pair(V, A, ("V", "A"))
+    V_, A_ = linalg.require_square_pair(V, A, ("V", "A"), real=True)
     B, s_B, verdict = _operator_verdict(A_, tol)
     if not verdict.rebrickable:
         raise NotRebrickable("A has eigenvalue i at tolerance")
@@ -310,9 +312,7 @@ def spectral_factorize_orthosym(A, tol: Tolerance = DEFAULT_TOL):
     with each column's largest-magnitude entry made positive, so the
     output is reproducible.
     """
-    A_ = linalg.require_square(A, "A")
-    if np.iscomplexobj(A_):
-        raise NotOrthogonalSymmetric("input must be real")
+    A_ = linalg.require_square(A, "A", real=True)
     if not linalg.matrices_close(A_, A_.T, tol.equality_abs):
         raise NotOrthogonalSymmetric("input is not symmetric at tolerance")
     if not (linalg.is_unitary_defect(A_) <= tol.equality_abs):

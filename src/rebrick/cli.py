@@ -75,18 +75,16 @@ def _jsonable(value):
     return value
 
 
-def _load(path, want_real=False, name="matrix"):
+def _load(path):
     digest = hashlib.sha256()
     M = matio.load_matrix(path, digest)
     info = {"path": str(path), "sha256": digest.hexdigest()}
     info["rows"], info["cols"] = int(M.shape[0]), int(M.shape[1])
-    if want_real and np.iscomplexobj(M):
-        raise InvalidMatrix(f"{name} ({path}): expected real entries")
     return M, info
 
 
 def _load_vector(path, name="vector"):
-    M, info = _load(path, name=name)
+    M, info = _load(path)
     if 1 not in M.shape:
         raise InvalidMatrix(f"{name} ({path}): expected a single row or column")
     return M.reshape(-1), info
@@ -123,7 +121,7 @@ def _write_out(args, M) -> str | None:
 
 
 def cmd_check_basis(args, tol):
-    M, info = _load(args.file, want_real=False, name="matrix")
+    M, info = _load(args.file)
     M = linalg.require_square(M)
     reg = linalg.regularity_of(M, tol)
     verdicts = {"is_basis": reg.regular}
@@ -132,8 +130,8 @@ def cmd_check_basis(args, tol):
 
 
 def cmd_rebrick(args, tol):
-    V1, i1 = _load(args.file_v1, want_real=True, name="V1")
-    V2, i2 = _load(args.file_v2, want_real=True, name="V2")
+    V1, i1 = _load(args.file_v1)
+    V2, i2 = _load(args.file_v2)
     B, v = basis.rebrick_pair(V1, V2, tol)
     certs = dataclasses.asdict(v)
     certs["out"] = _write_out(args, B) if v.rebrickable else None
@@ -141,11 +139,11 @@ def cmd_rebrick(args, tol):
 
 
 def cmd_repair(args, tol):
-    V, iv = _load(args.file_v, want_real=True, name="V")
-    A, ia = _load(args.file_a, want_real=True, name="A")
-    linalg.require_square_pair(V, A, ("V", "A"))
-    At = linalg.invert(V, tol) @ A @ V
-    linalg.as_matrix(A @ V, "A @ V")  # an overflow ends the command before the search
+    V, iv = _load(args.file_v)
+    A, ia = _load(args.file_a)
+    V, A = linalg.require_square_pair(V, A, ("V", "A"), real=True)
+    # inv(V) decides that V is a basis; a checked A @ V ends an overflow before the search
+    At = basis.invert_basis(V, "V", tol) @ linalg.as_matrix(A @ V, "A @ V")
     rep = permutation.repair_permutation(At, tol, seed=args.seed)
     W = permutation.rebrick_with_permutation(V, A, rep.permutation, tol)
     out = _write_out(args, W)
@@ -162,20 +160,20 @@ def cmd_repair(args, tol):
 
 
 def cmd_frame_bounds(args, tol):
-    S, info = _load(args.file_f, name="frame")
+    S, info = _load(args.file_f)
     fb = frames.frame_bounds(FiniteFrame(S), tol)
     return {"frame": info}, {"is_frame": True}, {"c": fb.c, "C": fb.C}, 0
 
 
 def cmd_frame_parseval(args, tol):
-    S, info = _load(args.file_f, name="frame")
+    S, info = _load(args.file_f)
     ok = frames.is_parseval(FiniteFrame(S), tol)
     return {"frame": info}, {"parseval": ok}, {}, 0 if ok else 1
 
 
 def cmd_frame_order(args, tol):
-    SF, i1 = _load(args.file_f, name="F")
-    SG, i2 = _load(args.file_g, name="G")
+    SF, i1 = _load(args.file_f)
+    SG, i2 = _load(args.file_g)
     v = frames.frame_leq(FiniteFrame(SF, "F"), FiniteFrame(SG, "G"), tol)
     verdicts = {"leq": v.leq, "geq": v.geq, "equivalent": v.equivalent}
     certs = {"ker_dim_F": v.ker_dim_F, "ker_dim_G": v.ker_dim_G}
@@ -183,8 +181,8 @@ def cmd_frame_order(args, tol):
 
 
 def cmd_frame_rebrick(args, tol):
-    SF, i1 = _load(args.file_f, want_real=True, name="F")
-    SG, i2 = _load(args.file_g, want_real=True, name="G")
+    SF, i1 = _load(args.file_f)
+    SG, i2 = _load(args.file_g)
     F, G = FiniteFrame(SF, "F"), FiniteFrame(SG, "G")
     try:
         combined, fb = frames.rebrick_frames(F, G, tol)
@@ -196,8 +194,8 @@ def cmd_frame_rebrick(args, tol):
 
 
 def cmd_frame_frrebrick(args, tol):
-    A, i1 = _load(args.file_a, want_real=True, name="A")
-    S, i2 = _load(args.file_s, want_real=True, name="S")
+    A, i1 = _load(args.file_a)
+    S, i2 = _load(args.file_s)
     v = frames.frrebrick_check(A, S, tol)
     certs = {"rank_id_iS": v.rank_id_iS, "rank_product": v.rank_product}
     certs.update(p=S.shape[0], n=A.shape[0])

@@ -183,8 +183,9 @@ def rebrick_frames(F: FiniteFrame, G: FiniteFrame, tol: Tolerance = DEFAULT_TOL)
     an input does not span; NotRebrickable means the combination does not.
     """
     _check_comparable(F, G)
-    if np.iscomplexobj(F.synthesis) or np.iscomplexobj(G.synthesis):
-        raise InvalidMatrix("rebrick_frames combines two real frames")
+    for name, X in (("F", F), ("G", G)):  # frames may be complex elsewhere, not here
+        if X.synthesis.dtype.kind == "c":
+            raise InvalidMatrix(f"{name}: entries must be real")
     _require_spanning(F, tol)
     _require_spanning(G, tol)
     S = F.synthesis + 1j * G.synthesis
@@ -201,7 +202,7 @@ def operator_rebrick_frame(F: FiniteFrame, A, tol: Tolerance = DEFAULT_TOL):
     Succeeds exactly when Id + i*A is regular at tolerance, which agrees
     with regularity of Id + A@A.  Returns (FiniteFrame, FrameBounds).
     """
-    A_ = linalg.require_square(A, "A")
+    A_ = linalg.require_square(A, "A", real=True)
     if A_.shape[0] != F.dim:
         raise ShapeMismatch(f"A is {A_.shape}, frame dimension is {F.dim}")
     _require_spanning(F, tol)
@@ -227,8 +228,8 @@ def frrebrick_check(A, S, tol: Tolerance = DEFAULT_TOL) -> FrRebrickVerdict:
     routes are computed and must agree.  rank(A) and ker(A) share one
     SVD; five in all.
     """
-    A_ = linalg.as_matrix(A, "A")
-    S_ = linalg.require_square(S, "S")
+    A_ = linalg.as_matrix(A, "A", real=True)
+    S_ = linalg.require_square(S, "S", real=True)
     n, p = A_.shape
     if S_.shape[0] != p:
         raise ShapeMismatch(f"A is {A_.shape}, S is {S_.shape}")
@@ -285,7 +286,7 @@ def parseval_rebrick(F: FiniteFrame, A, tol: Tolerance = DEFAULT_TOL):
     Parseval, which happens exactly when A is orthogonal and symmetric.
     Raises NotRebrickable when Id + i*A is singular at tolerance.
     """
-    A_ = linalg.require_square(A, "A")
+    A_ = linalg.require_square(A, "A", real=True)
     if A_.shape[0] != F.dim:
         raise ShapeMismatch(f"A is {A_.shape}, frame dimension is {F.dim}")
     if not is_parseval(F, tol):

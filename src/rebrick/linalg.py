@@ -9,7 +9,8 @@ max(rows, cols), set in one place: `regularity_of`, which judges a matrix.
 Only a caller holding singular values without their matrix names a size.
 
 Arrays are validated once, where they enter: each exported function runs
-`as_matrix` or `require_square(_pair)` on its arguments, and a product the
+`as_matrix` or `require_square(_pair)` on its arguments, with real=True (one
+dtype-kind test) where its theory needs a real operand, and a product the
 package forms is checked where it is formed.  The helpers not exported from
 the package take checked arrays and validate nothing.
 
@@ -77,8 +78,8 @@ def finite_cast(A: np.ndarray, dtype) -> np.ndarray | None:
     return None if A.dtype.kind in "fc" and not np.isfinite(out).all() else out
 
 
-def as_matrix(M, name: str = "matrix") -> np.ndarray:
-    """Validate and return M as a finite 2-D ndarray (real or complex).
+def as_matrix(M, name: str = "matrix", real: bool = False) -> np.ndarray:
+    """Validate and return M as a finite 2-D ndarray (real, or complex unless real).
 
     Every np.number dtype is accepted, timedelta64 (a signed-integer
     subtype) included; bool, object, str, bytes, datetime64 and structured
@@ -88,6 +89,8 @@ def as_matrix(M, name: str = "matrix") -> np.ndarray:
     kind = A.dtype.kind
     if kind not in NUMBER_KINDS:
         raise InvalidMatrix(f"{name}: entries must be numeric")
+    if real and kind == "c":
+        raise InvalidMatrix(f"{name}: entries must be real")
     if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
         raise InvalidMatrix(f"{name}: expected a 2-D array, got shape {A.shape}")
     if (out := finite_cast(A, np.complex128 if kind == "c" else np.float64)) is None:
@@ -95,16 +98,16 @@ def as_matrix(M, name: str = "matrix") -> np.ndarray:
     return out
 
 
-def require_square(M, name: str = "matrix") -> np.ndarray:
-    A = as_matrix(M, name)
+def require_square(M, name: str = "matrix", real: bool = False) -> np.ndarray:
+    A = as_matrix(M, name, real)
     if A.shape[0] != A.shape[1]:
         raise ShapeMismatch(f"{name}: expected square, got {A.shape[0]}x{A.shape[1]}")
     return A
 
 
-def require_square_pair(M1, M2, names: tuple[str, str]):
+def require_square_pair(M1, M2, names: tuple[str, str], real: bool = False):
     """Validate two square operands of one shape; `names` label the error messages."""
-    A1, A2 = require_square(M1, names[0]), require_square(M2, names[1])
+    A1, A2 = require_square(M1, names[0], real), require_square(M2, names[1], real)
     if A1.shape != A2.shape:
         raise ShapeMismatch(f"{names[0]} is {A1.shape}, {names[1]} is {A2.shape}")
     return A1, A2

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import InvalidMatrix, NotAPermutation, NotRepaired, SearchExhausted
+from .errors import NotAPermutation, NotRepaired, SearchExhausted
 from .linalg import DEFAULT_TOL, Tolerance
 
 _TRIAL_CAP = 1_000_000
@@ -119,9 +119,7 @@ def char_poly(A) -> CharPoly:
 
     Faddeev-LeVerrier trace recursion: O(n^4) and no combinatorics.
     """
-    M = linalg.require_square(A)
-    if np.iscomplexobj(M):
-        raise InvalidMatrix("characteristic machinery expects a real matrix")
+    M = linalg.require_square(A, real=True)
     n = M.shape[0]
     coeffs = np.zeros(n + 1)
     coeffs[n] = 1.0
@@ -140,7 +138,7 @@ def summed_char_poly(A) -> np.ndarray:
     Closed form: n! * lambda^n - (n-1)! * (sum of all entries) * lambda^(n-1);
     every lower coefficient cancels exactly.
     """
-    M = linalg.require_square(A)
+    M = linalg.require_square(A, real=True)
     n = M.shape[0]
     coeffs = np.zeros(n + 1)
     coeffs[n] = float(math.factorial(n))
@@ -154,7 +152,7 @@ def invariant_eigenvalue_candidates(A) -> tuple[float, float]:
     Returns (0, mean of all entries); both are real, which is why a
     repairing permutation always exists for eigenvalue i.
     """
-    M = linalg.require_square(A)
+    M = linalg.require_square(A, real=True)
     return 0.0, float(np.sum(M)) / M.shape[0]
 
 
@@ -166,7 +164,7 @@ def repair_permutation(A, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Permut
     in all, at every n.  One exists for every real A:
     det(Id + i * A @ P_pi) averages 1 + i * sum(A) / n over all pi.
     """
-    M = linalg.require_square(A)
+    M = linalg.require_square(A, real=True)
     n = M.shape[0]
     # a trial is Id + (iM) @ P_pi, the same bits as Id + i * (M @ P_pi)
     Id, iM = np.eye(n), 1j * M
@@ -199,7 +197,7 @@ def rebrick_with_permutation(V, A, pi, tol: Tolerance = DEFAULT_TOL) -> np.ndarr
     At = inv(V) @ A @ V.  Raises NotRepaired when pi does not make the
     result regular.
     """
-    V_, A_ = linalg.require_square_pair(V, A, ("V", "A"))
+    V_, A_ = linalg.require_square_pair(V, A, ("V", "A"), real=True)
     p = _check_permutation(pi, V_.shape[1])
     AV = linalg.as_matrix(A_ @ V_, "A @ V")
     W = V_ + 1j * AV[:, np.argsort(p)]

@@ -223,9 +223,9 @@ def count_validations(monkeypatch) -> list:
     calls = []
     as_matrix = linalg.as_matrix
 
-    def counting(M, name="matrix"):
+    def counting(M, name="matrix", real=False):
         calls.append(name)
-        return as_matrix(M, name)
+        return as_matrix(M, name, real)
 
     monkeypatch.setattr(linalg, "as_matrix", counting)
     return calls
@@ -300,7 +300,7 @@ def reference_repair_permutation(A, tol=linalg.DEFAULT_TOL, seed: int = 0):
 def reference_spectral_factorize_orthosym(A, tol=linalg.DEFAULT_TOL):
     A_ = _reference_require_square(A, "A")
     if np.iscomplexobj(A_):
-        raise NotOrthogonalSymmetric("input must be real")
+        raise InvalidMatrix("A: entries must be real")
     if not linalg.matrices_close(A_, A_.T, tol.equality_abs):
         raise NotOrthogonalSymmetric("input is not symmetric at tolerance")
     if not (linalg.is_unitary_defect(A_) <= tol.equality_abs):

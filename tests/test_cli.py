@@ -222,6 +222,44 @@ class TestRepair:
         assert report["command"][-2:] == ["--seed", "-1"]
 
 
+class TestRealOperands:
+    """The commands whose theory needs real operands refuse a complex file by argument name."""
+
+    INPUTS = {
+        "rebrick": (("V1", np.eye(2)), ("V2", rotation(np.pi / 4))),
+        "repair": (("V", np.eye(2)), ("A", rotation(np.pi / 2))),
+        "frame rebrick": (("F", duplicated_e1_frame(2)), ("G", duplicated_e1_frame(2))),
+        "frame frrebrick": (("A", truncating_shift(2, 3)), ("S", np.eye(3))),
+    }
+
+    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("command", sorted(INPUTS))
+    def test_complex_file_is_refused_by_name(self, tmp_path, capsys, command, which):
+        files = []
+        for k, (_, M) in enumerate(self.INPUTS[command]):
+            Z = M.astype(complex)
+            Z[0, 0] += 1j
+            files.append(str(tmp_path / f"m{k}.csv"))
+            matio.save_matrix(files[-1], Z if k == which else M)
+        code, report = run_json(capsys, command.split() + files)
+        name = self.INPUTS[command][which][0]
+        assert code == report["exit_code"] == 2
+        assert report["error"] == f"{name}: entries must be real"
+
+    def test_check_basis_takes_a_complex_file(self, tmp_path, capsys):
+        f = tmp_path / "c.csv"
+        f.write_text("1+1i,0\n0,1\n")
+        code, report = run_json(capsys, ["check-basis", str(f)])
+        assert code == report["exit_code"] == 0 and report["verdicts"]["is_basis"] is True
+
+    def test_repair_of_a_singular_v_is_not_a_basis(self, tmp_path, capsys):
+        v = write(tmp_path, "v.csv", np.ones((2, 2)))
+        a = write(tmp_path, "a.csv", rotation(np.pi / 2))
+        code, report = run_json(capsys, ["repair", v, a])
+        assert code == report["exit_code"] == 2
+        assert report["error"] == "columns of V do not form a basis"
+
+
 class TestFrame:
     def test_bounds_of_redundant_rebricked_frame(self, tmp_path, capsys):
         n = 8

@@ -297,6 +297,79 @@ def test_tolerance_validation():
     assert t.eig_abs == 1e-7 and t.equality_abs == 1e-7
 
 
+# ------------------------------------------------ one realness rule
+
+_I2 = np.eye(2)
+_Z = np.diag([-1j, 0.5])  # Id + Z @ Z is singular at eigenvalue -i, Id + iZ is not
+_ZV = np.diag([1j, 2.0])  # V2 @ inv(ZV) = Z for V2 = Id
+_F = frames.FiniteFrame(_I2)
+_WIDE = truncating_shift(2, 3)
+_REAL_OPERAND_CASES = {
+    "transfer_operator": ("V1", lambda: basis.transfer_operator(_ZV, _I2)),
+    "rebrick_pair": ("V1", lambda: basis.rebrick_pair(_ZV, _I2)),
+    "rebrick_with_operator": ("A", lambda: basis.rebrick_with_operator(_Z, _I2)),
+    "onb_rebrick_check": ("E1", lambda: basis.onb_rebrick_check(1j * _I2, _I2)),
+    "symmetry_condition_check": ("E2", lambda: basis.symmetry_condition_check(_I2, 1j * _I2)),
+    "rebricked_dual": ("A", lambda: basis.rebricked_dual(_I2, _Z)),
+    "real_part_preservation_lambda": ("A", lambda: basis.real_part_preservation_lambda(2j * _I2)),
+    "rebricked_frame_bounds": ("A", lambda: basis.rebricked_frame_bounds(_I2, _Z)),
+    "spectral_factorize_orthosym": ("A", lambda: basis.spectral_factorize_orthosym(1j * _I2)),
+    "char_poly": ("matrix", lambda: permutation.char_poly(_Z)),
+    "summed_char_poly": ("matrix", lambda: permutation.summed_char_poly(_Z)),
+    "invariant_eigenvalue_candidates": (
+        "matrix", lambda: permutation.invariant_eigenvalue_candidates(_Z)
+    ),
+    "repair_permutation": ("matrix", lambda: permutation.repair_permutation(_Z)),
+    "rebrick_with_permutation": (
+        "A", lambda: permutation.rebrick_with_permutation(_I2, _Z, (1, 0))
+    ),
+    "frrebrick_check A": ("A", lambda: frames.frrebrick_check(1j * _WIDE, np.eye(3))),
+    "frrebrick_check S": ("S", lambda: frames.frrebrick_check(_WIDE, np.diag([-1j, 0.5, 1]))),
+    "operator_rebrick_frame": ("A", lambda: frames.operator_rebrick_frame(_F, _Z)),
+    "parseval_rebrick": ("A", lambda: frames.parseval_rebrick(_F, _Z)),
+    "rebrick_frames F": ("F", lambda: frames.rebrick_frames(frames.FiniteFrame(_ZV), _F)),
+    "rebrick_frames G": ("G", lambda: frames.rebrick_frames(_F, frames.FiniteFrame(_ZV))),
+}
+
+
+@pytest.mark.filterwarnings("error")  # a complex operand must not be cast to real
+@pytest.mark.parametrize("case", sorted(_REAL_OPERAND_CASES))
+def test_complex_operand_is_refused_by_name(case):
+    name, call = _REAL_OPERAND_CASES[case]
+    with pytest.raises(errors.InvalidMatrix, match=f"^{name}: entries must be real$"):
+        call()
+
+
+def test_real_flag_is_one_dtype_kind_test():
+    # a complex dtype is refused even when every imaginary part is zero; other kinds pass
+    with pytest.raises(errors.InvalidMatrix, match="^X: entries must be real$"):
+        linalg.as_matrix(np.eye(2, dtype=complex), "X", real=True)
+    for M in (np.eye(2, dtype=np.int8), np.eye(2, dtype=np.float32), np.eye(2, dtype="m8[s]")):
+        assert linalg.as_matrix(M, real=True).dtype == np.float64
+    with pytest.raises(errors.ShapeMismatch):
+        linalg.require_square(np.ones((2, 3)), real=True)
+    with pytest.raises(errors.InvalidMatrix, match="^V: entries must be real$"):
+        linalg.require_square_pair(_I2, 1j * _I2, ("U", "V"), real=True)
+
+
+def test_complex_input_is_still_accepted_where_valid():
+    M = np.array([[1.0, 1j], [0.0, 2.0]])
+    np.testing.assert_allclose(linalg.invert(M) @ M, _I2, atol=1e-12)
+    K = linalg.kernel_basis(np.array([[1.0, 1j]]))
+    assert K.shape == (2, 1) and linalg.max_abs(np.array([[1.0, 1j]]) @ K) <= 1e-12
+    np.testing.assert_allclose(linalg.eigenvalues(M), [1.0, 2.0], atol=1e-12)
+    F = frames.FiniteFrame(np.hstack([_I2, np.array([[1j], [0.0]])]))
+    fb = frames.frame_bounds(F)
+    assert fb.c == pytest.approx(1.0) and fb.C == pytest.approx(2.0)
+    v = frames.frame_leq(F, F)
+    assert v.equivalent and v.ker_dim_F == 1
+
+
+def test_singular_basis_is_not_a_basis():
+    with pytest.raises(errors.NotABasis, match="^columns of V1 do not form a basis$"):
+        basis.transfer_operator(np.ones((2, 2)), _I2)
+
+
 # ------------------------------------------ pinned against the parent's guards
 
 _SPECIAL = [0.0, -0.0, 1.0, -2.5, 5e-324, 1e300, np.nan, np.inf, -np.inf]

@@ -3,10 +3,12 @@
 Columns of an invertible real matrix V carry a basis of R^n.  Two bases
 V1, V2 combine into the complex candidate V1 + i*V2; the candidate is a
 basis of C^n exactly when the transfer operator A = V2 @ inv(V1) has no
-eigenvalue i, equivalently when Id + A@A is invertible.  The verdict
-produced here reports all three routes but the singular-value test on
-the complex matrix is authoritative: eigenvalues of a non-normal matrix
-are ill-conditioned while singular values are not.
+eigenvalue i, equivalently when Id + A@A is invertible.  The functions
+returning a RebrickVerdict run all three routes, but the singular-value
+test on the complex matrix is authoritative: eigenvalues of a non-normal
+matrix are ill-conditioned while singular values are not.  The four
+constructors (two here, two in `frames`) decide from sigma(Id + i*A)
+alone, through `rebricking_factor`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .errors import (
     Singular,
     TooSmall,
 )
-from .linalg import DEFAULT_TOL, Tolerance
+from .linalg import DEFAULT_TOL, Regularity, Tolerance
 
 # Disagreements between the decision routes are escalated only when every
 # quantity sits this far away from its own threshold.
@@ -69,13 +71,12 @@ class RieszBoundReport:
     norm_B: float
 
 
-def _verdict(s_B: np.ndarray, A: np.ndarray, tol: Tolerance, idA2_scale: float) -> RebrickVerdict:
-    # s_B are the singular values of the complex candidate.  Id + A@A equals
-    # (Id + iA)(Id - iA), so it is judged on the scale of its factors,
-    # idA2_scale ~ ||Id + iA||^2: against its own sigma_max it would pass
-    # A@A = -Id, where Id + A@A is nothing but rounding error.
+def _verdict(reg_B: Regularity, A: np.ndarray, tol: Tolerance, idA2_scale: float) -> RebrickVerdict:
+    # reg_B judges the complex candidate.  Id + A@A equals (Id + iA)(Id - iA),
+    # so it is judged on the scale of its factors, idA2_scale ~ ||Id + iA||^2:
+    # against its own sigma_max it would pass A@A = -Id, where Id + A@A is
+    # nothing but rounding error.
     n = A.shape[0]
-    reg_B = linalg.regularity(s_B, n, tol)
     smin_B, cutoff_B = reg_B.sigma_min, reg_B.cutoff
     rebrickable = reg_B.regular
 
@@ -118,7 +119,7 @@ def _verdict(s_B: np.ndarray, A: np.ndarray, tol: Tolerance, idA2_scale: float) 
     )
 
 
-def _require_basis(V: np.ndarray, which: str, tol: Tolerance) -> linalg.Regularity:
+def _require_basis(V: np.ndarray, which: str, tol: Tolerance) -> Regularity:
     """Regularity of a checked square V; NotABasis unless its columns form a basis."""
     reg = linalg.regularity_of(V, tol)
     if not reg.regular:
@@ -163,14 +164,16 @@ def rebrick_pair(V1, V2, tol: Tolerance = DEFAULT_TOL):
     # from A: for real A it lies in [1 + ||A||^2, 2 * (1 + ||A||^2)]
     norm_A = float(linalg.singular_values(A)[0])
     idA2_scale = 1.0 + _squared_norm(norm_A, "V2 @ inv(V1)")
-    return B, _verdict(linalg.singular_values(B), A, tol, idA2_scale)
+    return B, _verdict(linalg.regularity_of(B, tol), A, tol, idA2_scale)
 
 
-def _operator_verdict(A: np.ndarray, tol: Tolerance):
-    """B = Id + i*A, its singular values and its verdict; ||Id + iA|| = sigma_max(B)."""
+def rebricking_factor(A: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, Regularity]:
+    """B = Id + i*A for a checked real square A, with its Regularity; NotRebrickable if singular."""
     B = np.eye(A.shape[0]) + 1j * A
-    s_B = linalg.singular_values(B)
-    return B, s_B, _verdict(s_B, A, tol, _squared_norm(float(s_B[0]), "Id + iA"))
+    reg = linalg.regularity_of(B, tol)
+    if not reg.regular:
+        raise NotRebrickable(f"Id + iA is singular at tolerance (sigma_min={reg.sigma_min:.3e})")
+    return B, reg
 
 
 def rebrick_with_operator(A, V, tol: Tolerance = DEFAULT_TOL):
@@ -181,8 +184,9 @@ def rebrick_with_operator(A, V, tol: Tolerance = DEFAULT_TOL):
     """
     A_, V_ = linalg.require_square_pair(A, V, ("A", "V"), real=True)
     _require_basis(V_, "V", tol)
-    B, _, verdict = _operator_verdict(A_, tol)
-    return B @ V_, verdict
+    B = np.eye(A_.shape[0]) + 1j * A_
+    reg = linalg.regularity_of(B, tol)  # ||Id + iA|| = sigma_max(B)
+    return B @ V_, _verdict(reg, A_, tol, _squared_norm(reg.sigma_max, "Id + iA"))
 
 
 def non_transitivity_witness(dim: int):
@@ -245,11 +249,9 @@ def rebricked_dual(V, A, tol: Tolerance = DEFAULT_TOL):
     biorthogonal: dual* @ primal == Id.
     """
     V_, A_ = linalg.require_square_pair(V, A, ("V", "A"), real=True)
-    B, _, verdict = _operator_verdict(A_, tol)
-    if not verdict.rebrickable:
-        raise NotRebrickable("A has eigenvalue i at tolerance; Id + iA is singular")
+    B, _ = rebricking_factor(A_, tol)
     inv_VT = invert_basis(V_.T, "V", tol)
-    # the verdict has judged B (B* has the same singular values): solve by LU
+    # rebricking_factor has judged B (B* has the same singular values): solve by LU
     return B @ V_, np.linalg.solve(B.conj().T, inv_VT)
 
 
@@ -289,19 +291,16 @@ def rebricked_frame_bounds(V, A, tol: Tolerance = DEFAULT_TOL) -> RieszBoundRepo
     leaves the float64 range.
     """
     V_, A_ = linalg.require_square_pair(V, A, ("V", "A"), real=True)
-    B, s_B, verdict = _operator_verdict(A_, tol)
-    if not verdict.rebrickable:
-        raise NotRebrickable("A has eigenvalue i at tolerance")
+    B, reg_B = rebricking_factor(A_, tol)
     c_V, C_V = _require_basis(V_, "V", tol).squares("V")
     BV = linalg.as_matrix(B @ V_, "B @ V")
     c, C = linalg.regularity_of(BV, tol).squares("B @ V")
-    norm_B = float(s_B[0])
     return RieszBoundReport(
         c_exact=c,
         C_exact=C,
-        c_lower_estimate=c_V * float(s_B[-1]) ** 2,
-        C_upper_estimate=C_V * norm_B**2,
-        norm_B=norm_B,
+        c_lower_estimate=c_V * reg_B.sigma_min**2,
+        C_upper_estimate=C_V * reg_B.sigma_max**2,
+        norm_B=reg_B.sigma_max,
     )
 
 

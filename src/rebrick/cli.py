@@ -11,9 +11,9 @@ depends on; a usage error gets one too, whose `command` is the argv as
 given.  Exit codes are the scripting contract: 0 affirmative verdict,
 1 negative verdict, 2 input error, 3 internal inconsistency (two
 decision routes disagree decisively, which is a bug).  An error's exit
-code is the `exit_code` of its kind in `rebrick.errors`.  --quiet
-suppresses everything except the JSON report; identical inputs and seed
-produce byte-identical JSON.
+code is the `exit_code` of its kind in `rebrick.errors`.  --quiet is
+exactly --format json (an exit 2 or 3 still writes `error:` to stderr);
+identical inputs and seed produce byte-identical JSON.
 The REBRICK_TOL environment variable overrides the default tolerance;
 an explicit --tol flag wins over the environment.
 """
@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=float, default=None, help="absolute tolerance")
     common.add_argument("--seed", type=int, default=0, help="seed of the repair search")
     common.add_argument("--format", choices=("json", "text"), default="text")
-    common.add_argument("--quiet", action="store_true", help="print only the JSON report")
+    common.add_argument("--quiet", action="store_true", help="same as --format json")
 
     p = _Parser(
         prog="rebrick", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter

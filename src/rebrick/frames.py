@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import basis, linalg
 from .errors import (
     IndexCountMismatch,
     InternalConsistencyError,
@@ -206,17 +206,8 @@ def operator_rebrick_frame(F: FiniteFrame, A, tol: Tolerance = DEFAULT_TOL):
     if A_.shape[0] != F.dim:
         raise ShapeMismatch(f"A is {A_.shape}, frame dimension is {F.dim}")
     _require_spanning(F, tol)
-    out = FiniteFrame(_regular_id_plus_iA(A_, tol) @ F.synthesis, label=F.label)
+    out = FiniteFrame(basis.rebricking_factor(A_, tol)[0] @ F.synthesis, label=F.label)
     return out, frame_bounds(out, tol)
-
-
-def _regular_id_plus_iA(A_, tol: Tolerance) -> np.ndarray:
-    """Id + i*A for a checked square A; NotRebrickable when it is singular at tolerance."""
-    B = np.eye(A_.shape[0]) + 1j * A_
-    reg = linalg.regularity_of(B, tol)
-    if not reg.regular:
-        raise NotRebrickable(f"Id + iA is singular at tolerance (sigma_min={reg.sigma_min:.3e})")
-    return B
 
 
 def frrebrick_check(A, S, tol: Tolerance = DEFAULT_TOL) -> FrRebrickVerdict:
@@ -291,7 +282,7 @@ def parseval_rebrick(F: FiniteFrame, A, tol: Tolerance = DEFAULT_TOL):
         raise ShapeMismatch(f"A is {A_.shape}, frame dimension is {F.dim}")
     if not is_parseval(F, tol):
         raise NotParsevalInput("input frame is not Parseval at tolerance")
-    B = _regular_id_plus_iA(A_, tol) / np.sqrt(2.0)
+    B = basis.rebricking_factor(A_, tol)[0] / np.sqrt(2.0)
     out = FiniteFrame(B @ F.synthesis, label=F.label)
     S = out.synthesis
     still_parseval = linalg.matrices_close(S @ S.conj().T, np.eye(F.dim), tol.equality_abs)

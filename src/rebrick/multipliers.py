@@ -21,6 +21,7 @@ from .errors import (
     GeneratorNotONB,
     GridTooSmall,
     InternalConsistencyError,
+    InvalidMatrix,
     LengthMismatch,
     OddLength,
 )
@@ -79,8 +80,8 @@ def multiplier_matrix(m) -> np.ndarray:
 
 def is_real_symbol_operator(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True when the operator with the checked symbol m maps real signals to real ones."""
-    N = m.size
-    return bool(np.max(np.abs(m - np.conj(m[(-np.arange(N)) % N]))) <= tol.equality_abs)
+    # m[k] pairs with m[N-k] for k >= 1, and m[0] with itself: m[0] - conj(m[0]) = 2i Im m[0]
+    return bool(np.abs(m[1:] - m[:0:-1].conj()).max(initial=abs(2 * m[0].imag)) <= tol.equality_abs)
 
 
 def validate_rebrick_multiplier(m, tol: Tolerance = DEFAULT_TOL):
@@ -131,10 +132,12 @@ def rebrick_translates(x, m, tol: Tolerance = DEFAULT_TOL):
     orthonormal basis of C^N.  The generator must produce an orthonormal
     translate basis, i.e. all its DFT magnitudes equal 1/sqrt(N).  The
     matrix is circulant, so the orthonormality test runs on its first
-    column in O(N log N).
+    column in O(N log N).  A symbol whose operator is not real is InvalidMatrix.
     """
     xv = _as_signal(x)
     mv = _as_signal(m, "multiplier")
+    if not is_real_symbol_operator(mv, tol):
+        raise InvalidMatrix("multiplier: its operator is not real (m[k] != conj(m[N-k]))")
     if xv.shape != mv.shape:
         raise LengthMismatch(f"generator length {xv.size} != multiplier length {mv.size}")
     N = xv.size

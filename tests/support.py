@@ -205,17 +205,22 @@ def dense_translates(x, m) -> tuple[np.ndarray, float]:
     return cols, linalg.is_unitary_defect(cols)
 
 
-def count_svd_calls(monkeypatch) -> list:
-    """Record every np.linalg.svd call from now on; returns the growing record."""
+def count_linalg_calls(monkeypatch, name: str) -> list:
+    """Record every np.linalg.<name> call from now on; returns the growing record."""
     calls = []
-    svd = np.linalg.svd
+    fn = getattr(np.linalg, name)
 
     def counting(*args, **kwargs):
         calls.append(kwargs)
-        return svd(*args, **kwargs)
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(np.linalg, name, counting)
     return calls
+
+
+def count_svd_calls(monkeypatch) -> list:
+    """Record every np.linalg.svd call from now on; returns the growing record."""
+    return count_linalg_calls(monkeypatch, "svd")
 
 
 def count_validations(monkeypatch) -> list:

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rebrick import basis, errors, linalg
+from rebrick import basis, errors, frames, linalg
+from rebrick.frames import FiniteFrame
 from support import (
     block_rotation,
+    count_linalg_calls,
     count_svd_calls,
     plant_eigenvalue_i,
     random_invertible,
@@ -312,12 +314,12 @@ class TestRebrickedDual:
             basis.rebricked_dual(np.ones((2, 2)), np.zeros((2, 2)))
         assert info.value.which == "V"
 
-    def test_three_svds(self, monkeypatch):
+    def test_two_svds(self, monkeypatch):
         rng = np.random.default_rng(15)
         V, A = random_invertible(rng, 5), random_symmetric(rng, 5)
         calls = count_svd_calls(monkeypatch)
         basis.rebricked_dual(V, A)
-        assert len(calls) == 3  # Id + iA, Id + A^2 and inv(V.T); B* is solved by LU
+        assert len(calls) == 2  # Id + iA and inv(V.T); B* is solved by LU
 
 
 class TestRealPartPreservation:
@@ -349,6 +351,47 @@ class TestRealPartPreservation:
 
         monkeypatch.setattr(np.linalg, "inv", refuse)
         assert basis.real_part_preservation_lambda(2.0 * np.eye(3)) == pytest.approx(0.2, abs=1e-12)
+
+
+# The four constructors that build Id + iA decide it by one rule,
+# basis.rebricking_factor: sigma(Id + iA) alone, with no eigenvalue route.
+# Each case: (SVDs per call, the call on a real square A with V = Id).
+CONSTRUCTORS = {
+    "rebricked_dual": (2, lambda A: basis.rebricked_dual(np.eye(len(A)), A)),
+    "rebricked_frame_bounds": (3, lambda A: basis.rebricked_frame_bounds(np.eye(len(A)), A)),
+    "operator_rebrick_frame": (
+        3, lambda A: frames.operator_rebrick_frame(FiniteFrame(np.eye(len(A))), A)
+    ),
+    "parseval_rebrick": (2, lambda A: frames.parseval_rebrick(FiniteFrame(np.eye(len(A))), A)),
+}
+
+
+class TestRebrickingFactor:
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+    def test_quarter_turn_is_refused_alike(self, name):
+        _, call = CONSTRUCTORS[name]
+        with pytest.raises(
+            errors.NotRebrickable, match=r"^Id \+ iA is singular at tolerance \(sigma_min="
+        ):
+            call(ROT90)
+
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+    def test_constructors_run_no_eigenvalue_route(self, name, monkeypatch):
+        svds, call = CONSTRUCTORS[name]
+        A = random_symmetric(np.random.default_rng(22), 4)  # real spectrum: Id + iA is regular
+        svd_calls = count_svd_calls(monkeypatch)
+        eig_calls = count_linalg_calls(monkeypatch, "eigvals")
+        call(A)
+        assert (len(svd_calls), len(eig_calls)) == (svds, 0)
+
+    def test_rebrick_with_operator_keeps_all_three_routes(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        A, V = random_symmetric(rng, 4), random_invertible(rng, 4)
+        svd_calls = count_svd_calls(monkeypatch)
+        eig_calls = count_linalg_calls(monkeypatch, "eigvals")
+        basis.rebrick_with_operator(A, V)
+        # V, Id + iA and Id + A^2; the eigenvalues of A
+        assert (len(svd_calls), len(eig_calls)) == (3, 1)
 
 
 class TestRebrickedFrameBounds:

@@ -389,6 +389,19 @@ class TestMultiplier:
         assert code == 0
         assert report["verdicts"]["onb"] is True
 
+    @pytest.mark.parametrize(
+        "symbol, code", [("0,0-1i,0,0+1i", 1), ("0+1i,0+1i,0+1i,0+1i", 2)]
+    )
+    def test_rebrick_needs_a_real_operator(self, tmp_path, capsys, symbol, code):
+        # the Hilbert symbol is complex but its operator is real: a negative verdict
+        xf, mf = tmp_path / "x.csv", tmp_path / "m.csv"
+        xf.write_text("1,0,0,0\n")
+        mf.write_text(symbol + "\n")
+        got, report = run_json(capsys, ["multiplier", "rebrick", str(xf), str(mf)])
+        assert got == report["exit_code"] == code
+        if code == 2:
+            assert report["error"].startswith("multiplier: ")
+
     def test_sweep(self, capsys):
         code, report = run_json(capsys, ["multiplier", "sweep", "16", "32", "64"])
         assert code == 0

@@ -110,7 +110,8 @@ CASES = {
         "multiplier",
         "rebrick",
         put("x.csv", np.eye(1, 8)),
-        put("m.csv", _sign_pattern(8) * np.where(np.arange(8) == 1, 0.5, 1.0)),
+        # 0.5 at k = 1 and its mirror N - k = 7: the operator stays real
+        put("m.csv", _sign_pattern(8) * np.where(np.isin(np.arange(8), (1, 7)), 0.5, 1.0)),
     ],
     "multiplier-hilbert": lambda put, rng: ["multiplier", "hilbert", "--N", "64"],
     "multiplier-trig": lambda put, rng: ["multiplier", "trig", "--K", "5"],

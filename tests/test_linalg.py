@@ -258,8 +258,8 @@ def _validation_cases():
     quarter_turns = np.kron(np.eye(2), quarter_turn)
     return {
         "rebrick_pair": (5, lambda: basis.rebrick_pair(V, A @ V)),
-        "rebricked_dual": (5, lambda: basis.rebricked_dual(V, A)),
-        "rebricked_frame_bounds": (4, lambda: basis.rebricked_frame_bounds(V, A)),
+        "rebricked_dual": (3, lambda: basis.rebricked_dual(V, A)),
+        "rebricked_frame_bounds": (3, lambda: basis.rebricked_frame_bounds(V, A)),
         "onb_rebrick_check": (2, lambda: basis.onb_rebrick_check(E, E)),
         "frrebrick_check": (4, lambda: frames.frrebrick_check(truncating_shift(4, 6), S)),
         # 2 and 8 trials: the count does not grow with the search

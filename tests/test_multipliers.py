@@ -202,6 +202,13 @@ class TestRebrickTranslates:
         cols, unitary = multipliers.rebrick_translates(x, multipliers.discrete_hilbert(N))
         assert not unitary
 
+    def test_symbol_of_a_nonreal_operator_is_input_error(self):
+        x = np.eye(1, 8)[0]
+        with pytest.raises(errors.InvalidMatrix, match=r"^multiplier: "):
+            multipliers.rebrick_translates(x, 1j * np.ones(8))
+        # a complex dtype is not the test: +-1 symbols stored as complex still get a verdict
+        assert multipliers.rebrick_translates(x, np.ones(8, dtype=complex))[1] is True
+
     def test_nononb_generator_rejected(self):
         N = 8
         x = np.zeros(N)

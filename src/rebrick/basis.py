@@ -216,22 +216,14 @@ def _orthogonal_pair(E1, E2, tol: Tolerance):
 def onb_rebrick_check(E1, E2, tol: Tolerance = DEFAULT_TOL):
     """Check whether two orthonormal bases combine into a complex one.
 
-    Returns ((E1 + i*E2)/sqrt(2), is_onb, A) with A = E2 @ E1.T.  The
-    combination is an orthonormal basis of C^n exactly when A is symmetric,
-    equivalently when the combined matrix is unitary; both tests run and
-    must agree.
+    Returns ((E1 + i*E2)/sqrt(2), is_onb, A) with A = E2 @ E1.T.  is_onb
+    is decided by the definition alone: the combined matrix is unitary at
+    tolerance.  The paper's equivalent form, A symmetric, is
+    `symmetry_condition_check`; the tests check the two against each other.
     """
     M1, M2 = _orthogonal_pair(E1, E2, tol)
     U = (M1 + 1j * M2) / np.sqrt(2.0)
-    A = M2 @ M1.T
-    symmetric = linalg.matrices_close(A, A.T, tol.equality_abs)
-    unitary = linalg.is_unitary_defect(U) <= tol.equality_abs
-    if symmetric != unitary:
-        raise InternalConsistencyError(
-            "symmetry test and unitarity test disagree "
-            f"(symmetric={symmetric}, unitary={unitary})"
-        )
-    return U, unitary, A
+    return U, linalg.is_unitary_defect(U) <= tol.equality_abs, M2 @ M1.T
 
 
 def symmetry_condition_check(E1, E2, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -259,7 +251,10 @@ def real_part_preservation_lambda(A, tol: Tolerance = DEFAULT_TOL):
     """The constant lambda with Re(inv(B*) g) = lambda * g, if one exists.
 
     Such a lambda exists exactly when A @ A is a real multiple mu * Id with
-    1 + mu != 0; then lambda = 1 / (1 + mu).  Returns None otherwise.
+    1 + mu != 0; then lambda = 1 / (1 + mu).  Returns None otherwise.  The
+    answer comes from that algebraic rule alone: inv(B*) is not formed, and
+    its real part equals lambda * Id only up to the conditioning 1/|1 + mu|.
+    One SVD, which checks that A is invertible.
     """
     A_ = linalg.require_square(A, "A", real=True)
     if not linalg.regularity_of(A_, tol).regular:
@@ -274,13 +269,6 @@ def real_part_preservation_lambda(A, tol: Tolerance = DEFAULT_TOL):
     lam = 1.0 / (1.0 + mu)
     if abs(lam) <= tol.equality_abs or abs(lam - 1.0) <= tol.equality_abs:
         return None
-    # cross-check the advertised dual identity before reporting the constant
-    B = np.eye(n) + 1j * A_
-    R = linalg.invert(B.conj().T, tol).real
-    if not linalg.matrices_close(R, lam * np.eye(n), 1e3 * tol.equality_abs):
-        raise InternalConsistencyError(
-            "scalar relation A^2 = mu*Id found but the dual real part is not lambda*g"
-        )
     return lam
 
 

@@ -31,7 +31,7 @@ class NegativeVerdict(RebrickError):
 
 
 class InternalConsistencyError(RebrickError):
-    """Two independent decision routes disagree outside their guard bands."""
+    """Only the RebrickVerdict functions raise it: their routes disagree outside the guard bands."""
 
     exit_code = 3
 

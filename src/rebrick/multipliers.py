@@ -20,7 +20,6 @@ from . import linalg
 from .errors import (
     GeneratorNotONB,
     GridTooSmall,
-    InternalConsistencyError,
     InvalidMatrix,
     LengthMismatch,
     OddLength,
@@ -279,10 +278,7 @@ def conditioning_sweep(N_list) -> list[ConditioningRow]:
         raise OddLength("sweep sizes must be strictly increasing")
     rows = []
     for N in sizes:
-        m = _creeping_symbol(N)
-        if not is_real_symbol_operator(m):
-            raise InternalConsistencyError("creeping symbol produced a non-real operator")
-        s = np.abs(1.0 + 1j * m)
+        s = np.abs(1.0 + 1j * _creeping_symbol(N))
         reg = linalg.regularity(s, N)
         rows.append(ConditioningRow(N=N, sigma_min=reg.sigma_min, kernel_dim=N - reg.rank))
     return rows

@@ -184,6 +184,22 @@ def exact_rank(A_int) -> int:
     return r
 
 
+# ------------------------------------------ the paper's second forms
+# Each decision below is the paper's equivalent form of a question that the
+# package answers from its definition alone; the tests compare the two.
+
+def range_kernel_fills(A, S, tol=linalg.DEFAULT_TOL) -> bool:
+    """range(Id + iS) + ker(A)_C fills C^p: A @ (Id + iS) is surjective (frrebrick_check)."""
+    p = S.shape[0]
+    K = linalg.kernel_basis(A, tol)  # the complex span of a real basis is ker(A) + i*ker(A)
+    return linalg.rank(np.hstack([np.eye(p) + 1j * S, K]), tol) == p
+
+
+def dual_real_part(A) -> np.ndarray:
+    """Re(inv(B*)) for B = Id + iA: lambda * Id exactly when A @ A = (1/lambda - 1) * Id."""
+    return np.linalg.inv(np.eye(len(A)) - 1j * np.asarray(A).T).real
+
+
 # ------------------------------------------------- dense multiplier oracle
 
 def dense_id_plus_i(m) -> np.ndarray:

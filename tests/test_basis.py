@@ -9,6 +9,7 @@ from support import (
     block_rotation,
     count_linalg_calls,
     count_svd_calls,
+    dual_real_part,
     plant_eigenvalue_i,
     random_invertible,
     random_orthogonal,
@@ -243,6 +244,20 @@ class TestOnbRebrick:
             assert not is_onb
             assert linalg.is_unitary_defect(U) > 1e-6
 
+    def test_near_the_threshold_is_a_verdict(self):
+        # A = R diag(rot(t), Id) R.T is orthogonal and symmetric up to t, which
+        # brings both the unitarity and the symmetry test to their threshold
+        rng = np.random.default_rng(0)
+        seen = set()
+        for _ in range(400):
+            n = int(rng.integers(2, 9))
+            E1, R = random_orthogonal(rng, n), random_orthogonal(rng, n)
+            D = block_rotation(n, 10.0 ** rng.uniform(-10, -8.5))
+            U, is_onb, _ = basis.onb_rebrick_check(E1, R @ D @ R.T @ E1)
+            assert is_onb == (linalg.is_unitary_defect(U) <= linalg.DEFAULT_TOL.equality_abs)
+            seen.add(is_onb)
+        assert seen == {True, False}
+
 
 class TestSymmetryCondition:
     def test_same_basis(self):
@@ -346,11 +361,52 @@ class TestRealPartPreservation:
         assert basis.real_part_preservation_lambda(ROT90) is None
 
     def test_cross_check_inverts_at_the_rank_rule(self, monkeypatch):
+        # the answer is the algebraic rule; inv(B*) is the tests' oracle, not a route
         def refuse(*args, **kwargs):
             raise AssertionError("np.linalg.inv bypasses the package rank rule")
 
         monkeypatch.setattr(np.linalg, "inv", refuse)
+        calls = count_svd_calls(monkeypatch)
         assert basis.real_part_preservation_lambda(2.0 * np.eye(3)) == pytest.approx(0.2, abs=1e-12)
+        assert len(calls) == 1  # A is invertible
+
+    def test_matches_the_dual_real_part(self):
+        # Re(inv(B*)) = (Id + A^2)^-1 for real A: lambda * Id exactly when
+        # A^2 = (1/lambda - 1) * Id.  Compared where |1 + mu| >= 0.1.
+        rng = np.random.default_rng(17)
+        found = 0
+        for _ in range(300):
+            n = 2 * int(rng.integers(1, 4))
+            Q = random_orthogonal(rng, n)
+            kind = rng.integers(0, 3)
+            if kind == 0:  # A^2 = c^2 * Id
+                A = rng.uniform(0.2, 5.0) * Q @ np.diag(rng.choice([-1.0, 1.0], n)) @ Q.T
+            elif kind == 1:  # A^2 = -c^2 * Id
+                c = rng.choice([rng.uniform(0.2, 0.94), rng.uniform(1.05, 5.0)])
+                A = c * Q @ np.kron(np.eye(n // 2), ROT90) @ Q.T
+            else:
+                A = random_invertible(rng, n)
+            lam = basis.real_part_preservation_lambda(A)
+            R = dual_real_part(A)
+            oracle = float(np.trace(R)) / n
+            assert (lam is not None) == bool(np.max(np.abs(R - oracle * np.eye(n))) <= 1e-9)
+            if lam is not None:
+                assert lam == pytest.approx(oracle, rel=1e-12)
+                found += 1
+        assert found >= 150
+
+    def test_near_minus_identity_is_an_answer(self):
+        # A = c * Q J Q.T (J^2 = -Id) plus noise, c just below 1: 1 + mu is small,
+        # so inv(B*) is ill-conditioned, and the rule still answers lambda
+        rng = np.random.default_rng(4)
+        for _ in range(500):
+            n = 2 * int(rng.integers(1, 5))
+            Q = random_orthogonal(rng, n)
+            c = 1.0 - 10.0 ** rng.uniform(-6, -1)
+            noise = 10.0 ** rng.uniform(-12, -10) * rng.standard_normal((n, n))
+            A = c * Q @ np.kron(np.eye(n // 2), ROT90) @ Q.T + noise
+            lam = basis.real_part_preservation_lambda(A)
+            assert lam is not None and 1.0 / lam == pytest.approx(1.0 - c * c, abs=1e-8)  # 1 + mu
 
 
 # The four constructors that build Id + iA decide it by one rule,

@@ -342,11 +342,33 @@ class TestFrame:
         assert run(["frame", "rebrick", f, g, "--quiet"]) == 0
         assert len(calls) == 3  # F spans, G spans, F + iG spans (with its bounds)
 
-    def test_frrebrick_takes_five_svds(self, tmp_path, capsys, monkeypatch):
+    def test_frrebrick_takes_four_svds(self, tmp_path, capsys, monkeypatch):
         a, s = (write(tmp_path, f"{k}.csv", M) for k, M in zip("as", _frrebrick_example()))
         calls = count_svd_calls(monkeypatch)
         assert run(["frame", "frrebrick", a, s, "--quiet"]) == 0
-        assert len(calls) == 5  # as many as frames.frrebrick_check alone
+        assert len(calls) == 4  # as many as frames.frrebrick_check alone
+
+    def test_frrebrick_near_the_cutoff_is_a_verdict(self, tmp_path, capsys):
+        # S = quarter turn + Id, and ker(A) = span(e_{p-1}, e_p) tilted by phi
+        # into the first plane, which fills the defect of Id + iS by about phi:
+        # the cutoff falls inside the range of phi, and each input gets a verdict
+        rng = np.random.default_rng(3)
+        codes = set()
+        for _ in range(30):
+            n = int(rng.integers(2, 7))
+            p = n + 2
+            S = np.eye(p)
+            S[:2, :2] = rotation(np.pi / 2)
+            phi = 10.0 ** rng.uniform(-16, -10)
+            A = np.zeros((n, p))
+            A[:2, :2] = np.cos(phi) * np.eye(2)
+            A[:2, p - 2 :] = -np.sin(phi) * np.eye(2)
+            A[2:, 2 : p - 2] = np.eye(n - 2)
+            a, s = write(tmp_path, "a.csv", A), write(tmp_path, "s.csv", S)
+            code, report = run_json(capsys, ["frame", "frrebrick", a, s])
+            assert code in (0, 1), report
+            codes.add(code)
+        assert codes == {0, 1}
 
 
 class TestMultiplier:
@@ -870,6 +892,7 @@ def test_every_command_line_ends_in_a_report(fuzz_dir, data):
         code = run(argv)
     event(f"exit {code}")  # pytest --hypothesis-show-statistics shows the spread
     assert code in (0, 1, 2, 3)
+    assert code != 3 or command == "rebrick"  # only rebrick_pair cross-checks its routes
     if as_json:
         assert json.loads(out.getvalue())["exit_code"] == code
     else:

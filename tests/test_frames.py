@@ -11,6 +11,7 @@ from support import (
     random_invertible,
     random_orthogonal,
     random_symmetric,
+    range_kernel_fills,
     rotation,
     shifted_duplicate_frame,
     truncating_shift,
@@ -343,18 +344,46 @@ class TestFrRebrick:
         assert frames.frrebrick_check(A, S).surjective is True
 
     def test_agreement_with_direct_product_rank(self):
+        # frrebrick_check decides from the rank of A @ (Id + iS); the paper's
+        # range-plus-kernel form must agree wherever every singular value behind
+        # either route sits a factor GUARD or more from its cutoff.  At
+        # rank_rel = 1e-6 a zero in exact arithmetic, which SVD returns at
+        # rounding level, lies that far below the cutoff.
+        tol, guard = linalg.Tolerance(rank_rel=1e-6), 1e4
+
+        def decisive(M):
+            reg = linalg.regularity_of(M, tol)
+            s = np.linalg.svd(M, compute_uv=False)
+            return bool(np.all((s > guard * reg.cutoff) | (s < reg.cutoff / guard)))
+
         rng = np.random.default_rng(10)
-        for _ in range(50):
+        seen = {True: 0, False: 0}
+        for _ in range(300):
             p = int(rng.integers(3, 8))
             n = int(rng.integers(2, p + 1))
-            A = rng.standard_normal((n, p))
-            S = random_invertible(rng, p)
-            if rng.integers(0, 2):
-                S[:2, :2] = rotation(np.pi / 2)
-            v = frames.frrebrick_check(A, S)
+            Q = random_orthogonal(rng, p)
+            S = np.eye(p)
+            S[2:, 2:] = random_invertible(rng, p - 2, cond_cap=100.0)
+            # a quarter turn on the first plane takes one dimension off Id + iS
+            S[:2, :2] = rotation(np.pi / 2) if rng.integers(0, 3) else np.eye(2)
+            S = Q @ S @ Q.T
+            # ker(A) avoids that plane (head), meets it when p > n (tail), or is generic
+            kind = rng.integers(0, 3)
+            if kind == 2:
+                A = rng.standard_normal((n, p))
+            else:
+                rows = np.eye(p)[:n] if kind == 0 else np.eye(p)[p - n :]
+                A = random_orthogonal(rng, n) @ rows @ Q.T
             BS = np.eye(p) + 1j * S
-            assert v.surjective == (linalg.rank(A @ BS) == n)
-            assert (v.rank_id_iS, v.rank_product) == (linalg.rank(BS), linalg.rank(A @ BS))
+            K = linalg.kernel_basis(A, tol)
+            if not all(decisive(M) for M in (A, S, BS, A @ BS, np.hstack([BS, K]))):
+                continue
+            v = frames.frrebrick_check(A, S, tol)
+            assert v.surjective == range_kernel_fills(A, S, tol)
+            ranks = (linalg.rank(BS, tol), linalg.rank(A @ BS, tol))
+            assert (v.rank_id_iS, v.rank_product) == ranks
+            seen[v.surjective] += 1
+        assert min(seen.values()) >= 50, seen
 
     def test_rank_deficient_inputs_rejected(self):
         A = np.zeros((2, 4))
@@ -369,11 +398,11 @@ class TestFrRebrick:
         with pytest.raises(errors.InvalidMatrix, match=r"^A @ \(Id \+ iS\): entries must be finite"):
             frames.frrebrick_check(1e170 * A, 1e170 * S)
 
-    def test_five_svds(self, monkeypatch):
+    def test_four_svds(self, monkeypatch):
         A, S, p = self.example(6)
         calls = count_svd_calls(monkeypatch)
         frames.frrebrick_check(A, S)
-        assert len(calls) == 5  # ker(A) with rank(A), rank(S), the two routes, rank(Id + iS)
+        assert len(calls) == 4  # rank(A), rank(S), rank(A @ (Id + iS)), rank(Id + iS)
 
 
 class TestSurjectiveFactor:

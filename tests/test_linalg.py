@@ -261,7 +261,7 @@ def _validation_cases():
         "rebricked_dual": (3, lambda: basis.rebricked_dual(V, A)),
         "rebricked_frame_bounds": (3, lambda: basis.rebricked_frame_bounds(V, A)),
         "onb_rebrick_check": (2, lambda: basis.onb_rebrick_check(E, E)),
-        "frrebrick_check": (4, lambda: frames.frrebrick_check(truncating_shift(4, 6), S)),
+        "frrebrick_check": (3, lambda: frames.frrebrick_check(truncating_shift(4, 6), S)),
         # 2 and 8 trials: the count does not grow with the search
         "repair_permutation 2 trials": (3, lambda: permutation.repair_permutation(quarter_turn)),
         "repair_permutation 8 trials": (3, lambda: permutation.repair_permutation(quarter_turns)),

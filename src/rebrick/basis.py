@@ -119,20 +119,12 @@ def _verdict(reg_B: Regularity, A: np.ndarray, tol: Tolerance, idA2_scale: float
     )
 
 
-def _require_basis(V: np.ndarray, which: str, tol: Tolerance) -> Regularity:
-    """Regularity of a checked square V; NotABasis unless its columns form a basis."""
+def require_basis(V: np.ndarray, which: str, tol: Tolerance) -> Regularity:
+    """The one basis rule: Regularity of a checked square V; NotABasis unless sigma(V) clears it."""
     reg = linalg.regularity_of(V, tol)
     if not reg.regular:
         raise NotABasis(f"columns of {which} do not form a basis", which=which)
     return reg
-
-
-def invert_basis(V, which: str, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """inv(V) from one SVD, which also decides that the columns of V form a basis."""
-    try:
-        return linalg.invert(V, tol)
-    except Singular:
-        raise NotABasis(f"columns of {which} do not form a basis", which=which) from None
 
 
 def _squared_norm(norm: float, what: str) -> float:
@@ -142,24 +134,30 @@ def _squared_norm(norm: float, what: str) -> float:
     return norm * norm
 
 
+def _solve_transfer(V1: np.ndarray, V2: np.ndarray) -> np.ndarray:
+    # V2 @ inv(V1) by one LU solve, for checked V1, V2 once sigma(V1) has judged V1
+    return linalg.as_matrix(np.linalg.solve(V1.T, V2.T).T, "V2 @ inv(V1)")
+
+
 def transfer_operator(V1, V2, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """The operator A = V2 @ inv(V1) mapping basis V1 elementwise onto V2."""
+    """A = V2 @ inv(V1), mapping basis V1 onto V2: sigma(V1) judges V1, then one LU solve."""
     A1, A2 = linalg.require_square_pair(V1, V2, ("V1", "V2"), real=True)
-    return A2 @ invert_basis(A1, "V1", tol)
+    require_basis(A1, "V1", tol)
+    return _solve_transfer(A1, A2)
 
 
 def rebrick_pair(V1, V2, tol: Tolerance = DEFAULT_TOL):
     """Combine two real bases into V1 + i*V2 and certify the result.
 
-    Raises NotABasis when either factor is singular at tolerance, and
-    InvalidMatrix when ||V2 @ inv(V1)||^2 leaves the float64 range.
+    Raises NotABasis when either factor is singular at tolerance (V1 first),
+    and InvalidMatrix when V2 @ inv(V1) or its squared norm leaves the float64 range.
     Returns (complex matrix, RebrickVerdict).
     """
     A1, A2 = linalg.require_square_pair(V1, V2, ("V1", "V2"), real=True)
-    inv1 = invert_basis(A1, "V1", tol)
-    _require_basis(A2, "V2", tol)
+    require_basis(A1, "V1", tol)
+    require_basis(A2, "V2", tol)
     B = A1 + 1j * A2
-    A = linalg.as_matrix(A2 @ inv1, "V2 @ inv(V1)")
+    A = _solve_transfer(A1, A2)
     # B = (Id + iA) @ V1 carries the scale of V1, so ||Id + iA||^2 is taken
     # from A: for real A it lies in [1 + ||A||^2, 2 * (1 + ||A||^2)]
     norm_A = float(linalg.singular_values(A)[0])
@@ -180,13 +178,14 @@ def rebrick_with_operator(A, V, tol: Tolerance = DEFAULT_TOL):
     """Rebrick the basis V with the operator A: returns ((Id + i*A) @ V, verdict).
 
     The verdict is computed from Id + i*A alone, so it does not depend on
-    which basis V is being rebricked.
+    which basis V is being rebricked.  InvalidMatrix when B @ V overflows.
     """
     A_, V_ = linalg.require_square_pair(A, V, ("A", "V"), real=True)
-    _require_basis(V_, "V", tol)
+    require_basis(V_, "V", tol)
     B = np.eye(A_.shape[0]) + 1j * A_
     reg = linalg.regularity_of(B, tol)  # ||Id + iA|| = sigma_max(B)
-    return B @ V_, _verdict(reg, A_, tol, _squared_norm(reg.sigma_max, "Id + iA"))
+    scale = _squared_norm(reg.sigma_max, "Id + iA")
+    return linalg.as_matrix(B @ V_, "B @ V"), _verdict(reg, A_, tol, scale)
 
 
 def non_transitivity_witness(dim: int):
@@ -237,14 +236,14 @@ def symmetry_condition_check(E1, E2, tol: Tolerance = DEFAULT_TOL) -> bool:
 def rebricked_dual(V, A, tol: Tolerance = DEFAULT_TOL):
     """Rebrick a basis and its dual simultaneously.
 
-    primal = (Id + i*A) @ V, dual = inv(B*) @ inv(V.T); the columns are
-    biorthogonal: dual* @ primal == Id.
+    primal = (Id + i*A) @ V, dual = inv(primal*), one LU solve once sigma judges
+    Id + iA and V; the columns are biorthogonal: dual* @ primal == Id.
     """
     V_, A_ = linalg.require_square_pair(V, A, ("V", "A"), real=True)
     B, _ = rebricking_factor(A_, tol)
-    inv_VT = invert_basis(V_.T, "V", tol)
-    # rebricking_factor has judged B (B* has the same singular values): solve by LU
-    return B @ V_, np.linalg.solve(B.conj().T, inv_VT)
+    require_basis(V_, "V", tol)
+    primal = linalg.as_matrix(B @ V_, "B @ V")
+    return primal, np.linalg.solve(primal.conj().T, np.eye(V_.shape[0]))
 
 
 def real_part_preservation_lambda(A, tol: Tolerance = DEFAULT_TOL):
@@ -280,7 +279,7 @@ def rebricked_frame_bounds(V, A, tol: Tolerance = DEFAULT_TOL) -> RieszBoundRepo
     """
     V_, A_ = linalg.require_square_pair(V, A, ("V", "A"), real=True)
     B, reg_B = rebricking_factor(A_, tol)
-    c_V, C_V = _require_basis(V_, "V", tol).squares("V")
+    c_V, C_V = require_basis(V_, "V", tol).squares("V")
     BV = linalg.as_matrix(B @ V_, "B @ V")
     c, C = linalg.regularity_of(BV, tol).squares("B @ V")
     return RieszBoundReport(

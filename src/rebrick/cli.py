@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import basis, frames, matio, multipliers, permutation
+from . import basis, frames, linalg, matio, multipliers, permutation
 from .errors import (
     InputError,
     InternalConsistencyError,
@@ -42,7 +42,6 @@ from .errors import (
 )
 from .frames import FiniteFrame
 from .linalg import Tolerance
-from . import linalg
 
 SCHEMA_VERSION = 1
 
@@ -142,8 +141,10 @@ def cmd_repair(args, tol):
     V, iv = _load(args.file_v)
     A, ia = _load(args.file_a)
     V, A = linalg.require_square_pair(V, A, ("V", "A"), real=True)
-    # inv(V) decides that V is a basis; a checked A @ V ends an overflow before the search
-    At = basis.invert_basis(V, "V", tol) @ linalg.as_matrix(A @ V, "A @ V")
+    # sigma(V) decides V, then one LU solve; checked products end an overflow before the search
+    basis.require_basis(V, "V", tol)
+    AV = linalg.as_matrix(A @ V, "A @ V")
+    At = linalg.as_matrix(np.linalg.solve(V, AV), "inv(V) @ A @ V")
     rep = permutation.repair_permutation(At, tol, seed=args.seed)
     W = permutation.rebrick_with_permutation(V, A, rep.permutation, tol)
     out = _write_out(args, W)

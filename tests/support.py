@@ -239,6 +239,15 @@ def count_svd_calls(monkeypatch) -> list:
     return count_linalg_calls(monkeypatch, "svd")
 
 
+def refuse_inverses(monkeypatch) -> None:
+    """From now on linalg.invert and np.linalg.inv raise: a product with an inverse is a solve."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an explicit inverse on a decision path; solve instead")
+
+    monkeypatch.setattr(linalg, "invert", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+
+
 def count_validations(monkeypatch) -> list:
     """Record every linalg.as_matrix call from now on; returns the growing record of names."""
     calls = []

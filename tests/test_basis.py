@@ -16,6 +16,7 @@ from support import (
     random_special_orthogonal,
     random_symmetric,
     reference_spectral_factorize_orthosym,
+    refuse_inverses,
     rotation,
 )
 
@@ -43,6 +44,15 @@ class TestTransferOperator:
         V1, V2 = random_invertible(rng, 5), random_invertible(rng, 5)
         A = basis.transfer_operator(V1, V2)
         np.testing.assert_allclose(A @ V1, V2, atol=1e-9)
+
+    def test_one_svd_one_solve(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        V1, V2 = random_invertible(rng, 5), random_invertible(rng, 5)
+        refuse_inverses(monkeypatch)
+        svd_calls = count_svd_calls(monkeypatch)
+        solve_calls = count_linalg_calls(monkeypatch, "solve")
+        basis.transfer_operator(V1, V2)
+        assert (len(svd_calls), len(solve_calls)) == (1, 1)  # sigma(V1); A by LU
 
 
 class TestRebrickPair:
@@ -86,8 +96,37 @@ class TestRebrickPair:
     def test_overflowing_transfer_operator_is_named(self):
         rng = np.random.default_rng(4)
         V1, V2 = 1e-170 * random_invertible(rng, 3), 1e300 * random_invertible(rng, 3)
-        with pytest.raises(errors.InvalidMatrix, match=r"^V2 @ inv\(V1\): entries must be finite"):
-            basis.rebrick_pair(V1, V2)
+        pairs = [(V1, V2), (1e-170 * np.eye(2), 1e170 * np.eye(2))]
+        for call in (basis.rebrick_pair, basis.transfer_operator):
+            for W1, W2 in pairs:
+                with pytest.raises(
+                    errors.InvalidMatrix, match=r"^V2 @ inv\(V1\): entries must be finite"
+                ):
+                    call(W1, W2)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "call",
+        [
+            # ||Id + iA||^2 = 1e20 is in range, so the verdict alone would say yes
+            lambda: basis.rebrick_with_operator(1e10 * np.eye(2), 1e300 * np.eye(2)),
+            lambda: basis.rebricked_dual(1e300 * np.eye(2), 1e10 * np.eye(2)),
+        ],
+        ids=["rebrick_with_operator", "rebricked_dual"],
+    )
+    def test_overflowing_primal_is_named(self, call):
+        with pytest.raises(errors.InvalidMatrix, match=r"^B @ V: entries must be finite"):
+            call()
+
+    def test_five_svds_one_eig_one_solve(self, monkeypatch):
+        # sigma(V1), sigma(V2), sigma(A), sigma(B), sigma(Id + A^2); eig(A); A by LU
+        rng = np.random.default_rng(6)
+        V1, V2 = random_invertible(rng, 4), random_invertible(rng, 4)
+        refuse_inverses(monkeypatch)
+        counts = [count_linalg_calls(monkeypatch, name) for name in ("svd", "eigvals", "solve")]
+        basis.rebrick_pair(V1, V2)
+        assert [len(c) for c in counts] == [5, 1, 1]
 
     def test_symmetry_of_the_relation(self):
         rng = np.random.default_rng(3)
@@ -332,9 +371,12 @@ class TestRebrickedDual:
     def test_two_svds(self, monkeypatch):
         rng = np.random.default_rng(15)
         V, A = random_invertible(rng, 5), random_symmetric(rng, 5)
+        refuse_inverses(monkeypatch)
         calls = count_svd_calls(monkeypatch)
+        solves = count_linalg_calls(monkeypatch, "solve")
         basis.rebricked_dual(V, A)
-        assert len(calls) == 2  # Id + iA and inv(V.T); B* is solved by LU
+        assert len(calls) == 2  # Id + iA and V; the dual inv(primal*) is one LU solve
+        assert len(solves) == 1
 
 
 class TestRealPartPreservation:
@@ -362,10 +404,7 @@ class TestRealPartPreservation:
 
     def test_cross_check_inverts_at_the_rank_rule(self, monkeypatch):
         # the answer is the algebraic rule; inv(B*) is the tests' oracle, not a route
-        def refuse(*args, **kwargs):
-            raise AssertionError("np.linalg.inv bypasses the package rank rule")
-
-        monkeypatch.setattr(np.linalg, "inv", refuse)
+        refuse_inverses(monkeypatch)
         calls = count_svd_calls(monkeypatch)
         assert basis.real_part_preservation_lambda(2.0 * np.eye(3)) == pytest.approx(0.2, abs=1e-12)
         assert len(calls) == 1  # A is invertible

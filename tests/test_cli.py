@@ -17,6 +17,7 @@ from support import (
     count_svd_calls,
     duplicated_e1_frame,
     plant_eigenvalue_i,
+    refuse_inverses,
     rotation,
     shifted_duplicate_frame,
     truncating_shift,
@@ -211,6 +212,14 @@ class TestRepair:
         run(["repair", v, a, "--seed", "7", "--format", "json"])
         second = capsys.readouterr().out
         assert first == second
+
+    def test_solves_instead_of_inverting(self, tmp_path, capsys, monkeypatch):
+        rng = np.random.default_rng(3)
+        v = write(tmp_path, "v.csv", np.eye(5) + 0.1 * rng.standard_normal((5, 5)))
+        a = write(tmp_path, "a.csv", plant_eigenvalue_i(rng, 5))
+        refuse_inverses(monkeypatch)
+        code, report = run_json(capsys, ["repair", v, a])
+        assert code == 0 and report["verdicts"]["repaired"] is True
 
     def test_negative_seed_at_nine(self, tmp_path, capsys):
         rng = np.random.default_rng(2)
@@ -496,7 +505,7 @@ class TestExtremeScale:
     def test_lapack_sees_only_finite_arrays(self, tmp_path, capsys, monkeypatch, command, scale):
         # LAPACK reports a non-finite argument on fd 2, which --quiet cannot silence
         nonfinite = []
-        for name in ("svd", "eigvals", "eigh"):
+        for name in ("svd", "eigvals", "eigh", "solve"):
             def finite_only(M, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
                 if not np.all(np.isfinite(M)):
                     nonfinite.append(_name)
@@ -514,6 +523,17 @@ class TestExtremeScale:
         files = [write(tmp_path, f"m{k}.csv", 1e170 * M) for k, M in enumerate(mats)]
         code, report = self.run_quiet(capsys, command.split() + files)
         assert code == 2 and report["error"].startswith(f"{product}: entries must be finite")
+
+    def test_overflowing_conjugated_operator_is_named(self, tmp_path, capsys, monkeypatch):
+        # V is regular at the cutoff and A @ V is finite, but inv(V) @ A @ V is not
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the search ran before inv(V) @ A @ V was checked")
+
+        monkeypatch.setattr(permutation, "repair_permutation", unreachable)
+        v = write(tmp_path, "v.csv", np.diag([1.0, 1e-12]))
+        a = write(tmp_path, "a.csv", [[0.0, 0.0], [1e300, 0.0]])
+        code, report = self.run_quiet(capsys, ["repair", v, a])
+        assert code == 2 and report["error"].startswith("inv(V) @ A @ V: entries must be finite")
 
     def test_repair_checks_its_product_before_the_search(self, tmp_path, capsys, monkeypatch):
         def unreachable(*args, **kwargs):

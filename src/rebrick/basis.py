@@ -1,18 +1,21 @@
 """Rebricking of bases: pairing two real bases into one complex basis.
 
 Columns of an invertible real matrix V carry a basis of R^n.  Two bases
-V1, V2 combine into the complex candidate V1 + i*V2; the candidate is a
-basis of C^n exactly when the transfer operator A = V2 @ inv(V1) has no
-eigenvalue i, equivalently when Id + A@A is invertible.  The functions
-returning a RebrickVerdict run all three routes, but the singular-value
-test on the complex matrix is authoritative: eigenvalues of a non-normal
-matrix are ill-conditioned while singular values are not.  The four
+V1, V2 combine into the complex candidate V1 + i*V2 = (Id + i*A) @ V1; the
+candidate is a basis of C^n exactly when the transfer operator
+A = V2 @ inv(V1) has no eigenvalue i.  The functions returning a
+RebrickVerdict decide from the singular values of the complex candidate
+and cross-check with the eigenvalues of A: singular values are
+well-conditioned, eigenvalues of a non-normal matrix are not, so a
+disagreement is an error only where it breaks sigma_min(B) <=
+sigma_max(V1) * min|eig(A) - i|, and a warning otherwise.  The four
 constructors (two here, two in `frames`) decide from sigma(Id + i*A)
 alone, through `rebricking_factor`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +23,6 @@ import numpy as np
 from . import linalg
 from .errors import (
     InternalConsistencyError,
-    InvalidMatrix,
     NotABasis,
     NotOrthogonal,
     NotOrthogonalSymmetric,
@@ -28,11 +30,7 @@ from .errors import (
     Singular,
     TooSmall,
 )
-from .linalg import DEFAULT_TOL, Regularity, Tolerance
-
-# Disagreements between the decision routes are escalated only when every
-# quantity sits this far away from its own threshold.
-_GUARD = 1e4
+from .linalg import DEFAULT_TOL, EPS, Regularity, Tolerance
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,15 +39,14 @@ class RebrickVerdict:
 
     sigma_min_B is the smallest singular value of the complex candidate
     (V1 + i*V2, or Id + i*A); the verdict is True exactly when it clears
-    the rank cutoff.  The eigenvalues of the transfer operator and the
-    smallest singular value of Id + A@A are diagnostic companions.
+    the rank cutoff.  The eigenvalues of the transfer operator are its
+    diagnostic companion.
     """
 
     rebrickable: bool
     sigma_min_B: float
     eigenvalues_A: np.ndarray
     min_dist_to_i: float
-    idA2_sigma_min: float
     condition_number: float
     warning: bool = False
 
@@ -71,39 +68,24 @@ class RieszBoundReport:
     norm_B: float
 
 
-def _verdict(reg_B: Regularity, A: np.ndarray, tol: Tolerance, idA2_scale: float) -> RebrickVerdict:
-    # reg_B judges the complex candidate.  Id + A@A equals (Id + iA)(Id - iA),
-    # so it is judged on the scale of its factors, idA2_scale ~ ||Id + iA||^2:
-    # against its own sigma_max it would pass A@A = -Id, where Id + A@A is
-    # nothing but rounding error.
-    n = A.shape[0]
-    smin_B, cutoff_B = reg_B.sigma_min, reg_B.cutoff
+def _verdict(reg_B: Regularity, A: np.ndarray, tol: Tolerance, norm_V1: float) -> RebrickVerdict:
+    # reg_B judges B = (Id + iA) @ V1, norm_V1 = sigma_max(V1).  An eigenvector
+    # x of A for lambda gives |B @ inv(V1) x| = |lambda - i| |x|, so
+    # sigma_min(B) <= norm_V1 * min|lambda - i|: only a breach of that bound,
+    # beyond the rounding of B, of A and of its eigenvalues, is an error; any
+    # other disagreement is the ill-conditioning of the eigenvalues.
+    smin_B = reg_B.sigma_min
     rebrickable = reg_B.regular
-
     eigs = linalg.eigenvalues(A)
     min_dist = float(np.min(np.abs(eigs - 1j)))
-    eig_ok = min_dist > tol.eig_abs
-
-    reg_M = linalg.regularity(
-        linalg.singular_values(np.eye(n) + A @ A), n, tol, scale=idA2_scale
-    )
-    smin_M, cutoff_M = reg_M.sigma_min, reg_M.cutoff
-    ida2_ok = reg_M.regular
-
     warning = rebrickable and reg_B.near_edge(min_dist, tol)
-    if rebrickable != eig_ok or rebrickable != ida2_ok:
-        # A disagreement is legitimate near a decision boundary; only a
-        # decisive disagreement means the implementation is inconsistent.
-        decisive = (
-            (smin_B > _GUARD * cutoff_B or smin_B < cutoff_B / _GUARD)
-            and (min_dist > _GUARD * tol.eig_abs or min_dist < tol.eig_abs / _GUARD)
-            and (smin_M > _GUARD * cutoff_M or smin_M < cutoff_M / _GUARD)
-        )
-        if decisive:
+    if rebrickable != (min_dist > tol.eig_abs):
+        rounding = 64 * A.shape[0] * EPS * (reg_B.sigma_max + norm_V1 * math.hypot(*A.flat))
+        bound = norm_V1 * min_dist + rounding
+        if smin_B > bound:
             raise InternalConsistencyError(
                 "singular-value and eigenvalue rebricking tests disagree: "
-                f"sigma_min(B)={smin_B:.3e}, min|eig-i|={min_dist:.3e}, "
-                f"sigma_min(Id+A^2)={smin_M:.3e}"
+                f"sigma_min(B)={smin_B:.3e} exceeds sigma_max(V1)*min|eig-i| + rounding={bound:.3e}"
             )
         warning = True
 
@@ -113,7 +95,6 @@ def _verdict(reg_B: Regularity, A: np.ndarray, tol: Tolerance, idA2_scale: float
         sigma_min_B=smin_B,
         eigenvalues_A=eigs,
         min_dist_to_i=min_dist,
-        idA2_sigma_min=smin_M,
         condition_number=cond,
         warning=warning,
     )
@@ -125,13 +106,6 @@ def require_basis(V: np.ndarray, which: str, tol: Tolerance) -> Regularity:
     if not reg.regular:
         raise NotABasis(f"columns of {which} do not form a basis", which=which)
     return reg
-
-
-def _squared_norm(norm: float, what: str) -> float:
-    # the scale of Id + A@A; InvalidMatrix when it is not a float64
-    if norm > linalg.SQUARE_RANGE[1]:
-        raise InvalidMatrix(f"||{what}|| = {norm:.3e}: its square leaves the float64 range")
-    return norm * norm
 
 
 def _solve_transfer(V1: np.ndarray, V2: np.ndarray) -> np.ndarray:
@@ -150,19 +124,15 @@ def rebrick_pair(V1, V2, tol: Tolerance = DEFAULT_TOL):
     """Combine two real bases into V1 + i*V2 and certify the result.
 
     Raises NotABasis when either factor is singular at tolerance (V1 first),
-    and InvalidMatrix when V2 @ inv(V1) or its squared norm leaves the float64 range.
+    and InvalidMatrix when V2 @ inv(V1) leaves the float64 range.
     Returns (complex matrix, RebrickVerdict).
     """
     A1, A2 = linalg.require_square_pair(V1, V2, ("V1", "V2"), real=True)
-    require_basis(A1, "V1", tol)
+    reg_V1 = require_basis(A1, "V1", tol)
     require_basis(A2, "V2", tol)
     B = A1 + 1j * A2
     A = _solve_transfer(A1, A2)
-    # B = (Id + iA) @ V1 carries the scale of V1, so ||Id + iA||^2 is taken
-    # from A: for real A it lies in [1 + ||A||^2, 2 * (1 + ||A||^2)]
-    norm_A = float(linalg.singular_values(A)[0])
-    idA2_scale = 1.0 + _squared_norm(norm_A, "V2 @ inv(V1)")
-    return B, _verdict(linalg.regularity_of(B, tol), A, tol, idA2_scale)
+    return B, _verdict(linalg.regularity_of(B, tol), A, tol, reg_V1.sigma_max)
 
 
 def rebricking_factor(A: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, Regularity]:
@@ -183,9 +153,7 @@ def rebrick_with_operator(A, V, tol: Tolerance = DEFAULT_TOL):
     A_, V_ = linalg.require_square_pair(A, V, ("A", "V"), real=True)
     require_basis(V_, "V", tol)
     B = np.eye(A_.shape[0]) + 1j * A_
-    reg = linalg.regularity_of(B, tol)  # ||Id + iA|| = sigma_max(B)
-    scale = _squared_norm(reg.sigma_max, "Id + iA")
-    return linalg.as_matrix(B @ V_, "B @ V"), _verdict(reg, A_, tol, scale)
+    return linalg.as_matrix(B @ V_, "B @ V"), _verdict(linalg.regularity_of(B, tol), A_, tol, 1.0)
 
 
 def non_transitivity_witness(dim: int):
@@ -238,12 +206,14 @@ def rebricked_dual(V, A, tol: Tolerance = DEFAULT_TOL):
 
     primal = (Id + i*A) @ V, dual = inv(primal*), one LU solve once sigma judges
     Id + iA and V; the columns are biorthogonal: dual* @ primal == Id.
+    InvalidMatrix when the primal or the dual leaves the float64 range.
     """
     V_, A_ = linalg.require_square_pair(V, A, ("V", "A"), real=True)
     B, _ = rebricking_factor(A_, tol)
     require_basis(V_, "V", tol)
     primal = linalg.as_matrix(B @ V_, "B @ V")
-    return primal, np.linalg.solve(primal.conj().T, np.eye(V_.shape[0]))
+    dual = np.linalg.solve(primal.conj().T, np.eye(V_.shape[0]))
+    return primal, linalg.as_matrix(dual, "inv((B @ V)*)")
 
 
 def real_part_preservation_lambda(A, tol: Tolerance = DEFAULT_TOL):

@@ -9,11 +9,11 @@ command line.  Every run produces a report carrying the verdict, the
 numeric certificates behind it and the tolerance block that the verdict
 depends on; a usage error gets one too, whose `command` is the argv as
 given.  Exit codes are the scripting contract: 0 affirmative verdict,
-1 negative verdict, 2 input error, 3 internal inconsistency (two
-decision routes disagree decisively, which is a bug).  An error's exit
-code is the `exit_code` of its kind in `rebrick.errors`.  --quiet is
-exactly --format json (an exit 2 or 3 still writes `error:` to stderr);
-identical inputs and seed produce byte-identical JSON.
+1 negative verdict, 2 input error, 3 internal inconsistency (the
+certificates of two decision routes break a theorem, which is a bug).
+An error's exit code is the `exit_code` of its kind in `rebrick.errors`.
+--quiet is exactly --format json (an exit 2 or 3 still writes `error:`
+to stderr); identical inputs and seed produce byte-identical JSON.
 The REBRICK_TOL environment variable overrides the default tolerance;
 an explicit --tol flag wins over the environment.
 """
@@ -43,7 +43,7 @@ from .errors import (
 from .frames import FiniteFrame
 from .linalg import Tolerance
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # Caps on sizes taken from the command line.  hilbert and sweep work on the
 # length-N symbol in O(N) time and memory; trig is O(K*N).

@@ -8,7 +8,7 @@ hierarchy and nothing else:
 
   InputError                the question itself is malformed   exit 2
   NegativeVerdict           a well-posed question answered no  exit 1
-  InternalConsistencyError  two decision routes disagree       exit 3
+  InternalConsistencyError  two decision routes contradict     exit 3
 
 A command line that matches no declared CLI command is a UsageError (exit 2).
 """
@@ -31,7 +31,7 @@ class NegativeVerdict(RebrickError):
 
 
 class InternalConsistencyError(RebrickError):
-    """Only the RebrickVerdict functions raise it: their routes disagree outside the guard bands."""
+    """Only the RebrickVerdict functions raise it: sigma_min(B) breaks its eigenvalue bound."""
 
     exit_code = 3
 

@@ -198,8 +198,8 @@ def rebrick_frames(F: FiniteFrame, G: FiniteFrame, tol: Tolerance = DEFAULT_TOL)
 def operator_rebrick_frame(F: FiniteFrame, A, tol: Tolerance = DEFAULT_TOL):
     """Rebrick a frame with an operator: synthesis (Id + i*A) @ S_F.
 
-    Succeeds exactly when Id + i*A is regular at tolerance, which agrees
-    with regularity of Id + A@A.  Returns (FiniteFrame, FrameBounds).
+    Succeeds exactly when Id + i*A is regular at tolerance, that is when A
+    has no eigenvalue i.  Returns (FiniteFrame, FrameBounds).
     """
     A_ = linalg.require_square(A, "A", real=True)
     if A_.shape[0] != F.dim:

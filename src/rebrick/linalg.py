@@ -2,10 +2,9 @@
 
 All rank, kernel and invertibility decisions in the package go through
 `regularity`, so a single threshold convention applies everywhere: a
-singular value counts as nonzero when it exceeds rank_rel * size * scale,
-with scale = sigma_max unless the caller knows the scale the operator
-was computed at (Id + A@A is judged against ||Id + iA||^2).  The size is
-max(rows, cols), set in one place: `regularity_of`, which judges a matrix.
+singular value counts as nonzero when it exceeds rank_rel * size *
+sigma_max.  The size is max(rows, cols), set in one place:
+`regularity_of`, which judges a matrix.
 Only a caller holding singular values without their matrix names a size.
 
 Arrays are validated once, where they enter: each exported function runs
@@ -155,17 +154,15 @@ class Regularity(NamedTuple):
         return self.sigma_min**2, self.sigma_max**2
 
 
-def regularity(
-    s, size: int, tol: Tolerance = DEFAULT_TOL, scale: float | None = None
-) -> Regularity:
+def regularity(s, size: int, tol: Tolerance = DEFAULT_TOL) -> Regularity:
     """Judge the singular values s (any order) of an operator.
 
     `size` is the larger dimension of the operator.  The cutoff is
-    rank_rel * size * scale, with scale = max(s) unless given.
+    rank_rel * size * max(s).
     """
     s = np.asarray(s)
     smax = float(s.max())
-    cutoff = tol.rank_rel * size * (smax if scale is None else scale)
+    cutoff = tol.rank_rel * size * smax
     return Regularity(float(s.min()), smax, cutoff, int(np.count_nonzero(s > cutoff)))
 
 

@@ -195,6 +195,20 @@ def range_kernel_fills(A, S, tol=linalg.DEFAULT_TOL) -> bool:
     return linalg.rank(np.hstack([np.eye(p) + 1j * S, K]), tol) == p
 
 
+def id_plus_a2_regularity(A, tol=linalg.DEFAULT_TOL) -> linalg.Regularity:
+    """Id + A@A for a real square A, judged on the scale ||Id + iA||^2 of its factors.
+
+    Id + A@A = (Id + iA)(Id - iA), so it is invertible exactly when A has no
+    eigenvalue i, the question `rebrick_with_operator` decides from
+    sigma(Id + iA).  Against its own sigma_max it would pass A@A = -Id, where
+    Id + A@A is nothing but rounding error.
+    """
+    n = A.shape[0]
+    s = np.linalg.svd(np.eye(n) + A @ A, compute_uv=False)
+    cutoff = tol.rank_rel * n * float(np.linalg.svd(np.eye(n) + 1j * A, compute_uv=False)[0]) ** 2
+    return linalg.Regularity(float(s[-1]), float(s[0]), cutoff, int(np.count_nonzero(s > cutoff)))
+
+
 def dual_real_part(A) -> np.ndarray:
     """Re(inv(B*)) for B = Id + iA: lambda * Id exactly when A @ A = (1/lambda - 1) * Id."""
     return np.linalg.inv(np.eye(len(A)) - 1j * np.asarray(A).T).real
@@ -288,10 +302,10 @@ def _reference_require_square(M, name: str = "matrix") -> np.ndarray:
     return A
 
 
-def reference_regularity(s, size: int, tol=linalg.DEFAULT_TOL, scale=None) -> linalg.Regularity:
+def reference_regularity(s, size: int, tol=linalg.DEFAULT_TOL) -> linalg.Regularity:
     s = np.asarray(s)
     smax = float(np.max(s))
-    cutoff = tol.rank_rel * size * (smax if scale is None else scale)
+    cutoff = tol.rank_rel * size * smax
     return linalg.Regularity(float(np.min(s)), smax, cutoff, int(np.count_nonzero(s > cutoff)))
 
 

@@ -10,6 +10,7 @@ from support import (
     count_linalg_calls,
     count_svd_calls,
     dual_real_part,
+    id_plus_a2_regularity,
     plant_eigenvalue_i,
     random_invertible,
     random_orthogonal,
@@ -63,7 +64,7 @@ class TestRebrickPair:
             sorted(v.eigenvalues_A, key=lambda z: z.imag), [-1j, 1j], atol=1e-10
         )
         assert v.min_dist_to_i <= 1e-10
-        assert v.idA2_sigma_min <= 1e-10
+        assert id_plus_a2_regularity(ROT90).sigma_min <= 1e-10
 
     def test_eighth_turn_succeeds(self):
         B, v = basis.rebrick_pair(np.eye(2), ROT45)
@@ -119,14 +120,14 @@ class TestRebrickPair:
         with pytest.raises(errors.InvalidMatrix, match=r"^B @ V: entries must be finite"):
             call()
 
-    def test_five_svds_one_eig_one_solve(self, monkeypatch):
-        # sigma(V1), sigma(V2), sigma(A), sigma(B), sigma(Id + A^2); eig(A); A by LU
+    def test_three_svds_one_eig_one_solve(self, monkeypatch):
+        # sigma(V1), sigma(V2), sigma(B); eig(A); A by LU
         rng = np.random.default_rng(6)
         V1, V2 = random_invertible(rng, 4), random_invertible(rng, 4)
         refuse_inverses(monkeypatch)
         counts = [count_linalg_calls(monkeypatch, name) for name in ("svd", "eigvals", "solve")]
         basis.rebrick_pair(V1, V2)
-        assert [len(c) for c in counts] == [5, 1, 1]
+        assert [len(c) for c in counts] == [3, 1, 1]
 
     def test_symmetry_of_the_relation(self):
         rng = np.random.default_rng(3)
@@ -145,7 +146,7 @@ class TestRebrickPair:
             V1, V2 = random_invertible(rng, n), random_invertible(rng, n)
             B, v = basis.rebrick_pair(V1, V2)
             assert v.rebrickable == (v.min_dist_to_i > tol.eig_abs)
-            assert v.rebrickable == (v.idA2_sigma_min > 1e-12)
+            assert v.rebrickable == id_plus_a2_regularity(basis.transfer_operator(V1, V2)).regular
 
     def test_three_way_agreement_adversarial(self):
         rng = np.random.default_rng(5)
@@ -164,8 +165,8 @@ class TestRebrickPair:
 
     @pytest.mark.parametrize("scale", [1.0, 1e-8, 1e8])
     def test_planted_pairs_at_n2_agree_on_every_route(self, scale):
-        # A@A = -Id up to rounding, so Id + A@A is rounding error: judged on
-        # the scale of Id + iA it is singular, whatever the scale of the bases
+        # A@A = -Id up to rounding: sigma(B) and the eigenvalues both refuse,
+        # whatever the scale of the bases
         for seed in range(200):
             A = plant_eigenvalue_i(np.random.default_rng(seed), 2)
             _, v = basis.rebrick_pair(scale * np.eye(2), scale * A)
@@ -177,6 +178,15 @@ class TestRebrickPair:
         A = rotation(np.pi / 2) + 1e-10 * np.eye(2)
         _, v = basis.rebrick_pair(np.eye(2), A)
         assert v.warning
+
+    def test_contradicting_certificates_raise(self, monkeypatch):
+        # sigma_min(B) = sqrt(5), yet an eigenvalue at i would bound it by rounding
+        def planted_i(M):
+            return np.array([-1j, 1j])
+
+        monkeypatch.setattr(linalg, "eigenvalues", planted_i)
+        with pytest.raises(errors.InternalConsistencyError, match=r"sigma_min\(B\)=2.236e\+00"):
+            basis.rebrick_pair(np.eye(2), 2.0 * np.eye(2))
 
 
 class TestRebrickWithOperator:
@@ -215,6 +225,48 @@ class TestRebrickWithOperator:
         A, V = random_symmetric(rng, 3), random_invertible(rng, 3)
         BV, _ = basis.rebrick_with_operator(A, V)
         np.testing.assert_allclose(BV, (np.eye(3) + 1j * A) @ V, atol=1e-12)
+
+    @pytest.mark.parametrize("a", [0.0, 1.0])
+    def test_non_normal_operator_sets_warning(self, a):
+        # eigenvalue a, far from i, yet sigma_min(Id + iA) ~ 1e-20 is below the
+        # cutoff: the eigenvalues are ill-conditioned, the certificates consistent
+        _, v = basis.rebrick_with_operator(np.array([[a, 1e20], [0.0, a]]), np.eye(2))
+        assert not v.rebrickable and v.warning
+        assert v.min_dist_to_i == pytest.approx(abs(a - 1j))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(2, 8),
+        kind=st.sampled_from(["random", "planted", "planted plus noise", "non-normal"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_agrees_with_id_plus_a2(self, n, kind, seed):
+        # the paper's form: no eigenvalue i <=> Id + A@A invertible.  With
+        # B = Id + iA, Id + A@A = B @ conj(B), so sigma_min(B)^2 <= sigma_min(Id + A@A)
+        # <= sigma_min(B) * sigma_max(B): compared where those bounds sit a factor
+        # 1e4 from the oracle's cutoff
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            A = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal((n, n))
+        elif kind == "non-normal":  # eigenvalues +-i or real ones, upper part up to 1e8
+            T = 10.0 ** rng.uniform(0, 8) * np.triu(rng.standard_normal((n, n)), 1)
+            if rng.integers(2):
+                T[:2, :2] = ROT90
+            else:
+                T += np.diag(rng.standard_normal(n))
+            Q = random_orthogonal(rng, n)
+            A = Q @ T @ Q.T
+        else:
+            A = plant_eigenvalue_i(rng, n)
+            if kind == "planted plus noise":
+                A = A + 10.0 ** rng.uniform(-16, -2) * rng.standard_normal((n, n))
+        _, v = basis.rebrick_with_operator(A, np.eye(n))
+        reg_B = linalg.regularity_of(np.eye(n) + 1j * A)
+        oracle = id_plus_a2_regularity(A)
+        if reg_B.sigma_min * reg_B.sigma_max < oracle.cutoff / 1e4:
+            assert not v.rebrickable and not oracle.regular
+        elif reg_B.sigma_min**2 > 1e4 * oracle.cutoff:
+            assert v.rebrickable and oracle.regular
 
 
 class TestNonTransitivity:
@@ -368,6 +420,11 @@ class TestRebrickedDual:
             basis.rebricked_dual(np.ones((2, 2)), np.zeros((2, 2)))
         assert info.value.which == "V"
 
+    def test_overflowing_dual_is_named(self):
+        # 1e-310 * Id is a basis (the cutoff is relative), but its dual 1e310 * Id is no float64
+        with pytest.raises(errors.InvalidMatrix, match=r"^inv\(\(B @ V\)\*\): entries must be finite"):
+            basis.rebricked_dual(1e-310 * np.eye(2), np.zeros((2, 2)))
+
     def test_two_svds(self, monkeypatch):
         rng = np.random.default_rng(15)
         V, A = random_invertible(rng, 5), random_symmetric(rng, 5)
@@ -479,14 +536,14 @@ class TestRebrickingFactor:
         call(A)
         assert (len(svd_calls), len(eig_calls)) == (svds, 0)
 
-    def test_rebrick_with_operator_keeps_all_three_routes(self, monkeypatch):
+    def test_rebrick_with_operator_keeps_both_routes(self, monkeypatch):
         rng = np.random.default_rng(23)
         A, V = random_symmetric(rng, 4), random_invertible(rng, 4)
         svd_calls = count_svd_calls(monkeypatch)
         eig_calls = count_linalg_calls(monkeypatch, "eigvals")
         basis.rebrick_with_operator(A, V)
-        # V, Id + iA and Id + A^2; the eigenvalues of A
-        assert (len(svd_calls), len(eig_calls)) == (3, 1)
+        # V and Id + iA; the eigenvalues of A
+        assert (len(svd_calls), len(eig_calls)) == (2, 1)
 
 
 class TestRebrickedFrameBounds:

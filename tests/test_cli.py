@@ -135,8 +135,22 @@ class TestInternalInconsistency:
         assert code == 3
         assert report["exit_code"] == 3 and report["error"] == "routes disagree"
 
+    @pytest.mark.parametrize(
+        "V2, tol",
+        [(np.eye(2), "1e300"), (rotation(np.pi / 2 - 1e-6), "0.9")],
+        ids=["identity", "near-quarter-turn"],
+    )
+    def test_large_tol_is_a_warning(self, tmp_path, capsys, V2, tol):
+        # --tol moves eig_abs alone, so the eigenvalue route says no where sigma(B)
+        # says yes; sigma_min(B) <= min|eig - i| (sqrt(2), 1e-6) holds, so no exit 3
+        v1 = write(tmp_path, "v1.csv", np.eye(2))
+        v2 = write(tmp_path, "v2.csv", V2)
+        code = run(["rebrick", v1, v2, "--tol", tol, "--quiet"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0 and report["certificates"]["warning"] is True
+
     def test_planted_pair_at_n2_is_negative_verdict(self, tmp_path, capsys):
-        # A@A = -Id exactly up to rounding: all three routes must say "singular"
+        # A@A = -Id exactly up to rounding: both routes must say "singular"
         v1 = write(tmp_path, "v1.csv", np.eye(2))
         a = write(tmp_path, "a.csv", plant_eigenvalue_i(np.random.default_rng(30), 2))
         code = run(["rebrick", v1, a, "--quiet"])
@@ -561,12 +575,18 @@ class TestExtremeScale:
         code, report = self.run_quiet(capsys, ["frame", sub] + files[: 1 if sub == "bounds" else 2])
         assert code == 2 and "float64 range" in report["error"]
 
-    def test_rebrick_pair_out_of_range_is_input_error(self, tmp_path, capsys):
+    def test_rebrick_pair_out_of_range_gets_a_verdict(self, tmp_path, capsys):
+        # the verdict squares no norm, so ||V2 @ inv(V1)||^2 may leave the float64 range
         rng = np.random.default_rng(22)
         v1 = write(tmp_path, "v1.csv", rng.standard_normal((3, 3)))
-        v2 = write(tmp_path, "v2.csv", 1e170 * rng.standard_normal((3, 3)))
-        code, report = self.run_quiet(capsys, ["rebrick", v1, v2])
-        assert code == 2 and "float64 range" in report["error"]
+        V2 = rng.standard_normal((3, 3))
+        for scale in (1e170, 1e300):
+            v2 = write(tmp_path, "v2.csv", scale * V2)
+            code, report = self.run_quiet(capsys, ["rebrick", v1, v2])
+            certs = report["certificates"]
+            assert code in (0, 1) and report["verdicts"]["rebrickable"] == (code == 0)
+            numbers = [certs[k] for k in ("sigma_min_B", "min_dist_to_i", "condition_number")]
+            assert np.all(np.isfinite(numbers + sum(certs["eigenvalues_A"], [])))
 
 
 class TestSizeCaps:
@@ -615,7 +635,7 @@ class TestReportContract:
         out = capsys.readouterr().out
         assert code == 0
         report = json.loads(out)  # whole stdout is one JSON document
-        assert report["schema"] == 1
+        assert report["schema"] == 2
 
     def test_text_mode_prints_tolerance_block(self, tmp_path, capsys):
         f = write(tmp_path, "i.csv", np.eye(2))

@@ -213,8 +213,9 @@ def cmd_multiplier_validate(args, tol):
 def cmd_multiplier_rebrick(args, tol):
     x, i1 = _load_vector(args.file_x, name="generator")
     m, i2 = _load_vector(args.file_m, name="multiplier")
-    # the N x N translate matrix is built whole: bound it like a matrix file
-    _check_cap("translate matrix cells N*N", x.size * x.size, matio.MAX_CELLS)
+    if args.out is not None:
+        # --out writes the N x N translate matrix: bound it like a matrix file
+        _check_cap("translate matrix cells N*N", x.size * x.size, matio.MAX_CELLS)
     cols, unitary = multipliers.rebrick_translates(x, m, tol)
     out = _write_out(args, cols)
     certs = {"unitary": unitary, "out": out}

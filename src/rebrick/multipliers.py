@@ -90,12 +90,11 @@ def validate_rebrick_multiplier(m, tol: Tolerance = DEFAULT_TOL):
     values in {-1, +1}.  Any failed clause lands in `reasons`.
     """
     mv = _as_signal(m, "multiplier")
-    N = mv.size
     reasons = []
     if np.max(np.abs(mv.imag)) > tol.equality_abs:
         reasons.append("not real-valued")
-    mirrored = mv[(-np.arange(N)) % N]
-    if np.max(np.abs(mv - mirrored)) > tol.equality_abs:
+    # m[0] is its own mirror image, so only m[1:] against m[N-1:0:-1] can differ
+    if np.abs(mv[1:] - mv[:0:-1]).max(initial=0.0) > tol.equality_abs:
         reasons.append("not even (m[k] != m[N-k])")
     if np.max(np.abs(np.abs(mv.real) - 1.0)) > tol.equality_abs:
         reasons.append("values not in {-1, +1}")
@@ -103,22 +102,26 @@ def validate_rebrick_multiplier(m, tol: Tolerance = DEFAULT_TOL):
 
 
 def _circulant(c: np.ndarray) -> np.ndarray:
-    """N x N matrix whose column n is c shifted down by n: np.roll(c, n)."""
+    """N x N matrix whose column n is c shifted down by n: np.roll(c, n).
+
+    A read-only view of the doubled signal: it holds 2N entries, not N^2.
+    """
     N = c.size
     # row j reads c[j], c[j-1], ..., c[j-N+1] (mod N), a length-N window of
-    # the reversed doubled signal; one copy gathers all the windows
+    # the reversed doubled signal
     windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([c, c])[::-1], N)
-    return windows[N - 1 :: -1].copy()
+    return windows[N - 1 :: -1]
 
 
-def _circulant_unitary_defect(c: np.ndarray) -> float:
-    """Entrywise deviation of C*C from the identity, C = _circulant(c).
+def _circulant_unitary_defect(Y: np.ndarray) -> float:
+    """Entrywise deviation of C*C from the identity, C = _circulant(ifft(Y, norm="ortho")).
 
     C*C is circulant too, with first column the cyclic autocorrelation of
-    c, so every entry of C*C - Id appears among ifft(|fft(c)|^2) - e_0.
-    This is linalg.is_unitary_defect(C) in O(N log N).
+    C's first column, ifft(N |Y|^2), so every entry of C*C - Id appears
+    among ifft(N |Y|^2) - e_0.  This is linalg.is_unitary_defect(C) in
+    O(N log N), read off the unitary spectrum Y without forming C.
     """
-    gram = np.fft.ifft(np.abs(np.fft.fft(c)) ** 2)
+    gram = np.fft.ifft(Y.size * (Y.real**2 + Y.imag**2))
     gram[0] -= 1.0
     return float(np.max(np.abs(gram)))
 
@@ -126,12 +129,14 @@ def _circulant_unitary_defect(c: np.ndarray) -> float:
 def rebrick_translates(x, m, tol: Tolerance = DEFAULT_TOL):
     """Rebrick the translate basis {T^n x} with the symbol m.
 
-    Builds the N x N matrix whose columns are T^n((Id + i*A)/sqrt(2) x)
-    with A the operator of m, and reports whether the columns form an
-    orthonormal basis of C^N.  The generator must produce an orthonormal
-    translate basis, i.e. all its DFT magnitudes equal 1/sqrt(N).  The
-    matrix is circulant, so the orthonormality test runs on its first
-    column in O(N log N).  A symbol whose operator is not real is InvalidMatrix.
+    Returns the N x N matrix whose columns are T^n((Id + i*A)/sqrt(2) x)
+    with A the operator of m, and whether the columns form an orthonormal
+    basis of C^N.  The generator must produce an orthonormal translate
+    basis, i.e. all its DFT magnitudes equal 1/sqrt(N).  The matrix is
+    circulant, so the orthonormality test runs on the spectrum of its
+    first column in O(N log N), with three FFTs in all.  The matrix is a
+    read-only view that holds 2N entries; np.array(cols) gives a writable
+    N x N copy.  A symbol whose operator is not real is InvalidMatrix.
     """
     xv = _as_signal(x)
     mv = _as_signal(m, "multiplier")
@@ -146,9 +151,9 @@ def rebrick_translates(x, m, tol: Tolerance = DEFAULT_TOL):
             "translates of the generator are not orthonormal "
             "(DFT magnitudes deviate from 1/sqrt(N))"
         )
-    bx = np.fft.ifft((1.0 + 1j * mv) / np.sqrt(2.0) * X, norm="ortho")
-    unitary = _circulant_unitary_defect(bx) <= max(tol.equality_abs, 1e-10)
-    return _circulant(bx), unitary
+    Y = (1.0 + 1j * mv) / np.sqrt(2.0) * X
+    unitary = _circulant_unitary_defect(Y) <= max(tol.equality_abs, 1e-10)
+    return _circulant(np.fft.ifft(Y, norm="ortho")), unitary
 
 
 def discrete_hilbert(N: int) -> np.ndarray:

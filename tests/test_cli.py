@@ -434,6 +434,16 @@ class TestMultiplier:
         assert code == 0
         assert report["verdicts"]["onb"] is True
 
+    def test_rebrick_above_cell_cap_without_out(self, tmp_path, capsys):
+        # without --out no N x N array is built, so N^2 > MAX_CELLS still gets a verdict
+        N = 1026
+        x = write(tmp_path, "x.csv", np.eye(1, N))
+        m = write(tmp_path, "m.csv", _sign_pattern(N))
+        code, report = run_json(capsys, ["multiplier", "rebrick", x, m])
+        assert code == report["exit_code"] == 0
+        assert report["verdicts"]["onb"] is True
+        assert report["certificates"]["out"] is None
+
     @pytest.mark.parametrize(
         "symbol, code", [("0,0-1i,0,0+1i", 1), ("0+1i,0+1i,0+1i,0+1i", 2)]
     )
@@ -618,12 +628,14 @@ class TestSizeCaps:
         assert report["exit_code"] == 2 and "exceeds the cap" in report["error"]
 
     def test_translate_matrix_above_cell_cap_is_input_error(self, tmp_path, capsys):
-        # a unit generator and a valid symbol, but the N x N translate matrix has N^2 > MAX_CELLS
+        # a unit generator and a valid symbol, but --out would write N^2 > MAX_CELLS cells
         N = 1026
         x = write(tmp_path, "x.csv", np.eye(1, N))
         m = write(tmp_path, "m.csv", _sign_pattern(N))
-        code, report = run_json(capsys, ["multiplier", "rebrick", x, m])
+        out = tmp_path / "t.csv"
+        code, report = run_json(capsys, ["multiplier", "rebrick", x, m, "--out", str(out)])
         assert code == report["exit_code"] == 2
+        assert not out.exists()
         cap = matio.MAX_CELLS
         assert report["error"] == f"translate matrix cells N*N={N * N} exceeds the cap {cap}"
 

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,19 @@ class TestValidateMultiplier:
         assert not ok
         assert any("+-1" in r or "-1, +1" in r or "{-1, +1}" in r for r in reasons)
 
+    @pytest.mark.parametrize("N", [1, 2, 3, 8, 9, 64])
+    def test_evenness_matches_the_mirror_gather(self, N):
+        rng = np.random.default_rng(N)
+        tol = linalg.DEFAULT_TOL
+        for m in (
+            rng.standard_normal(N),
+            rng.choice([-1.0, 1.0], N)[np.minimum(np.arange(N), (-np.arange(N)) % N)],
+            rng.standard_normal(N) + 1j * rng.standard_normal(N),
+        ):
+            gathered = np.max(np.abs(m - m[(-np.arange(N)) % N]))
+            _, reasons = multipliers.validate_rebrick_multiplier(m)
+            assert ("not even (m[k] != m[N-k])" in reasons) == (gathered > tol.equality_abs)
+
 
 class TestRebrickTranslates:
     def test_delta_with_unit_symbol(self):
@@ -236,6 +250,26 @@ class TestRebrickTranslates:
         c = rng.standard_normal(N) + 1j * rng.standard_normal(N)
         rolled = np.column_stack([np.roll(c, n) for n in range(N)])
         np.testing.assert_array_equal(multipliers._circulant(c), rolled)
+
+    def test_translate_matrix_is_a_read_only_view(self):
+        N = 8
+        cols, _ = multipliers.rebrick_translates(np.eye(1, N)[0], np.ones(N))
+        assert cols.shape == (N, N) and not cols.flags.writeable
+        assert np.shares_memory(cols[:, 0], cols[:, 1])  # the columns overlap: 2N entries
+
+    def test_memory_is_linear_in_N(self):
+        N = 2**11
+        rng = np.random.default_rng(11)
+        x = multipliers.idft(np.exp(2j * np.pi * rng.random(N)) / np.sqrt(N))
+        m = rng.choice([-1.0, 1.0], N)[np.minimum(np.arange(N), (-np.arange(N)) % N)]
+        tracemalloc.start()
+        try:
+            cols, unitary = multipliers.rebrick_translates(x, m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert unitary and cols.shape == (N, N)
+        assert peak <= 16 * 16 * N  # sixteen complex signals of length N; N^2 would be 64 MiB
 
 
 class TestDiscreteHilbert:
@@ -385,7 +419,8 @@ class TestSymbolRouteMatchesDenseOracle:
             assert unitary == want
             assert (dense_defect <= 1e-9) == want
             np.testing.assert_allclose(cols, dense_cols, rtol=0, atol=1e-12)
-            assert multipliers._circulant_unitary_defect(cols[:, 0]) == pytest.approx(
+            spectrum = np.fft.fft(cols[:, 0], norm="ortho")
+            assert multipliers._circulant_unitary_defect(spectrum) == pytest.approx(
                 linalg.is_unitary_defect(cols), abs=1e-12
             )
 
@@ -395,6 +430,15 @@ class TestScale:
         t0 = time.perf_counter()
         assert multipliers.analytic_defect(2**20) == (2**19 + 1, 2**19 - 1)
         assert time.perf_counter() - t0 < 1.0
+
+    def test_translates_at_two_to_the_eighteen(self):
+        N = 2**18
+        x = np.eye(1, N)[0]
+        t0 = time.perf_counter()
+        cols, unitary = multipliers.rebrick_translates(x, np.ones(N))
+        assert time.perf_counter() - t0 < 1.0
+        assert unitary and cols.shape == (N, N)
+        assert cols[N - 1, N - 1] == cols[0, 0]
 
     def test_sweep_to_two_to_the_twenty(self):
         sizes = [2**10, 2**15, 2**20]

@@ -1,21 +1,21 @@
 """Command-line front end.
 
-Usage: rebrick <command> [<subcommand>] ARGS [--tol T] [--seed S]
-                [--format json|text] [--quiet] [--out PATH]
+Usage: rebrick <command> [<subcommand>] ARGS [FLAGS] [--format json|text] [--quiet]
 
 Each of the 13 leaf commands is declared once in `build_parser`, with
-its positionals and flags, so argparse alone checks the shape of a
-command line.  Every run produces a report carrying the verdict, the
-numeric certificates behind it and the tolerance block that the verdict
-depends on; a usage error gets one too, whose `command` is the argv as
-given.  Exit codes are the scripting contract: 0 affirmative verdict,
-1 negative verdict, 2 input error, 3 internal inconsistency (the
-certificates of two decision routes break a theorem, which is a bug).
-An error's exit code is the `exit_code` of its kind in `rebrick.errors`.
---quiet is exactly --format json (an exit 2 or 3 still writes `error:`
-to stderr); identical inputs and seed produce byte-identical JSON.
-The REBRICK_TOL environment variable overrides the default tolerance;
-an explicit --tol flag wins over the environment.
+its positionals and FLAGS, the flags that can change its answer, so
+argparse alone checks the shape of a command line: --tol T (eig_abs and
+equality_abs) is declared only on the seven commands that read one of
+them, --seed S only on repair.  Every run produces a report carrying
+the verdict, the numeric certificates behind it and the tolerance block
+that the verdict depends on; a usage error gets one too, whose `command`
+is the argv as given.  Exit codes are the scripting contract: 0
+affirmative verdict, 1 negative verdict, 2 input error, 3 internal
+inconsistency (the certificates of two decision routes break a theorem,
+which is a bug).  An error's exit code is the `exit_code` of its kind in
+`rebrick.errors`.  --quiet is exactly --format json (an exit 2 or 3
+still writes `error:` to stderr); identical command lines and inputs
+produce byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -90,17 +89,13 @@ def _load_vector(path, name="vector"):
 
 
 def _resolve_tol(args) -> Tolerance:
-    if args.tol is not None:
-        source, value = "--tol", args.tol
-    else:
-        value = os.environ.get("REBRICK_TOL")
-        if value is None:
-            return Tolerance()
-        source = "REBRICK_TOL"
+    value = getattr(args, "tol", None)  # declared only where a tolerance is read
+    if value is None:
+        return Tolerance()
     try:
-        return Tolerance.from_scalar(float(value))
+        return Tolerance.from_scalar(value)
     except ValueError as exc:
-        raise InvalidMatrix(f"{source}={value!r}: {exc}") from exc
+        raise InvalidMatrix(f"--tol={value!r}: {exc}") from exc
 
 
 def _check_cap(what: str, value: int, cap: int) -> None:
@@ -302,8 +297,6 @@ def _wants_json(args, argv) -> bool:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None, help="absolute tolerance")
-    common.add_argument("--seed", type=int, default=0, help="seed of the repair search")
     common.add_argument("--format", choices=("json", "text"), default="text")
     common.add_argument("--quiet", action="store_true", help="same as --format json")
 
@@ -327,26 +320,29 @@ def build_parser() -> argparse.ArgumentParser:
     def group(name, help):
         return top.add_parser(name, help=help).add_subparsers(dest="subcommand", required=True)
 
+    # --tol only where eig_abs or equality_abs is read, declared last so it echoes last
+    tol = ("--tol", {"type": float, "help": "sets eig_abs and equality_abs"})
+    seed = ("--seed", {"type": int, "default": 0, "help": "seed of the repair search"})
     leaf(top, "check-basis", cmd_check_basis, "do the columns form a basis?", "file")
     leaf(top, "rebrick", cmd_rebrick, "combine two real bases into V1 + i*V2",
-         "file_v1", "file_v2", out=True)
+         "file_v1", "file_v2", tol, out=True)
     leaf(top, "repair", cmd_repair, "permute columns until Id + iAP is regular",
-         "file_v", "file_a", out=True)
+         "file_v", "file_a", seed, tol, out=True)
 
     frame = group("frame", "frame bounds, order and rebricking")
     leaf(frame, "bounds", cmd_frame_bounds, "sharp frame bounds c, C", "file_f")
-    leaf(frame, "parseval", cmd_frame_parseval, "is the frame Parseval?", "file_f")
-    leaf(frame, "order", cmd_frame_order, "kernel order, both directions", "file_f", "file_g")
+    leaf(frame, "parseval", cmd_frame_parseval, "is the frame Parseval?", "file_f", tol)
+    leaf(frame, "order", cmd_frame_order, "kernel order, both directions", "file_f", "file_g", tol)
     leaf(frame, "rebrick", cmd_frame_rebrick, "combine F + i*G", "file_f", "file_g", out=True)
     leaf(frame, "frrebrick", cmd_frame_frrebrick, "is A (Id + i*S) surjective?", "file_a", "file_s")
 
     mult = group("multiplier", "shift-invariant rebricking on Z_N")
     N, K = ("--N", {"type": int, "required": True}), ("--K", {"type": int, "required": True})
-    leaf(mult, "validate", cmd_multiplier_validate, "is m a rebricking symbol?", "file_m")
+    leaf(mult, "validate", cmd_multiplier_validate, "is m a rebricking symbol?", "file_m", tol)
     leaf(mult, "rebrick", cmd_multiplier_rebrick, "are the translates an ONB?",
-         "file_x", "file_m", out=True)
+         "file_x", "file_m", tol, out=True)
     leaf(mult, "hilbert", cmd_multiplier_hilbert, "rank / kernel of Id + iH", N)
-    leaf(mult, "trig", cmd_multiplier_trig, "trigonometric demo", ("--N", {"type": int}), K)
+    leaf(mult, "trig", cmd_multiplier_trig, "trigonometric demo", ("--N", {"type": int}), K, tol)
     sizes = {"nargs": "*", "type": int, "help": "even sizes N (default 16 32 64 128 256)"}
     leaf(mult, "sweep", cmd_multiplier_sweep, "sigma_min of Id + iA over N", ("sizes", sizes))
     return p
@@ -357,7 +353,7 @@ _PARSER = build_parser()
 
 
 def _command_echo(args) -> list[str]:
-    """The parsed command: its path, arguments in declared order, --seed, then --tol if given."""
+    """The parsed command: its path, then its arguments in declared order, flags if set."""
     echo = list(args.path)
     for name in args.echoed:
         value = getattr(args, name.lstrip("-"))
@@ -365,9 +361,6 @@ def _command_echo(args) -> list[str]:
             echo += [str(v) for v in value] if isinstance(value, list) else [str(value)]
         elif value is not None:
             echo += [name, str(value)]
-    echo += ["--seed", str(args.seed)]
-    if args.tol is not None:
-        echo += ["--tol", repr(args.tol)]
     return echo
 
 

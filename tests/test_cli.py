@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import hashlib
 import io
 import json
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from rebrick import basis, cli, errors, matio, multipliers, permutation
+from rebrick import basis, cli, errors, linalg, matio, multipliers, permutation
 from rebrick.cli import run
 from support import (
     count_svd_calls,
@@ -574,8 +576,10 @@ class TestExtremeScale:
         "argv", [["hilbert", "--N", "64"], ["trig", "--K", "5"], ["sweep", "16", "32"]]
     )
     def test_every_fileless_command(self, capsys, argv, scale):
-        # these read no matrix, so the scale goes into the tolerance
-        self.run_quiet(capsys, ["multiplier"] + argv + ["--tol", repr(scale)])
+        # these read no matrix, so the scale goes into the tolerance; only trig reads one,
+        # and hilbert and sweep refuse the flag
+        code, _ = self.run_quiet(capsys, ["multiplier"] + argv + ["--tol", repr(scale)])
+        assert (code == 2) == (argv[0] != "trig")
 
     @pytest.mark.parametrize("scale", [1e-170, 1e170])
     @pytest.mark.parametrize("sub", ["bounds", "rebrick"])
@@ -658,40 +662,41 @@ class TestReportContract:
 
     def test_identical_runs_byte_identical(self, tmp_path, capsys):
         f = write(tmp_path, "i.csv", np.eye(4))
-        run(["check-basis", f, "--format", "json", "--seed", "3"])
+        run(["check-basis", f, "--format", "json"])
         first = capsys.readouterr().out
-        run(["check-basis", f, "--format", "json", "--seed", "3"])
+        run(["check-basis", f, "--format", "json"])
         second = capsys.readouterr().out
         assert first == second
 
-    def test_env_tolerance_applies_and_flag_wins(self, tmp_path, capsys, monkeypatch):
+    def test_tol_flag_applies(self, tmp_path, capsys):
         f = write(tmp_path, "i.csv", np.eye(2))
-        monkeypatch.setenv("REBRICK_TOL", "1e-5")
-        _, report = run_json(capsys, ["check-basis", f])
-        assert report["tolerances"]["equality_abs"] == 1e-5
-        _, report = run_json(capsys, ["check-basis", f, "--tol", "1e-7"])
-        assert report["tolerances"]["equality_abs"] == 1e-7
+        _, report = run_json(capsys, ["frame", "parseval", f, "--tol", "1e-7"])
+        assert report["tolerances"]["equality_abs"] == report["tolerances"]["eig_abs"] == 1e-7
 
     @pytest.mark.parametrize("flag", ["-1", "0", "nan", "inf"])
     @pytest.mark.parametrize("style", ["--format=json", "--format=text"])
     def test_bad_tol_flag_is_input_error(self, tmp_path, capsys, flag, style):
+        # parsed as a float, then refused by Tolerance: not a usage error
         f = write(tmp_path, "i.csv", np.eye(2))
-        code = run(["check-basis", f, "--tol", flag, style])
+        code = run(["frame", "parseval", f, "--tol", flag, style])
         out = capsys.readouterr().out
         assert code == 2
         if style == "--format=json":
             report = json.loads(out)
-            assert report["exit_code"] == 2 and "--tol" in report["error"]
+            assert report["exit_code"] == 2 and report["error"].startswith("--tol=")
         else:
-            assert "exit_code: 2" in out.splitlines()
+            lines = out.splitlines()
+            assert "exit_code: 2" in lines
+            assert any(line.startswith("error: --tol=") for line in lines)
 
     @pytest.mark.parametrize("value", ["nan", "-1", "abc"])
-    def test_bad_env_tolerance_is_input_error(self, tmp_path, capsys, monkeypatch, value):
+    def test_env_tolerance_is_ignored(self, tmp_path, capsys, monkeypatch, value):
+        # the command line is the only way to set a tolerance, so `command` replays a report
         f = write(tmp_path, "i.csv", np.eye(2))
         monkeypatch.setenv("REBRICK_TOL", value)
-        code, report = run_json(capsys, ["check-basis", f])
-        assert code == 2
-        assert report["exit_code"] == 2 and "REBRICK_TOL" in report["error"]
+        code, report = run_json(capsys, ["frame", "parseval", f])
+        assert code == report["exit_code"] == 0
+        assert report["tolerances"] == dataclasses.asdict(linalg.Tolerance())
 
     def test_malformed_json_schema_is_input_error(self, tmp_path, capsys):
         for i, text in enumerate(('{"data": []}', '{"rows": "x", "data": [[1]]}', '{"data": 5}')):
@@ -756,7 +761,7 @@ class TestUsageErrors:
             ["multiplier", "trig", "--N", "64"],
             ["multiplier", "hilbert", "--N", "1.5"],
             ["multiplier", "sweep", "16", "x"],
-            ["check-basis", "F", "--tol", "abc"],
+            ["frame", "parseval", "F", "--tol", "abc"],
             ["check-basis", "F", "--N", "4"],
             ["check-basis"],
             ["frame"],
@@ -823,17 +828,16 @@ class TestUsageErrors:
             assert out.splitlines()[-1] == "exit_code: 2"
 
     def test_echo_in_declared_order(self, capsys):
-        argv = ["multiplier", "trig", "--tol", "1e-9", "--K", "5", "--seed", "3", "--N", "64"]
+        argv = ["multiplier", "trig", "--tol", "1e-9", "--K", "5", "--N", "64"]
         _, report = run_json(capsys, argv)
-        assert report["command"] == [
-            "multiplier", "trig", "--N", "64", "--K", "5", "--seed", "3", "--tol", "1e-09"
-        ]
+        want = ["multiplier", "trig", "--N", "64", "--K", "5", "--tol", "1e-09"]
+        assert report["command"] == want
 
     def test_echo_built_before_tolerance_is_resolved(self, tmp_path, capsys):
         f = write(tmp_path, "i.csv", np.eye(2))
-        code, report = run_json(capsys, ["check-basis", f, "--tol", "-1"])
-        assert code == 2 and "--tol" in report["error"]
-        assert report["command"] == ["check-basis", f, "--seed", "0", "--tol", "-1.0"]
+        code, report = run_json(capsys, ["frame", "parseval", f, "--tol", "-1"])
+        assert code == 2 and report["error"].startswith("--tol=")
+        assert report["command"] == ["frame", "parseval", f, "--tol", "-1.0"]
 
     def test_parser_built_once_per_process(self, tmp_path, capsys, monkeypatch):
         def refuse():
@@ -855,6 +859,92 @@ class TestUsageErrors:
 # every leaf command and the number of positionals it declares
 _LEAVES = {command: len(make(np.random.default_rng(0))) for command, make in _SCALE_CASES.items()}
 _LEAVES.update({"multiplier hilbert": 0, "multiplier trig": 0, "multiplier sweep": 3})
+
+
+def _near_sign_pattern(N):
+    # one value 1e-6 off +1 at k = 0: real and even, but not in {-1, +1}
+    m = _sign_pattern(N)
+    m[0, 0] += 1e-6
+    return m
+
+
+# the leaves whose answer reads eig_abs or equality_abs, the two values --tol sets:
+# command -> (input files, a --tol value, where, key, the answer under that --tol);
+# without the flag the answer is the opposite
+_TOL_MOVES = {
+    "rebrick": ([np.eye(2), np.eye(2)], "1e300", "certificates", "warning", True),
+    "repair": ([np.eye(2), rotation(np.pi / 2)], "1e300", "certificates", "degenerate", True),
+    # a frame 1e-6 off Parseval, and two kernels 1e-6 apart
+    "frame parseval": ([np.eye(2, 3) + 1e-6], "1e-3", "verdicts", "parseval", True),
+    "frame order": ([[[1.0, 1.0]], [[1.0, 1 + 2e-6]]], "1e-3", "verdicts", "leq", True),
+    "multiplier validate": ([_near_sign_pattern(16)], "1e-3", "verdicts", "valid", True),
+    "multiplier rebrick": ([np.eye(1, 8), _near_sign_pattern(8)], "1e-3", "verdicts", "onb", True),
+    "multiplier trig": ([], "1e-20", "verdicts", "matches_exponentials", False),
+}
+# arguments that make each fileless leaf a valid command line
+_FILELESS = {
+    "multiplier hilbert": ["--N", "64"],
+    "multiplier trig": ["--K", "5"],
+    "multiplier sweep": ["16", "32"],
+}
+
+
+def _leaf_options():
+    """Each leaf command of the parser and the option strings it declares."""
+    leaves = {}
+
+    def walk(parser, path):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            leaves[" ".join(path)] = {o for a in parser._actions for o in a.option_strings}
+        for action in subs:
+            for name, sub in action.choices.items():
+                walk(sub, path + [name])
+
+    walk(cli._PARSER, [])
+    return leaves
+
+
+class TestFlagSurface:
+    """Each flag is declared only on the commands whose answer can depend on it."""
+
+    def test_flags_declared_only_where_they_can_change_the_answer(self):
+        leaves = _leaf_options()
+        assert set(leaves) == set(_LEAVES)
+        assert {c for c, opts in leaves.items() if "--tol" in opts} == set(_TOL_MOVES)
+        assert {c for c, opts in leaves.items() if "--seed" in opts} == {"repair"}
+        assert all({"--format", "--quiet"} <= opts for opts in leaves.values())
+
+    @pytest.mark.parametrize("command", sorted(_TOL_MOVES))
+    def test_tol_changes_an_answer(self, tmp_path, capsys, command):
+        inputs, tol, where, key, answer = _TOL_MOVES[command]
+        files = [write(tmp_path, f"m{k}.csv", M) for k, M in enumerate(inputs)]
+        argv = command.split() + (_FILELESS.get(command) or files)
+        _, report = run_json(capsys, argv)
+        assert report[where][key] is (not answer)
+        _, report = run_json(capsys, argv + ["--tol", tol])
+        assert report[where][key] is answer
+        assert report["command"][-2:] == ["--tol", repr(float(tol))]
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(c, "--seed") for c in sorted(_LEAVES) if c != "repair"]
+        + [(c, "--tol") for c in sorted(_LEAVES) if c not in _TOL_MOVES],
+    )
+    def test_undeclared_flag_is_usage_error(self, tmp_path, capsys, command, flag):
+        if command in _FILELESS:
+            positionals = _FILELESS[command]
+        else:
+            mats = _SCALE_CASES[command](np.random.default_rng(0))
+            positionals = [write(tmp_path, f"m{k}.csv", M) for k, M in enumerate(mats)]
+        argv = command.split() + positionals + [flag, "3", "--quiet"]
+        code = run(argv)
+        report = json.loads(capsys.readouterr().out)
+        assert code == report["exit_code"] == 2
+        assert report["error"] == f"rebrick: unrecognized arguments: {flag} 3"
+        assert report["command"] == argv and report["verdicts"] == {}
+
+
 # sizes, --N and --K values just above their caps are refused before anything is allocated
 _SIZES = st.one_of(
     st.integers(-2, 1024), st.integers(2, 512).map(lambda n: 2 * n), st.just(cli.MAX_SYMBOL_N + 2)

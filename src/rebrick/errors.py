@@ -89,7 +89,7 @@ class NotAPermutation(InputError):
 
 
 class SearchExhausted(NegativeVerdict):
-    """Randomized permutation search hit its trial cap without success."""
+    """No repairing permutation: the trial cap was hit, or (trials == 1) none can pass."""
 
     def __init__(self, msg, trials=0):
         super().__init__(msg)

@@ -84,15 +84,10 @@ class FrRebrickVerdict:
     rank_product: int
 
 
-def _not_spanning(F: FiniteFrame) -> NotAFrame:
-    return NotAFrame(f"frame {F.label or '(unlabeled)'} does not span: rank < {F.dim}")
-
-
-def _require_spanning(F: FiniteFrame, tol: Tolerance) -> linalg.Regularity:
-    """Regularity of the synthesis, from one singular-value pass; NotAFrame unless it spans."""
-    reg = linalg.regularity_of(F.synthesis, tol)
+def _require_spanning(F: FiniteFrame, reg: linalg.Regularity) -> linalg.Regularity:
+    """reg, the Regularity of F's synthesis at cutoff size m; NotAFrame unless F spans."""
     if not reg.regular:
-        raise _not_spanning(F)
+        raise NotAFrame(f"frame {F.label or '(unlabeled)'} does not span: rank < {F.dim}")
     return reg
 
 
@@ -101,22 +96,26 @@ def frame_bounds(F: FiniteFrame, tol: Tolerance = DEFAULT_TOL) -> FrameBounds:
 
     NotAFrame unless F spans; InvalidMatrix when c or C leaves the float64 range.
     """
-    return FrameBounds(*_require_spanning(F, tol).squares(f"frame {F.label or '(unlabeled)'}"))
+    reg = _require_spanning(F, linalg.regularity_of(F.synthesis, tol))
+    return FrameBounds(*reg.squares(f"frame {F.label or '(unlabeled)'}"))
+
+
+def _parseval(S: np.ndarray, tol: Tolerance) -> bool:
+    # the frame operator S @ S* is the identity, entrywise within equality_abs
+    return linalg.matrices_close(S @ S.conj().T, np.eye(S.shape[0]), tol.equality_abs)
 
 
 def is_parseval(F: FiniteFrame, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True when the frame operator synthesis @ synthesis* is the identity."""
-    _require_spanning(F, tol)
-    S = F.synthesis
-    return linalg.matrices_close(S @ S.conj().T, np.eye(F.dim), tol.equality_abs)
+    _require_spanning(F, linalg.regularity_of(F.synthesis, tol))
+    return _parseval(F.synthesis, tol)
 
 
 def frame_kernel(F: FiniteFrame, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of {c : synthesis @ c = 0}, dimension m - n."""
-    K = linalg.kernel_basis(F.synthesis, tol)
-    if K.shape[1] != F.count - F.dim:  # the spanning check, at the same cutoff size m
-        raise _not_spanning(F)
-    return K
+    d = linalg.decompose(F.synthesis, tol)
+    _require_spanning(F, d.reg)
+    return d.kernel
 
 
 def _contains(K_big: np.ndarray, K_small: np.ndarray, tol: Tolerance) -> bool:
@@ -162,12 +161,14 @@ def compatibility_operator(F: FiniteFrame, G: FiniteFrame, tol: Tolerance = DEFA
     """The operator T with S_F = T @ S_G, or None when no such T exists.
 
     T = S_F @ pinv(S_G) works exactly when ker(G) is contained in ker(F);
-    when the kernels are equal T is invertible.  The pseudo-inverse cuts
-    at the rank rule that decided the kernels.
+    when the kernels are equal T is invertible.  The kernel of G and its
+    pseudo-inverse come from one SVD, cut at one rank.  Two SVDs.
     """
-    if not frame_leq(F, G, tol).leq:  # frame_leq checks that F and G are comparable
+    _check_comparable(F, G)
+    d_G = linalg.decompose(G.synthesis, tol)
+    if not _contains(linalg.decompose(F.synthesis, tol).kernel, d_G.kernel, tol):
         return None
-    T = F.synthesis @ linalg.pinv(G.synthesis, tol)
+    T = F.synthesis @ d_G.pinv
     if not linalg.matrices_close(T @ G.synthesis, F.synthesis, 1e2 * tol.equality_abs):
         return None
     return T
@@ -185,8 +186,8 @@ def rebrick_frames(F: FiniteFrame, G: FiniteFrame, tol: Tolerance = DEFAULT_TOL)
     for name, X in (("F", F), ("G", G)):  # frames may be complex elsewhere, not here
         if X.synthesis.dtype.kind == "c":
             raise InvalidMatrix(f"{name}: entries must be real")
-    _require_spanning(F, tol)
-    _require_spanning(G, tol)
+    _require_spanning(F, linalg.regularity_of(F.synthesis, tol))
+    _require_spanning(G, linalg.regularity_of(G.synthesis, tol))
     S = F.synthesis + 1j * G.synthesis
     combined = FiniteFrame(S, label=f"{F.label}+i*{G.label}" if F.label or G.label else "")
     reg = linalg.regularity_of(S, tol)
@@ -204,7 +205,7 @@ def operator_rebrick_frame(F: FiniteFrame, A, tol: Tolerance = DEFAULT_TOL):
     A_ = linalg.require_square(A, "A", real=True)
     if A_.shape[0] != F.dim:
         raise ShapeMismatch(f"A is {A_.shape}, frame dimension is {F.dim}")
-    _require_spanning(F, tol)
+    _require_spanning(F, linalg.regularity_of(F.synthesis, tol))
     out = FiniteFrame(basis.rebricking_factor(A_, tol)[0] @ F.synthesis, label=F.label)
     return out, frame_bounds(out, tol)
 
@@ -240,22 +241,21 @@ def surjective_factor(A, B, tol: Tolerance = DEFAULT_TOL):
     exactly when dim ker(A) >= dim ker(B); then T is q x p, surjective,
     with dim ker(T) = dim ker(A) - dim ker(B).  T maps the row space of
     A through pinv(B) and sends kernel directions of A onto kernel
-    directions of B, matched in index order.
+    directions of B, matched in index order.  Two SVDs.
     """
     A_ = linalg.as_matrix(A, "A")
     B_ = linalg.as_matrix(B, "B")
     if A_.shape[0] != B_.shape[0]:
         raise ShapeMismatch(f"A has {A_.shape[0]} rows, B has {B_.shape[0]}")
     n = A_.shape[0]
-    K_A = linalg.kernel_basis(A_, tol)
-    K_B = linalg.kernel_basis(B_, tol)
-    k, l = K_A.shape[1], K_B.shape[1]
-    # rank = column count - kernel dimension, from the kernel SVDs
-    if A_.shape[1] - k < n or B_.shape[1] - l < n:
+    d_A, d_B = linalg.decompose(A_, tol), linalg.decompose(B_, tol)
+    if d_A.reg.rank < n or d_B.reg.rank < n:
         raise RankDeficientInput("A and B must both be surjective (full row rank)")
+    K_A, K_B = d_A.kernel, d_B.kernel
+    k, l = K_A.shape[1], K_B.shape[1]
     if k < l:
         return None
-    T = linalg.pinv(B_, tol) @ A_
+    T = d_B.pinv @ A_
     if l > 0:
         T = T + K_B @ K_A[:, :l].conj().T
     return T
@@ -275,6 +275,4 @@ def parseval_rebrick(F: FiniteFrame, A, tol: Tolerance = DEFAULT_TOL):
         raise NotParsevalInput("input frame is not Parseval at tolerance")
     B = basis.rebricking_factor(A_, tol)[0] / np.sqrt(2.0)
     out = FiniteFrame(B @ F.synthesis, label=F.label)
-    S = out.synthesis
-    still_parseval = linalg.matrices_close(S @ S.conj().T, np.eye(F.dim), tol.equality_abs)
-    return out, still_parseval
+    return out, _parseval(out.synthesis, tol)

@@ -3,8 +3,8 @@
 All rank, kernel and invertibility decisions in the package go through
 `regularity`, so a single threshold convention applies everywhere: a
 singular value counts as nonzero when it exceeds rank_rel * size *
-sigma_max.  The size is max(rows, cols), set in one place:
-`regularity_of`, which judges a matrix.
+sigma_max.  The size is max(rows, cols), set where a matrix is judged:
+in `regularity_of`, and in `decompose`, which keeps the singular vectors too.
 Only a caller holding singular values without their matrix names a size.
 
 Arrays are validated once, where they enter: each exported function runs
@@ -187,46 +187,47 @@ def rank(M, tol: Tolerance = DEFAULT_TOL) -> int:
     return regularity_of(as_matrix(M), tol).rank
 
 
-def kernel_basis(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the nullspace as columns (possibly zero columns).
+class Decomposition(NamedTuple):
+    """One SVD M = U @ diag(s) @ Vh and its Regularity; the views cut at reg.rank."""
 
-    The basis consists of the right singular vectors whose singular values
-    fall at or below the cutoff, so M @ K vanishes at working precision
-    and K.conj().T @ K is the identity.  One SVD; wide input takes the full
-    set of right singular vectors, which completes the nullspace.
-    """
-    A = as_matrix(M)
-    _, s, Vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
-    r = regularity(s, max(A.shape), tol).rank
-    return Vh[r:].conj().T
+    U: np.ndarray
+    s: np.ndarray
+    Vh: np.ndarray
+    reg: Regularity
+
+    @property
+    def kernel(self) -> np.ndarray:
+        """Orthonormal nullspace basis as columns: the right singular vectors past the rank."""
+        return self.Vh[self.reg.rank :].conj().T
+
+    @property
+    def pinv(self) -> np.ndarray:
+        """Moore-Penrose pseudo-inverse, inverting exactly the singular values reg counts."""
+        r = self.reg.rank
+        return (self.Vh[:r].conj().T / self.s[:r]) @ self.U[:, :r].conj().T
+
+
+def decompose(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Decomposition:
+    """One SVD of a checked M, judged at size max(rows, cols); wide M gets every row of Vh."""
+    U, s, Vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
+    return Decomposition(U, s, Vh, regularity(s, max(M.shape), tol))
+
+
+def kernel_basis(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis of the nullspace as columns (possibly zero columns); one SVD."""
+    return decompose(as_matrix(M), tol).kernel
 
 
 def invert(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Inverse of a square matrix, or Singular when it is not regular at tolerance.
-
-    The decision and the inverse share one SVD.
-    """
-    A = require_square(M)
-    U, s, Vh = np.linalg.svd(A, full_matrices=False)
-    reg = regularity(s, A.shape[0], tol)
-    if not reg.regular:
+    """Inverse of a square matrix, or Singular when it is not regular at tolerance; one SVD."""
+    d = decompose(require_square(M), tol)
+    if not d.reg.regular:
         raise Singular(
             "matrix is singular at tolerance "
-            f"(sigma_min={reg.sigma_min:.3e}, cutoff={reg.cutoff:.3e})",
-            sigma_min=reg.sigma_min,
+            f"(sigma_min={d.reg.sigma_min:.3e}, cutoff={d.reg.cutoff:.3e})",
+            sigma_min=d.reg.sigma_min,
         )
-    return (Vh.conj().T / s) @ U.conj().T
-
-
-def pinv(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse at the package rank rule.
-
-    Inverts exactly the singular values that `regularity` counts, so its
-    rank agrees with `rank` and `kernel_basis`.  One SVD.
-    """
-    U, s, Vh = np.linalg.svd(M, full_matrices=False)
-    r = regularity(s, max(M.shape), tol).rank
-    return (Vh[:r].conj().T / s[:r]) @ U[:, :r].conj().T
+    return d.pinv
 
 
 def max_abs(M) -> float:

@@ -162,7 +162,9 @@ def repair_permutation(A, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Permut
     Tries the identity, then permutations shuffled by random.Random(seed),
     or random.Random(str(seed)) for a negative seed, at most one million
     in all, at every n.  One exists for every real A:
-    det(Id + i * A @ P_pi) averages 1 + i * sum(A) / n over all pi.
+    det(Id + i * A @ P_pi) averages 1 + i * sum(A) / n over all pi.  Yet at
+    tolerance none may pass: SearchExhausted(trials=1) when the identity
+    trial's singular values put every trial at or below its cutoff (Weyl).
     """
     M = linalg.require_square(A, real=True)
     n = M.shape[0]
@@ -187,6 +189,14 @@ def repair_permutation(A, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Permut
                 sigma_min_after=reg.sigma_min,
                 degenerate=reg.near_edge(min_dist, tol),
             )
+        if trials == 1:
+            # Weyl (sigma(AP) = sigma(A), |Id| = 1): each trial's sigma_min <= reg.sigma_min + 2,
+            # its sigma_max >= reg.sigma_max - 2; slack: two SVDs, each n * EPS * sigma_max off
+            slack = 2 * n * linalg.EPS * reg.sigma_max
+            most, least = reg.sigma_min + 2 + slack, tol.rank_rel * n * (reg.sigma_max - 2 - slack)
+            if most <= least:
+                msg = f"no permutation can repair A: every trial has sigma_min <= {most:.3e}"
+                raise SearchExhausted(f"{msg}, at or below its cutoff >= {least:.3e}", trials=1)
     raise SearchExhausted(f"no repairing permutation found in {trials} trials", trials=trials)
 
 

@@ -235,15 +235,23 @@ def test_pinv_cuts_at_the_rank_rule():
     U = np.linalg.qr(rng.standard_normal((3, 3)))[0]
     W = np.linalg.qr(rng.standard_normal((6, 3)))[0]
     s = np.array([1.0, 0.7, 2e-15])  # 2e-15 lies below rank_rel * 6 * sigma_max
-    P = linalg.pinv(U @ np.diag(s) @ W.T)
+    P = linalg.decompose(U @ np.diag(s) @ W.T).pinv
     np.testing.assert_allclose(P, W[:, :2] @ np.diag(1.0 / s[:2]) @ U[:, :2].T, atol=1e-12)
     M = random_invertible(rng, 4) + 1j * random_invertible(rng, 4)
-    np.testing.assert_allclose(linalg.pinv(M), np.linalg.inv(M), atol=1e-9)
+    np.testing.assert_allclose(linalg.decompose(M).pinv, np.linalg.inv(M), atol=1e-9)
 
 
 def test_pinv_takes_one_svd(monkeypatch):
     calls = count_svd_calls(monkeypatch)
-    linalg.pinv(np.random.default_rng(11).standard_normal((3, 5)))
+    d = linalg.decompose(np.random.default_rng(11).standard_normal((3, 5)))
+    assert d.pinv.shape == (5, 3) and d.kernel.shape == (5, 2)
+    assert len(calls) == 1
+
+
+def test_invert_takes_one_svd(monkeypatch):
+    M = random_invertible(np.random.default_rng(11), 4)
+    calls = count_svd_calls(monkeypatch)
+    linalg.invert(M)
     assert len(calls) == 1
 
 

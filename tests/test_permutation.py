@@ -304,6 +304,14 @@ class TestRepair:
             permutation.repair_permutation(A, seed=1.5)
 
 
+    @pytest.mark.parametrize(("n", "t"), [(2, 1e15), (64, 1e12)])
+    def test_hopeless_operator_refused_after_one_trial(self, n, t):
+        # every A @ P has rank one, so sigma_min(Id + iAP) <= 1, far below the cutoff
+        with pytest.raises(errors.SearchExhausted, match="^no permutation can repair A") as exc:
+            permutation.repair_permutation(t * np.ones((n, n)))
+        assert exc.value.trials == 1
+
+
 class TestRebrickWithPermutation:
     def test_matches_conjugated_form(self):
         rng = np.random.default_rng(10)
@@ -368,3 +376,23 @@ def test_repair_matches_the_reference_past_the_identity(n, seed):
     got = permutation.repair_permutation(A, seed=seed)
     assert got.trials >= 2
     assert got == reference_repair_permutation(A, seed=seed)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_refusal_is_sound(n, monkeypatch):
+    """Whenever the refusal fires, no permutation of n! passes at tolerance."""
+    # a hopeless input the refusal misses would otherwise run the full cap
+    monkeypatch.setattr(permutation, "_TRIAL_CAP", 1000)
+    rng = np.random.default_rng(50 + n)
+    fired = 0
+    for scale in 10.0 ** np.arange(0.0, 16.25, 0.25):
+        for r in range(n + 1):  # rank r < n puts sigma_min(A) far below sigma_max(A)
+            A = scale * rng.standard_normal((n, r)) @ rng.standard_normal((r, n))
+            try:
+                permutation.repair_permutation(A)
+            except errors.SearchExhausted as exc:
+                if exc.trials == 1:
+                    fired += 1
+                    trials = (np.eye(n) + 1j * A[:, list(p)] for p in all_perms(range(n)))
+                    assert not any(linalg.regularity_of(B).regular for B in trials)
+    assert fired > 0

@@ -91,6 +91,13 @@ def _require_spanning(F: FiniteFrame, reg: linalg.Regularity) -> linalg.Regulari
     return reg
 
 
+def _require_operator(F: FiniteFrame, A) -> np.ndarray:
+    A_ = linalg.require_square(A, "A", real=True)
+    if A_.shape[0] != F.dim:
+        raise ShapeMismatch(f"A is {A_.shape}, frame dimension is {F.dim}")
+    return A_
+
+
 def frame_bounds(F: FiniteFrame, tol: Tolerance = DEFAULT_TOL) -> FrameBounds:
     """Sharp bounds c, C with c*||f||^2 <= sum |<f, f_n>|^2 <= C*||f||^2.
 
@@ -144,8 +151,7 @@ def frame_leq(F: FiniteFrame, G: FiniteFrame, tol: Tolerance = DEFAULT_TOL) -> O
     both directions hold, i.e. the kernels coincide.
     """
     _check_comparable(F, G)
-    K_F = linalg.kernel_basis(F.synthesis, tol)
-    K_G = linalg.kernel_basis(G.synthesis, tol)
+    K_F, K_G = (linalg.decompose(X.synthesis, tol).kernel for X in (F, G))
     leq = _contains(K_F, K_G, tol)
     geq = _contains(K_G, K_F, tol)
     return OrderVerdict(
@@ -160,18 +166,15 @@ def frame_leq(F: FiniteFrame, G: FiniteFrame, tol: Tolerance = DEFAULT_TOL) -> O
 def compatibility_operator(F: FiniteFrame, G: FiniteFrame, tol: Tolerance = DEFAULT_TOL):
     """The operator T with S_F = T @ S_G, or None when no such T exists.
 
-    T = S_F @ pinv(S_G) works exactly when ker(G) is contained in ker(F);
-    when the kernels are equal T is invertible.  The kernel of G and its
-    pseudo-inverse come from one SVD, cut at one rank.  Two SVDs.
+    T = S_F @ pinv(S_G) exists exactly when ker(G) lies in ker(F), and that
+    containment alone decides; T is invertible when the kernels are equal.
+    One SVD per frame (G's gives its kernel and pinv); InvalidMatrix if T overflows.
     """
     _check_comparable(F, G)
     d_G = linalg.decompose(G.synthesis, tol)
     if not _contains(linalg.decompose(F.synthesis, tol).kernel, d_G.kernel, tol):
         return None
-    T = F.synthesis @ d_G.pinv
-    if not linalg.matrices_close(T @ G.synthesis, F.synthesis, 1e2 * tol.equality_abs):
-        return None
-    return T
+    return linalg.as_matrix(F.synthesis @ d_G.pinv, "S_F @ pinv(S_G)")
 
 
 def rebrick_frames(F: FiniteFrame, G: FiniteFrame, tol: Tolerance = DEFAULT_TOL):
@@ -199,15 +202,14 @@ def rebrick_frames(F: FiniteFrame, G: FiniteFrame, tol: Tolerance = DEFAULT_TOL)
 def operator_rebrick_frame(F: FiniteFrame, A, tol: Tolerance = DEFAULT_TOL):
     """Rebrick a frame with an operator: synthesis (Id + i*A) @ S_F.
 
-    Succeeds exactly when Id + i*A is regular at tolerance, that is when A
-    has no eigenvalue i.  Returns (FiniteFrame, FrameBounds).
+    Succeeds exactly when Id + i*A is regular at tolerance (A has no eigenvalue i); that alone
+    decides.  Returns (FiniteFrame, FrameBounds); InvalidMatrix when B @ S or a bound overflows.
     """
-    A_ = linalg.require_square(A, "A", real=True)
-    if A_.shape[0] != F.dim:
-        raise ShapeMismatch(f"A is {A_.shape}, frame dimension is {F.dim}")
+    A_ = _require_operator(F, A)
     _require_spanning(F, linalg.regularity_of(F.synthesis, tol))
-    out = FiniteFrame(basis.rebricking_factor(A_, tol)[0] @ F.synthesis, label=F.label)
-    return out, frame_bounds(out, tol)
+    S = linalg.as_matrix(basis.rebricking_factor(A_, tol)[0] @ F.synthesis, "B @ S")
+    bounds = linalg.regularity_of(S, tol).squares(f"frame {F.label or '(unlabeled)'}")
+    return FiniteFrame(S, label=F.label), FrameBounds(*bounds)
 
 
 def frrebrick_check(A, S, tol: Tolerance = DEFAULT_TOL) -> FrRebrickVerdict:
@@ -255,7 +257,7 @@ def surjective_factor(A, B, tol: Tolerance = DEFAULT_TOL):
     k, l = K_A.shape[1], K_B.shape[1]
     if k < l:
         return None
-    T = d_B.pinv @ A_
+    T = linalg.as_matrix(d_B.pinv @ A_, "pinv(B) @ A")
     if l > 0:
         T = T + K_B @ K_A[:, :l].conj().T
     return T
@@ -266,13 +268,11 @@ def parseval_rebrick(F: FiniteFrame, A, tol: Tolerance = DEFAULT_TOL):
 
     Returns (FiniteFrame, bool); the bool says whether the result is again
     Parseval, which happens exactly when A is orthogonal and symmetric.
-    Raises NotRebrickable when Id + i*A is singular at tolerance.
+    Raises NotRebrickable when Id + i*A is singular at tolerance, InvalidMatrix if B @ S overflows.
     """
-    A_ = linalg.require_square(A, "A", real=True)
-    if A_.shape[0] != F.dim:
-        raise ShapeMismatch(f"A is {A_.shape}, frame dimension is {F.dim}")
+    A_ = _require_operator(F, A)
     if not is_parseval(F, tol):
         raise NotParsevalInput("input frame is not Parseval at tolerance")
     B = basis.rebricking_factor(A_, tol)[0] / np.sqrt(2.0)
-    out = FiniteFrame(B @ F.synthesis, label=F.label)
+    out = FiniteFrame(linalg.as_matrix(B @ F.synthesis, "B @ S"), label=F.label)
     return out, _parseval(out.synthesis, tol)

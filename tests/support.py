@@ -195,6 +195,25 @@ def range_kernel_fills(A, S, tol=linalg.DEFAULT_TOL) -> bool:
     return linalg.rank(np.hstack([np.eye(p) + 1j * S, K]), tol) == p
 
 
+# Largest relative residual that the compatibility tests measure: 6e-15 from
+# rounding over random pairs at every scale from 1e-8 to 1e8, and 5.5e-14 where
+# a singular value of S_F below the rank cutoff (5e-14 of 0.9) is cut with the
+# kernels.  The bound sits well above both and far below the 1e-9 on which
+# kernel containment is decided, so a T off by more than that cut fails.
+COMPATIBILITY_RESIDUAL = 1e-12
+
+
+def solves_compatibility(T, F, G) -> bool:
+    """T @ S_G = S_F within COMPATIBILITY_RESIDUAL relative to the largest entry of S_F.
+
+    `compatibility_operator` returns T on kernel containment alone; this is
+    the residual form of the same answer, scale-free where an absolute
+    residual would refuse S_F = 1e8 * T @ S_G.
+    """
+    SF = F.synthesis
+    return linalg.max_abs(T @ G.synthesis - SF) <= COMPATIBILITY_RESIDUAL * linalg.max_abs(SF)
+
+
 def id_plus_a2_regularity(A, tol=linalg.DEFAULT_TOL) -> linalg.Regularity:
     """Id + A@A for a real square A, judged on the scale ||Id + iA||^2 of its factors.
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from support import (
     range_kernel_fills,
     rotation,
     shifted_duplicate_frame,
+    solves_compatibility,
     truncating_shift,
     zero_padded_frame,
 )
@@ -188,6 +191,7 @@ class TestCompatibilityOperator:
         F = FiniteFrame(duplicated_e1_frame(4))
         T = frames.compatibility_operator(F, F)
         np.testing.assert_allclose(T, np.eye(4), atol=1e-10)
+        assert solves_compatibility(T, F, F)
 
     def test_incompatible_pair_has_none(self):
         F = FiniteFrame(duplicated_e1_frame(4), "F")
@@ -203,7 +207,7 @@ class TestCompatibilityOperator:
         F = FiniteFrame(F_padded, "F")
         Gf = FiniteFrame(G, "G")
         T = frames.compatibility_operator(F, Gf)
-        assert T is not None
+        assert T is not None and solves_compatibility(T, F, Gf)
         np.testing.assert_allclose(T @ G, F_padded, atol=1e-9)
         ker_T = linalg.kernel_basis(T).shape[1]
         ker_F = linalg.kernel_basis(F_padded).shape[1]
@@ -211,6 +215,7 @@ class TestCompatibilityOperator:
         assert ker_T == ker_F - ker_G
 
     def test_exists_iff_leq(self):
+        # kernel containment alone decides, so the answer cannot depend on the scale of S_F
         rng = np.random.default_rng(5)
         pool = [
             duplicated_e1_frame(4),
@@ -218,11 +223,15 @@ class TestCompatibilityOperator:
             random_invertible(rng, 4) @ duplicated_e1_frame(4),
             np.vstack([truncating_shift(2, 4) @ duplicated_e1_frame(4), np.zeros((2, 5))]),
         ]
-        for SF in pool:
-            for SG in pool:
-                F, G = FiniteFrame(SF), FiniteFrame(SG)
-                has_T = frames.compatibility_operator(F, G) is not None
-                assert has_T == frames.frame_leq(F, G).leq
+        pairs = [(SF, SG) for SF in pool for SG in pool]
+        for SG in (rng.standard_normal((3, 5)) for _ in range(20)):
+            pairs.append((rng.standard_normal((3, 3)) @ SG, SG))  # S_F = T @ S_G
+        for scale in (1e-8, 1.0, 1e8):
+            for SF, SG in pairs:
+                F, G = FiniteFrame(scale * SF), FiniteFrame(SG)
+                T = frames.compatibility_operator(F, G)
+                assert (T is not None) == frames.frame_leq(F, G).leq
+                assert T is None or solves_compatibility(T, F, G)
 
     def test_pseudo_inverse_cuts_where_the_kernels_were_cut(self):
         # the third singular value of each synthesis lies below the rank cutoff
@@ -236,15 +245,16 @@ class TestCompatibilityOperator:
         v = frames.frame_leq(F, G)
         assert v.equivalent and v.ker_dim_F == v.ker_dim_G == 4
         T = frames.compatibility_operator(F, G)
-        assert T is not None
+        assert T is not None and solves_compatibility(T, F, G)
         assert np.linalg.norm(T, 2) == pytest.approx(0.9, rel=1e-9)
         assert np.max(np.abs(T @ G.synthesis - F.synthesis)) <= 1e-12
 
     def test_two_svds(self, monkeypatch):
         F = FiniteFrame(np.random.default_rng(16).standard_normal((3, 6)))
         calls = count_svd_calls(monkeypatch)
-        assert frames.compatibility_operator(F, F) is not None
+        T = frames.compatibility_operator(F, F)
         assert len(calls) == 2  # F's kernel; G's kernel and pseudo-inverse share one
+        assert T is not None and solves_compatibility(T, F, F)
 
 
 class TestRebrickFrames:
@@ -310,6 +320,24 @@ class TestOperatorRebrickFrame:
             sB = np.linalg.svd(B, compute_uv=False)
             assert fb.c >= fb0.c * sB[-1] ** 2 * (1 - 1e-10)
             assert fb.C <= fb0.C * sB[0] ** 2 * (1 + 1e-10)
+
+    def test_ill_conditioned_spanning_frame_is_answered(self):
+        # sigma(Id + iA) alone decides: F spans and Id + iA is regular, so the
+        # product is a frame even where its sigma_min falls below its own cutoff
+        rng = np.random.default_rng(19)
+        U, Q = random_orthogonal(rng, 3), random_orthogonal(rng, 3)
+        W = np.linalg.qr(rng.standard_normal((6, 3)))[0]
+        core = np.eye(3)
+        core[:2, :2] = (1.0 - 1e-6) * rotation(np.pi / 2)  # eigenvalues within 1e-6 of +-i
+        A = Q @ core @ Q.T
+        assert linalg.regularity_of(np.eye(3) + 1j * A).regular
+        for kappa in (1e6, 1e9, 1e12):
+            F = FiniteFrame(U @ np.diag([1.0, kappa**-0.5, 1.0 / kappa]) @ W.T, "F")
+            frames.frame_bounds(F)  # F spans
+            out, fb = frames.operator_rebrick_frame(F, A)
+            np.testing.assert_array_equal(out.synthesis, (np.eye(3) + 1j * A) @ F.synthesis)
+            s = np.linalg.svd(out.synthesis, compute_uv=False)
+            assert (fb.c, fb.C) == pytest.approx((s[-1] ** 2, s[0] ** 2), rel=1e-12)
 
 
 class TestFrRebrick:
@@ -522,3 +550,48 @@ class TestParsevalRebrick:
     def test_rejects_non_parseval_input(self):
         with pytest.raises(errors.NotParsevalInput):
             frames.parseval_rebrick(FiniteFrame(duplicated_e1_frame(3)), np.eye(3))
+
+
+# Each product that frames forms and returns is checked where it is formed, so
+# an overflow is InvalidMatrix under the product's name, never None or inf.
+_S = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+_WIDE_A = 1e300 * np.hstack([np.eye(2), np.zeros((2, 1))])
+_LOOSE = linalg.Tolerance(equality_abs=1e301)  # 1e150 * Id is Parseval at this tolerance
+_OVERFLOW_CASES = {
+    "compatibility_operator": (
+        "S_F @ pinv(S_G)",
+        lambda: frames.compatibility_operator(FiniteFrame(1e300 * _S), FiniteFrame(1e-20 * _S)),
+    ),
+    "surjective_factor": (
+        "pinv(B) @ A", lambda: frames.surjective_factor(_WIDE_A, 1e-20 * np.eye(2))
+    ),
+    "operator_rebrick_frame": (
+        "B @ S",
+        lambda: frames.operator_rebrick_frame(FiniteFrame(1e300 * _S), 1e10 * np.ones((2, 2))),
+    ),
+    "parseval_rebrick": (
+        "B @ S",
+        lambda: frames.parseval_rebrick(FiniteFrame(1e150 * np.eye(2)), 1e200 * np.eye(2), _LOOSE),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param(
+            name,
+            id=name,
+            marks=[
+                pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning"),
+                pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning"),
+            ],
+        )
+        for name in sorted(_OVERFLOW_CASES)
+    ],
+)
+def test_overflowing_product_is_named(case):
+    product, call = _OVERFLOW_CASES[case]
+    message = f"^{re.escape(product)}: entries must be finite"
+    with pytest.raises(errors.InvalidMatrix, match=message):
+        call()

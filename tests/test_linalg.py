@@ -269,6 +269,8 @@ def _validation_cases():
         "rebricked_frame_bounds": (3, lambda: basis.rebricked_frame_bounds(V, A)),
         "onb_rebrick_check": (2, lambda: basis.onb_rebrick_check(E, E)),
         "frrebrick_check": (3, lambda: frames.frrebrick_check(truncating_shift(4, 6), S)),
+        # the two syntheses, checked where the frames are built and not again
+        "frame_leq": (2, lambda: frames.frame_leq(*(frames.FiniteFrame(W) for W in (V, E)))),
         # 2 and 8 trials: the count does not grow with the search
         "repair_permutation 2 trials": (3, lambda: permutation.repair_permutation(quarter_turn)),
         "repair_permutation 8 trials": (3, lambda: permutation.repair_permutation(quarter_turns)),

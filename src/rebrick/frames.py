@@ -107,15 +107,10 @@ def frame_bounds(F: FiniteFrame, tol: Tolerance = DEFAULT_TOL) -> FrameBounds:
     return FrameBounds(*reg.squares(f"frame {F.label or '(unlabeled)'}"))
 
 
-def _parseval(S: np.ndarray, tol: Tolerance) -> bool:
-    # the frame operator S @ S* is the identity, entrywise within equality_abs
-    return linalg.matrices_close(S @ S.conj().T, np.eye(S.shape[0]), tol.equality_abs)
-
-
 def is_parseval(F: FiniteFrame, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True when the frame operator synthesis @ synthesis* is the identity."""
+    """True when the frame operator S @ S* is the identity: S* has orthonormal columns."""
     _require_spanning(F, linalg.regularity_of(F.synthesis, tol))
-    return _parseval(F.synthesis, tol)
+    return linalg.is_orthonormal(F.synthesis.conj().T, tol)
 
 
 def frame_kernel(F: FiniteFrame, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -275,4 +270,4 @@ def parseval_rebrick(F: FiniteFrame, A, tol: Tolerance = DEFAULT_TOL):
         raise NotParsevalInput("input frame is not Parseval at tolerance")
     B = basis.rebricking_factor(A_, tol)[0] / np.sqrt(2.0)
     out = FiniteFrame(linalg.as_matrix(B @ F.synthesis, "B @ S"), label=F.label)
-    return out, _parseval(out.synthesis, tol)
+    return out, linalg.is_orthonormal(out.synthesis.conj().T, tol)

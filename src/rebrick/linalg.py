@@ -6,6 +6,7 @@ singular value counts as nonzero when it exceeds rank_rel * size *
 sigma_max.  The size is max(rows, cols), set where a matrix is judged:
 in `regularity_of`, and in `decompose`, which keeps the singular vectors too.
 Only a caller holding singular values without their matrix names a size.
+Every dense orthonormality decision goes through one rule too, `is_orthonormal`.
 
 Arrays are validated once, where they enter: each exported function runs
 `as_matrix` or `require_square(_pair)` on its arguments, with real=True (one
@@ -242,3 +243,10 @@ def matrices_close(A, B, tol_abs: float) -> bool:
 def is_unitary_defect(U) -> float:
     """Entrywise deviation of U*U from the identity."""
     return max_abs(U.conj().T @ U - np.eye(U.shape[1]))
+
+
+def is_orthonormal(U: np.ndarray, tol: Tolerance) -> bool:
+    """The orthonormality rule for a checked U: is_unitary_defect(U) <= equality_abs, as given."""
+    # a Gram U*U beyond the float64 range is an inf or NaN defect: a no, and no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return is_unitary_defect(U) <= tol.equality_abs

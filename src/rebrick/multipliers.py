@@ -121,7 +121,8 @@ def _circulant_unitary_defect(Y: np.ndarray) -> float:
     among ifft(N |Y|^2) - e_0.  This is linalg.is_unitary_defect(C) in
     O(N log N), read off the unitary spectrum Y without forming C.
     """
-    gram = np.fft.ifft(Y.size * (Y.real**2 + Y.imag**2))
+    with np.errstate(over="ignore", invalid="ignore"):  # a Gram beyond float64: inf or NaN
+        gram = np.fft.ifft(Y.size * (Y.real**2 + Y.imag**2))
     gram[0] -= 1.0
     return float(np.max(np.abs(gram)))
 
@@ -132,11 +133,11 @@ def rebrick_translates(x, m, tol: Tolerance = DEFAULT_TOL):
     Returns the N x N matrix whose columns are T^n((Id + i*A)/sqrt(2) x)
     with A the operator of m, and whether the columns form an orthonormal
     basis of C^N.  The generator must produce an orthonormal translate
-    basis, i.e. all its DFT magnitudes equal 1/sqrt(N).  The matrix is
-    circulant, so the orthonormality test runs on the spectrum of its
-    first column in O(N log N), with three FFTs in all.  The matrix is a
-    read-only view that holds 2N entries; np.array(cols) gives a writable
-    N x N copy.  A symbol whose operator is not real is InvalidMatrix.
+    basis: all its DFT magnitudes within equality_abs (as given, no floor)
+    of 1/sqrt(N), so an inf or NaN fails.  The matrix is circulant, so the
+    same test of its columns runs on the spectrum of its first column in
+    O(N log N), three FFTs in all.  The matrix is a read-only view of 2N
+    entries (np.array(cols) copies it); a symbol of a non-real operator is InvalidMatrix.
     """
     xv = _as_signal(x)
     mv = _as_signal(m, "multiplier")
@@ -145,14 +146,15 @@ def rebrick_translates(x, m, tol: Tolerance = DEFAULT_TOL):
     if xv.shape != mv.shape:
         raise LengthMismatch(f"generator length {xv.size} != multiplier length {mv.size}")
     N = xv.size
-    X = np.fft.fft(xv, norm="ortho")  # dft(xv), on the signal checked above
-    if np.max(np.abs(np.abs(X) - 1.0 / np.sqrt(N))) > max(tol.equality_abs, 1e-10):
+    with np.errstate(over="ignore", invalid="ignore"):  # an X beyond float64 fails the test
+        X = np.fft.fft(xv, norm="ortho")  # dft(xv), on the signal checked above
+    if not (np.max(np.abs(np.abs(X) - 1.0 / np.sqrt(N))) <= tol.equality_abs):
         raise GeneratorNotONB(
             "translates of the generator are not orthonormal "
             "(DFT magnitudes deviate from 1/sqrt(N))"
         )
     Y = (1.0 + 1j * mv) / np.sqrt(2.0) * X
-    unitary = _circulant_unitary_defect(Y) <= max(tol.equality_abs, 1e-10)
+    unitary = _circulant_unitary_defect(Y) <= tol.equality_abs
     return _circulant(np.fft.ifft(Y, norm="ortho")), unitary
 
 

@@ -360,6 +360,11 @@ def reference_repair_permutation(A, tol=linalg.DEFAULT_TOL, seed: int = 0):
     raise AssertionError(f"no repairing permutation in {trials} trials")
 
 
+def reference_parseval(S, tol=linalg.DEFAULT_TOL) -> bool:
+    """The frame operator S @ S* is the identity, entrywise within equality_abs."""
+    return linalg.matrices_close(S @ S.conj().T, np.eye(S.shape[0]), tol.equality_abs)
+
+
 def reference_spectral_factorize_orthosym(A, tol=linalg.DEFAULT_TOL):
     A_ = _reference_require_square(A, "A")
     if np.iscomplexobj(A_):

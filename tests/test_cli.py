@@ -436,6 +436,15 @@ class TestMultiplier:
         assert code == 0
         assert report["verdicts"]["onb"] is True
 
+    def test_rebrick_reads_a_tight_tol_as_given(self, tmp_path, capsys):
+        # |X_0| is 1/2 + 5e-11, the other |X_k| are 1/2: a floor of 1e-10 would pass it, exit 0
+        xf = write(tmp_path, "x.csv", np.array([[1.000000000025, 2.5e-11, 2.5e-11, 2.5e-11]]))
+        mf = write(tmp_path, "m.csv", np.ones((1, 4)))
+        code, report = run_json(capsys, ["multiplier", "rebrick", xf, mf, "--tol", "1e-12"])
+        assert code == report["exit_code"] == 2
+        assert report["tolerances"]["equality_abs"] == 1e-12
+        assert report["error"].startswith("translates of the generator are not orthonormal")
+
     def test_rebrick_above_cell_cap_without_out(self, tmp_path, capsys):
         # without --out no N x N array is built, so N^2 > MAX_CELLS still gets a verdict
         N = 1026

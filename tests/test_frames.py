@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rebrick import errors, frames, linalg
 from rebrick.frames import FiniteFrame
@@ -14,6 +16,7 @@ from support import (
     random_orthogonal,
     random_symmetric,
     range_kernel_fills,
+    reference_parseval,
     rotation,
     shifted_duplicate_frame,
     solves_compatibility,
@@ -500,6 +503,25 @@ class TestSurjectiveFactor:
             frames.surjective_factor(np.zeros((2, 4)), np.eye(2))
         with pytest.raises(errors.RankDeficientInput):
             frames.surjective_factor(np.eye(3), np.ones((3, 5)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    extra=st.integers(0, 6),
+    is_complex=st.booleans(),
+    t=st.sampled_from([1e-12, 1e-9, 1e-6]),
+    u=st.floats(0.0, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_is_parseval_matches_the_reference(n, extra, is_complex, t, u, seed):
+    # rows of a unitary m x m matrix, moved by about u * t: the defect lands on either side of t
+    rng = np.random.default_rng(seed)
+    m = n + extra
+    Z = rng.standard_normal((m, m)) + (1j * rng.standard_normal((m, m)) if is_complex else 0.0)
+    S = np.linalg.qr(Z)[0][:n] + 0.5 * u * t * rng.standard_normal((n, m))
+    tol = linalg.Tolerance.from_scalar(t)
+    assert frames.is_parseval(FiniteFrame(S), tol) == reference_parseval(S, tol)
 
 
 class TestParsevalRebrick:

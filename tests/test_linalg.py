@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rebrick import basis, errors, frames, linalg, permutation
+from rebrick import basis, errors, frames, linalg, multipliers, permutation
 from support import (
     count_svd_calls,
     count_validations,
@@ -508,3 +508,47 @@ def test_regularity_matches_the_reference(s, ties, size, seed):
         got = linalg.regularity(arg, size)
         want = reference_regularity(arg, size)
         assert got == want and list(map(type, got)) == list(map(type, want))
+
+
+# ------------------------------------------------ one orthonormality rule
+
+
+def test_orthonormality_rule_reads_the_tolerance_as_given():
+    U = np.diag([1.0 + 5e-11, 1.0])
+    defect = linalg.is_unitary_defect(U)  # about 1e-10
+    assert linalg.is_orthonormal(U, linalg.Tolerance(equality_abs=defect))
+    assert not linalg.is_orthonormal(U, linalg.Tolerance(equality_abs=defect / 2))
+
+
+_I3 = np.eye(3)
+_SPAN = np.array([[1.0, 0, 0, 1, 0], [0, 1, 0, 0, 1], [0, 0, 1, 1, 1]])
+# at a scale s of 1e160 and above, the Gram matrix of each checked operand leaves the float64
+# range; each site answers as before, and no RuntimeWarning escapes
+_ORTHONORMALITY_SITES = {
+    "onb_rebrick_check": (errors.NotOrthogonal, lambda s: basis.onb_rebrick_check(s * _I3, _I3)),
+    "symmetry_condition_check": (
+        errors.NotOrthogonal, lambda s: basis.symmetry_condition_check(_I3, s * _I3)
+    ),
+    "spectral_factorize_orthosym": (
+        errors.NotOrthogonalSymmetric, lambda s: basis.spectral_factorize_orthosym(s * _I3)
+    ),
+    "is_parseval": (False, lambda s: frames.is_parseval(frames.FiniteFrame(s * _SPAN))),
+    "parseval_rebrick": (
+        errors.NotParsevalInput,
+        lambda s: frames.parseval_rebrick(frames.FiniteFrame(s * _SPAN), _I3),
+    ),
+    "rebrick_translates": (
+        False, lambda s: multipliers.rebrick_translates(np.eye(1, 8)[0], s * np.ones(8))[1]
+    ),
+}
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+@pytest.mark.parametrize("case", sorted(_ORTHONORMALITY_SITES))
+def test_an_overflowing_gram_is_a_no_without_a_warning(case, scale):
+    want, call = _ORTHONORMALITY_SITES[case]
+    if want is False:
+        assert call(scale) is False
+    else:
+        with pytest.raises(want):
+            call(scale)

@@ -230,6 +230,22 @@ class TestRebrickTranslates:
         with pytest.raises(errors.GeneratorNotONB):
             multipliers.rebrick_translates(x, np.ones(N))
 
+    def test_a_tolerance_below_1e_10_is_read_as_given(self):
+        tight = linalg.Tolerance.from_scalar(1e-12)
+        delta = np.eye(1, 4)[0]
+        x = (1.0 + 1e-10) * delta  # every |X_k| is 1/2 + 5e-11
+        assert multipliers.rebrick_translates(x, np.ones(4))[1] is True
+        with pytest.raises(errors.GeneratorNotONB):
+            multipliers.rebrick_translates(x, np.ones(4), tight)
+        m = np.full(4, 1.0 + 5e-11)  # off unit modulus by 5e-11: a unitary defect of 5e-11
+        assert multipliers.rebrick_translates(delta, m)[1] is True
+        assert multipliers.rebrick_translates(delta, m, tight)[1] is False
+
+    def test_a_generator_beyond_float64_is_not_onb(self):
+        # X_0 = 8e308 / sqrt(8) overflows and the FFT fills other bins with NaN: an input error
+        with pytest.raises(errors.GeneratorNotONB):
+            multipliers.rebrick_translates(1e308 * np.ones(8), np.ones(8))
+
     def test_modulated_generator_accepted(self):
         # any unimodular spectrum works, not just the delta
         N = 8

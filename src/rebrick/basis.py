@@ -180,6 +180,7 @@ def _orthogonal_pair(E1, E2, tol: Tolerance):
     return M1, M2
 
 
+@linalg.overflow_guard()
 def onb_rebrick_check(E1, E2, tol: Tolerance = DEFAULT_TOL):
     """Check whether two orthonormal bases combine into a complex one.
 
@@ -193,12 +194,13 @@ def onb_rebrick_check(E1, E2, tol: Tolerance = DEFAULT_TOL):
     return U, linalg.is_orthonormal(U, tol), M2 @ M1.T
 
 
+@linalg.overflow_guard()
 def symmetry_condition_check(E1, E2, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Gram-symmetry test <d_n, e_k> == <d_k, e_n> for the columns of E1, E2."""
     M1, M2 = _orthogonal_pair(E1, E2, tol)
     # G[n, k] = <d_n, e_k> with d_n, e_k the columns of E2, E1
     G = M2.T @ M1
-    return linalg.matrices_close(G, G.T, tol.equality_abs)
+    return linalg.is_close(G, G.T, tol)
 
 
 def rebricked_dual(V, A, tol: Tolerance = DEFAULT_TOL):
@@ -216,6 +218,7 @@ def rebricked_dual(V, A, tol: Tolerance = DEFAULT_TOL):
     return primal, linalg.as_matrix(dual, "inv((B @ V)*)")
 
 
+@linalg.overflow_guard()
 def real_part_preservation_lambda(A, tol: Tolerance = DEFAULT_TOL):
     """The constant lambda with Re(inv(B*) g) = lambda * g, if one exists.
 
@@ -223,7 +226,7 @@ def real_part_preservation_lambda(A, tol: Tolerance = DEFAULT_TOL):
     1 + mu != 0; then lambda = 1 / (1 + mu).  Returns None otherwise.  The
     answer comes from that algebraic rule alone: inv(B*) is not formed, and
     its real part equals lambda * Id only up to the conditioning 1/|1 + mu|.
-    One SVD, which checks that A is invertible.
+    One SVD, which checks that A is invertible; an A @ A beyond float64 is None.
     """
     A_ = linalg.require_square(A, "A", real=True)
     if not linalg.regularity_of(A_, tol).regular:
@@ -231,12 +234,12 @@ def real_part_preservation_lambda(A, tol: Tolerance = DEFAULT_TOL):
     n = A_.shape[0]
     A2 = A_ @ A_
     mu = float(np.trace(A2).real) / n
-    if not linalg.matrices_close(A2, mu * np.eye(n), tol.equality_abs * max(1.0, abs(mu))):
+    if not linalg.is_close(A2, mu * np.eye(n), tol, max(1.0, abs(mu))):
         return None
-    if abs(1.0 + mu) <= tol.equality_abs:
+    if linalg.is_close(mu, -1.0, tol):
         return None
     lam = 1.0 / (1.0 + mu)
-    if abs(lam) <= tol.equality_abs or abs(lam - 1.0) <= tol.equality_abs:
+    if linalg.is_close(lam, 0.0, tol) or linalg.is_close(lam, 1.0, tol):
         return None
     return lam
 
@@ -261,6 +264,7 @@ def rebricked_frame_bounds(V, A, tol: Tolerance = DEFAULT_TOL) -> RieszBoundRepo
     )
 
 
+@linalg.overflow_guard()
 def spectral_factorize_orthosym(A, tol: Tolerance = DEFAULT_TOL):
     """Factor an orthogonal symmetric matrix as A = R @ D @ R.T.
 
@@ -270,7 +274,7 @@ def spectral_factorize_orthosym(A, tol: Tolerance = DEFAULT_TOL):
     orthogonal at equality_abs, its eigenvalues lie within about n * equality_abs of +/-1.
     """
     A_ = linalg.require_square(A, "A", real=True)
-    if not linalg.matrices_close(A_, A_.T, tol.equality_abs):
+    if not linalg.is_close(A_, A_.T, tol):
         raise NotOrthogonalSymmetric("input is not symmetric at tolerance")
     if not linalg.is_orthonormal(A_, tol):
         raise NotOrthogonalSymmetric("input is not orthogonal at tolerance")

@@ -229,7 +229,7 @@ def cmd_multiplier_trig(args, tol):
     if args.N is not None:
         _check_cap("--N", args.N, MAX_TRIG_N)
     rep = multipliers.trig_rebrick_demo(args.K, args.N)
-    ok = rep.max_dev <= tol.equality_abs
+    ok = linalg.is_close(rep.max_dev, 0.0, tol)
     fields = ("K", "N", "max_dev", "max_dev_constant", "max_dev_exp_pos", "max_dev_exp_neg")
     certs = {f: getattr(rep, f) for f in fields}
     return {}, {"matches_exponentials": ok}, certs, 0 if ok else 1

@@ -6,7 +6,8 @@ singular value counts as nonzero when it exceeds rank_rel * size *
 sigma_max.  The size is max(rows, cols), set where a matrix is judged:
 in `regularity_of`, and in `decompose`, which keeps the singular vectors too.
 Only a caller holding singular values without their matrix names a size.
-Every dense orthonormality decision goes through one rule too, `is_orthonormal`.
+Every equality decision goes through one rule too, `is_close`, orthonormality
+(`is_orthonormal`) included, under one `overflow_guard` per entry point.
 
 Arrays are validated once, where they enter: each exported function runs
 `as_matrix` or `require_square(_pair)` on its arguments, with real=True (one
@@ -124,10 +125,6 @@ def svd(M):
     return U, s, Vh.conj().T
 
 
-def singular_values(M) -> np.ndarray:
-    return np.linalg.svd(M, compute_uv=False)
-
-
 class Regularity(NamedTuple):
     """One regularity decision: a singular value counts when it exceeds cutoff."""
 
@@ -169,7 +166,7 @@ def regularity(s, size: int, tol: Tolerance = DEFAULT_TOL) -> Regularity:
 
 def regularity_of(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Regularity:
     """Judge a checked matrix M at the cutoff size max(rows, cols); one SVD."""
-    return regularity(singular_values(M), max(M.shape), tol)
+    return regularity(np.linalg.svd(M, compute_uv=False), max(M.shape), tol)
 
 
 def eigenvalues(M) -> np.ndarray:
@@ -231,22 +228,16 @@ def invert(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return d.pinv
 
 
-def max_abs(M) -> float:
-    return float(np.max(np.abs(M))) if M.size else 0.0
+def overflow_guard() -> np.errstate:
+    """Decorator: an equality operand beyond float64 is a "no" of is_close, without a warning."""
+    return np.errstate(over="ignore", invalid="ignore")
 
 
-def matrices_close(A, B, tol_abs: float) -> bool:
-    """Entrywise |A - B| <= tol_abs."""
-    return max_abs(A - B) <= tol_abs
-
-
-def is_unitary_defect(U) -> float:
-    """Entrywise deviation of U*U from the identity."""
-    return max_abs(U.conj().T @ U - np.eye(U.shape[1]))
+def is_close(A, B, tol: Tolerance, scale: float = 1.0) -> bool:
+    """The equality rule: all of abs(A - B) within scale * equality_abs, as given; NaN is a no."""
+    return bool(np.abs(A - B).max(initial=0.0) <= tol.equality_abs * scale)
 
 
 def is_orthonormal(U: np.ndarray, tol: Tolerance) -> bool:
-    """The orthonormality rule for a checked U: is_unitary_defect(U) <= equality_abs, as given."""
-    # a Gram U*U beyond the float64 range is an inf or NaN defect: a no, and no warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        return is_unitary_defect(U) <= tol.equality_abs
+    """The orthonormality rule for a checked U: U*U is the identity by `is_close`."""
+    return is_close(U.conj().T @ U, np.eye(U.shape[1]), tol)

@@ -79,10 +79,11 @@ def multiplier_matrix(m) -> np.ndarray:
 
 def is_real_symbol_operator(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True when the operator with the checked symbol m maps real signals to real ones."""
-    # m[k] pairs with m[N-k] for k >= 1, and m[0] with itself: m[0] - conj(m[0]) = 2i Im m[0]
-    return bool(np.abs(m[1:] - m[:0:-1].conj()).max(initial=abs(2 * m[0].imag)) <= tol.equality_abs)
+    # m[k] pairs with m[N-k] for k >= 1, and m[0] with itself
+    return linalg.is_close(m[1:], m[:0:-1].conj(), tol) and linalg.is_close(m[0], m[0].conj(), tol)
 
 
+@linalg.overflow_guard()
 def validate_rebrick_multiplier(m, tol: Tolerance = DEFAULT_TOL):
     """Check the three clauses a rebricking symbol must satisfy.
 
@@ -91,12 +92,12 @@ def validate_rebrick_multiplier(m, tol: Tolerance = DEFAULT_TOL):
     """
     mv = _as_signal(m, "multiplier")
     reasons = []
-    if np.max(np.abs(mv.imag)) > tol.equality_abs:
+    if not linalg.is_close(mv.imag, 0.0, tol):
         reasons.append("not real-valued")
     # m[0] is its own mirror image, so only m[1:] against m[N-1:0:-1] can differ
-    if np.abs(mv[1:] - mv[:0:-1]).max(initial=0.0) > tol.equality_abs:
+    if not linalg.is_close(mv[1:], mv[:0:-1], tol):
         reasons.append("not even (m[k] != m[N-k])")
-    if np.max(np.abs(np.abs(mv.real) - 1.0)) > tol.equality_abs:
+    if not linalg.is_close(np.abs(mv.real), 1.0, tol):
         reasons.append("values not in {-1, +1}")
     return len(reasons) == 0, reasons
 
@@ -113,20 +114,19 @@ def _circulant(c: np.ndarray) -> np.ndarray:
     return windows[N - 1 :: -1]
 
 
-def _circulant_unitary_defect(Y: np.ndarray) -> float:
-    """Entrywise deviation of C*C from the identity, C = _circulant(ifft(Y, norm="ortho")).
+def _circulant_gram_defect(Y: np.ndarray) -> np.ndarray:
+    """First column of C*C - Id, C = _circulant(ifft(Y, norm="ortho")), in O(N log N).
 
     C*C is circulant too, with first column the cyclic autocorrelation of
-    C's first column, ifft(N |Y|^2), so every entry of C*C - Id appears
-    among ifft(N |Y|^2) - e_0.  This is linalg.is_unitary_defect(C) in
-    O(N log N), read off the unitary spectrum Y without forming C.
+    C's first column, ifft(N |Y|^2), so every entry of C*C - Id appears in
+    this column.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # a Gram beyond float64: inf or NaN
-        gram = np.fft.ifft(Y.size * (Y.real**2 + Y.imag**2))
+    gram = np.fft.ifft(Y.size * (Y.real**2 + Y.imag**2))
     gram[0] -= 1.0
-    return float(np.max(np.abs(gram)))
+    return gram
 
 
+@linalg.overflow_guard()
 def rebrick_translates(x, m, tol: Tolerance = DEFAULT_TOL):
     """Rebrick the translate basis {T^n x} with the symbol m.
 
@@ -146,15 +146,14 @@ def rebrick_translates(x, m, tol: Tolerance = DEFAULT_TOL):
     if xv.shape != mv.shape:
         raise LengthMismatch(f"generator length {xv.size} != multiplier length {mv.size}")
     N = xv.size
-    with np.errstate(over="ignore", invalid="ignore"):  # an X beyond float64 fails the test
-        X = np.fft.fft(xv, norm="ortho")  # dft(xv), on the signal checked above
-    if not (np.max(np.abs(np.abs(X) - 1.0 / np.sqrt(N))) <= tol.equality_abs):
+    X = np.fft.fft(xv, norm="ortho")  # dft(xv), on the signal checked above
+    if not linalg.is_close(np.abs(X), 1.0 / np.sqrt(N), tol):
         raise GeneratorNotONB(
             "translates of the generator are not orthonormal "
             "(DFT magnitudes deviate from 1/sqrt(N))"
         )
     Y = (1.0 + 1j * mv) / np.sqrt(2.0) * X
-    unitary = _circulant_unitary_defect(Y) <= tol.equality_abs
+    unitary = linalg.is_close(_circulant_gram_defect(Y), 0.0, tol)
     return _circulant(np.fft.ifft(Y, norm="ortho")), unitary
 
 

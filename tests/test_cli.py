@@ -408,6 +408,13 @@ class TestMultiplier:
         assert code == 0
         assert report["certificates"]["max_dev"] <= 1e-10
 
+    def test_trig_tol_at_the_deviation(self, capsys):
+        # a deviation exactly at --tol matches, one ulp above it does not
+        dev = multipliers.trig_rebrick_demo(5).max_dev
+        for tol, want in ((dev, 0), (float(np.nextafter(dev, 0.0)), 1)):
+            code, report = run_json(capsys, ["multiplier", "trig", "--K", "5", "--tol", repr(tol)])
+            assert code == want and report["certificates"]["max_dev"] == dev
+
     def test_validate_sign_pattern(self, tmp_path, capsys):
         N = 16
         m = np.ones(N)

@@ -15,6 +15,7 @@ from rebrick import basis, frames, linalg
 from rebrick.frames import FiniteFrame
 from support import (
     duplicated_e1_frame,
+    is_unitary_defect,
     parseval_split_frame,
     random_invertible,
     random_orthogonal,
@@ -72,8 +73,8 @@ class TestApplyingAnOperator:
         n = 5
         E = random_orthogonal(rng, n)
         eq = linalg.DEFAULT_TOL.equality_abs
-        assert linalg.is_unitary_defect(random_orthogonal(rng, n) @ E) <= eq
-        assert not (linalg.is_unitary_defect((np.eye(n) * 1.5) @ E) <= eq)
+        assert is_unitary_defect(random_orthogonal(rng, n) @ E) <= eq
+        assert not (is_unitary_defect((np.eye(n) * 1.5) @ E) <= eq)
 
 
 class TestCombiningWithAnOperator:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,8 @@ from support import (
     count_svd_calls,
     count_validations,
     exact_rank,
+    is_unitary_defect,
+    max_abs,
     random_invertible,
     random_orthogonal,
     reference_as_matrix,
@@ -365,7 +369,7 @@ def test_complex_input_is_still_accepted_where_valid():
     M = np.array([[1.0, 1j], [0.0, 2.0]])
     np.testing.assert_allclose(linalg.invert(M) @ M, _I2, atol=1e-12)
     K = linalg.kernel_basis(np.array([[1.0, 1j]]))
-    assert K.shape == (2, 1) and linalg.max_abs(np.array([[1.0, 1j]]) @ K) <= 1e-12
+    assert K.shape == (2, 1) and max_abs(np.array([[1.0, 1j]]) @ K) <= 1e-12
     np.testing.assert_allclose(linalg.eigenvalues(M), [1.0, 2.0], atol=1e-12)
     F = frames.FiniteFrame(np.hstack([_I2, np.array([[1j], [0.0]])]))
     fb = frames.frame_bounds(F)
@@ -515,7 +519,7 @@ def test_regularity_matches_the_reference(s, ties, size, seed):
 
 def test_orthonormality_rule_reads_the_tolerance_as_given():
     U = np.diag([1.0 + 5e-11, 1.0])
-    defect = linalg.is_unitary_defect(U)  # about 1e-10
+    defect = is_unitary_defect(U)  # about 1e-10
     assert linalg.is_orthonormal(U, linalg.Tolerance(equality_abs=defect))
     assert not linalg.is_orthonormal(U, linalg.Tolerance(equality_abs=defect / 2))
 
@@ -537,6 +541,10 @@ _ORTHONORMALITY_SITES = {
         errors.NotParsevalInput,
         lambda s: frames.parseval_rebrick(frames.FiniteFrame(s * _SPAN), _I3),
     ),
+    # the rebricked frame (Id + isId)/sqrt(2), whose Gram leaves the float64 range
+    "parseval_rebrick output": (
+        False, lambda s: frames.parseval_rebrick(frames.FiniteFrame(_I3), s * _I3)[1]
+    ),
     "rebrick_translates": (
         False, lambda s: multipliers.rebrick_translates(np.eye(1, 8)[0], s * np.ones(8))[1]
     ),
@@ -552,3 +560,105 @@ def test_an_overflowing_gram_is_a_no_without_a_warning(case, scale):
     else:
         with pytest.raises(want):
             call(scale)
+
+
+# ------------------------------------------------ one equality rule
+
+
+def _at_and_below(defect: float):
+    """Tolerances that put a defect exactly at equality_abs, and one ulp above it."""
+    return (
+        linalg.Tolerance(equality_abs=defect),
+        linalg.Tolerance(equality_abs=float(np.nextafter(defect, 0.0))),
+    )
+
+
+def test_equality_rule_reads_the_tolerance_as_given():
+    d = 3e-10
+    tol = linalg.Tolerance(equality_abs=d)
+    above = float(np.nextafter(d, np.inf))
+    assert linalg.is_close(np.array([[d, -d], [0.0, 1j * d]]), 0.0, tol)
+    assert not linalg.is_close(np.array([[d, -above], [0.0, 0.0]]), 0.0, tol)
+    assert linalg.is_close(d, 0.0, tol)
+    assert not linalg.is_close(above, 0.0, tol)
+    assert linalg.is_close(2 * d, 0.0, tol, 2.0) and not linalg.is_close(2 * above, 0.0, tol, 2.0)
+    assert linalg.is_close(np.empty(0), 0.0, tol)  # nothing differs
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0.0)])
+def test_equality_rule_says_no_to_nan_and_inf(bad):
+    assert not linalg.is_close(np.array([0.0, bad]), 0.0, linalg.Tolerance(equality_abs=1e300))
+
+
+def test_symmetry_condition_at_the_tolerance():
+    E2 = rotation(1e-6)
+    G = E2.T @ np.eye(2)
+    at, below = _at_and_below(float(np.abs(G - G.T).max()))
+    assert basis.symmetry_condition_check(np.eye(2), E2, at)
+    assert not basis.symmetry_condition_check(np.eye(2), E2, below)
+
+
+_ONES = np.ones(8, dtype=complex)
+# one clause of validate_rebrick_multiplier off by a defect, with that defect as the symbol does it
+_CLAUSES = {
+    "not real-valued": (_ONES + 3e-7j * np.eye(1, 8)[0], lambda m: np.abs(m.imag).max()),
+    "not even (m[k] != m[N-k])": (
+        np.where(np.arange(8) == 7, -1.0, 1.0), lambda m: np.abs(m[1:] - m[:0:-1]).max()
+    ),
+    "values not in {-1, +1}": (
+        np.where(np.arange(8) == 0, 1.0 + 3e-7, 1.0), lambda m: np.abs(np.abs(m) - 1.0).max()
+    ),
+}
+
+
+@pytest.mark.parametrize("clause", sorted(_CLAUSES))
+def test_each_multiplier_clause_at_the_tolerance(clause):
+    m, defect = _CLAUSES[clause]
+    at, below = _at_and_below(float(defect(m)))
+    assert multipliers.validate_rebrick_multiplier(m, at) == (True, [])
+    assert multipliers.validate_rebrick_multiplier(m, below) == (False, [clause])
+
+
+def test_kernel_containment_at_the_tolerance():
+    F, G = frames.FiniteFrame(np.array([[1.0, 1.0]])), frames.FiniteFrame(np.array([[1.0, 1.001]]))
+    K_F, K_G = linalg.kernel_basis(F.synthesis), linalg.kernel_basis(G.synthesis)
+    at, below = _at_and_below(float(np.abs(K_G - K_F @ (K_F.T @ K_G)).max()))
+    assert frames.frame_leq(F, G, at).leq
+    assert not frames.frame_leq(F, G, below).leq
+
+
+# entries near the float64 maximum take the operands of an equality decision beyond
+# float64; each site answers as before, and no RuntimeWarning escapes to the caller
+_BIG = 1.7e308
+_EQUALITY_OVERFLOW_SITES = {
+    **{
+        f"real_part_preservation_lambda {s:.0e}": (
+            None, lambda s=s: basis.real_part_preservation_lambda(s * np.eye(2))
+        )
+        for s in (1e160, 1e200, 1e300)
+    },
+    "spectral_factorize_orthosym": (
+        (errors.NotOrthogonalSymmetric, "input is not symmetric at tolerance"),
+        lambda: basis.spectral_factorize_orthosym([[0.0, _BIG], [-_BIG, 0.0]]),
+    ),
+    "rebrick_translates": (
+        (errors.InvalidMatrix, "multiplier: its operator is not real"),
+        lambda: multipliers.rebrick_translates(
+            np.eye(1, 4)[0], [1.0, _BIG * (1 + 1j), 1.0, _BIG * (-1 + 1j)]
+        ),
+    ),
+    "validate_rebrick_multiplier": (
+        (False, ["not even (m[k] != m[N-k])", "values not in {-1, +1}"]),
+        lambda: multipliers.validate_rebrick_multiplier([1.0, _BIG, 1.0, -_BIG]),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EQUALITY_OVERFLOW_SITES))
+def test_an_overflowing_difference_is_a_no_without_a_warning(case):
+    want, call = _EQUALITY_OVERFLOW_SITES[case]
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        with pytest.raises(want[0], match=f"^{re.escape(want[1])}"):
+            call()
+    else:
+        assert call() == want

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rebrick import errors, linalg, multipliers
-from support import dense_rank_sigma_min, dense_translates
+from support import dense_rank_sigma_min, dense_translates, is_unitary_defect, max_abs
 
 
 class TestDft:
@@ -207,7 +207,7 @@ class TestRebrickTranslates:
         x[0] = 1.0
         cols, unitary = multipliers.rebrick_translates(x, m)
         assert unitary
-        assert linalg.is_unitary_defect(cols) <= 1e-10
+        assert is_unitary_defect(cols) <= 1e-10
 
     def test_delta_with_hilbert_symbol_not_unitary(self):
         N = 16
@@ -436,9 +436,8 @@ class TestSymbolRouteMatchesDenseOracle:
             assert (dense_defect <= 1e-9) == want
             np.testing.assert_allclose(cols, dense_cols, rtol=0, atol=1e-12)
             spectrum = np.fft.fft(cols[:, 0], norm="ortho")
-            assert multipliers._circulant_unitary_defect(spectrum) == pytest.approx(
-                linalg.is_unitary_defect(cols), abs=1e-12
-            )
+            gram_defect = multipliers._circulant_gram_defect(spectrum)
+            assert max_abs(gram_defect) == pytest.approx(is_unitary_defect(cols), abs=1e-12)
 
 
 class TestScale:

@@ -108,16 +108,11 @@ def require_basis(V: np.ndarray, which: str, tol: Tolerance) -> Regularity:
     return reg
 
 
-def _solve_transfer(V1: np.ndarray, V2: np.ndarray) -> np.ndarray:
-    # V2 @ inv(V1) by one LU solve, for checked V1, V2 once sigma(V1) has judged V1
-    return linalg.as_matrix(np.linalg.solve(V1.T, V2.T).T, "V2 @ inv(V1)")
-
-
 def transfer_operator(V1, V2, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """A = V2 @ inv(V1), mapping basis V1 onto V2: sigma(V1) judges V1, then one LU solve."""
     A1, A2 = linalg.require_square_pair(V1, V2, ("V1", "V2"), real=True)
     require_basis(A1, "V1", tol)
-    return _solve_transfer(A1, A2)
+    return linalg.formed("V2 @ inv(V1)", np.linalg.solve, A1.T, A2.T).T
 
 
 def rebrick_pair(V1, V2, tol: Tolerance = DEFAULT_TOL):
@@ -131,7 +126,7 @@ def rebrick_pair(V1, V2, tol: Tolerance = DEFAULT_TOL):
     reg_V1 = require_basis(A1, "V1", tol)
     require_basis(A2, "V2", tol)
     B = A1 + 1j * A2
-    A = _solve_transfer(A1, A2)
+    A = linalg.formed("V2 @ inv(V1)", np.linalg.solve, A1.T, A2.T).T
     return B, _verdict(linalg.regularity_of(B, tol), A, tol, reg_V1.sigma_max)
 
 
@@ -153,7 +148,8 @@ def rebrick_with_operator(A, V, tol: Tolerance = DEFAULT_TOL):
     A_, V_ = linalg.require_square_pair(A, V, ("A", "V"), real=True)
     require_basis(V_, "V", tol)
     B = np.eye(A_.shape[0]) + 1j * A_
-    return linalg.as_matrix(B @ V_, "B @ V"), _verdict(linalg.regularity_of(B, tol), A_, tol, 1.0)
+    BV = linalg.formed("B @ V", np.matmul, B, V_)
+    return BV, _verdict(linalg.regularity_of(B, tol), A_, tol, 1.0)
 
 
 def non_transitivity_witness(dim: int):
@@ -180,7 +176,7 @@ def _orthogonal_pair(E1, E2, tol: Tolerance):
     return M1, M2
 
 
-@linalg.overflow_guard()
+@linalg.overflow_guard
 def onb_rebrick_check(E1, E2, tol: Tolerance = DEFAULT_TOL):
     """Check whether two orthonormal bases combine into a complex one.
 
@@ -194,7 +190,7 @@ def onb_rebrick_check(E1, E2, tol: Tolerance = DEFAULT_TOL):
     return U, linalg.is_orthonormal(U, tol), M2 @ M1.T
 
 
-@linalg.overflow_guard()
+@linalg.overflow_guard
 def symmetry_condition_check(E1, E2, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Gram-symmetry test <d_n, e_k> == <d_k, e_n> for the columns of E1, E2."""
     M1, M2 = _orthogonal_pair(E1, E2, tol)
@@ -213,12 +209,11 @@ def rebricked_dual(V, A, tol: Tolerance = DEFAULT_TOL):
     V_, A_ = linalg.require_square_pair(V, A, ("V", "A"), real=True)
     B, _ = rebricking_factor(A_, tol)
     require_basis(V_, "V", tol)
-    primal = linalg.as_matrix(B @ V_, "B @ V")
-    dual = np.linalg.solve(primal.conj().T, np.eye(V_.shape[0]))
-    return primal, linalg.as_matrix(dual, "inv((B @ V)*)")
+    primal = linalg.formed("B @ V", np.matmul, B, V_)
+    return primal, linalg.formed("inv((B @ V)*)", np.linalg.solve, primal.conj().T, np.eye(len(V_)))
 
 
-@linalg.overflow_guard()
+@linalg.overflow_guard
 def real_part_preservation_lambda(A, tol: Tolerance = DEFAULT_TOL):
     """The constant lambda with Re(inv(B*) g) = lambda * g, if one exists.
 
@@ -253,7 +248,7 @@ def rebricked_frame_bounds(V, A, tol: Tolerance = DEFAULT_TOL) -> RieszBoundRepo
     V_, A_ = linalg.require_square_pair(V, A, ("V", "A"), real=True)
     B, reg_B = rebricking_factor(A_, tol)
     c_V, C_V = require_basis(V_, "V", tol).squares("V")
-    BV = linalg.as_matrix(B @ V_, "B @ V")
+    BV = linalg.formed("B @ V", np.matmul, B, V_)
     c, C = linalg.regularity_of(BV, tol).squares("B @ V")
     return RieszBoundReport(
         c_exact=c,
@@ -264,7 +259,7 @@ def rebricked_frame_bounds(V, A, tol: Tolerance = DEFAULT_TOL) -> RieszBoundRepo
     )
 
 
-@linalg.overflow_guard()
+@linalg.overflow_guard
 def spectral_factorize_orthosym(A, tol: Tolerance = DEFAULT_TOL):
     """Factor an orthogonal symmetric matrix as A = R @ D @ R.T.
 

@@ -138,8 +138,8 @@ def cmd_repair(args, tol):
     V, A = linalg.require_square_pair(V, A, ("V", "A"), real=True)
     # sigma(V) decides V, then one LU solve; checked products end an overflow before the search
     basis.require_basis(V, "V", tol)
-    AV = linalg.as_matrix(A @ V, "A @ V")
-    At = linalg.as_matrix(np.linalg.solve(V, AV), "inv(V) @ A @ V")
+    AV = linalg.formed("A @ V", np.matmul, A, V)
+    At = linalg.formed("inv(V) @ A @ V", np.linalg.solve, V, AV)
     rep = permutation.repair_permutation(At, tol, seed=args.seed)
     W = permutation.rebrick_with_permutation(V, A, rep.permutation, tol)
     out = _write_out(args, W)

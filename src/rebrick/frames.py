@@ -107,7 +107,7 @@ def frame_bounds(F: FiniteFrame, tol: Tolerance = DEFAULT_TOL) -> FrameBounds:
     return FrameBounds(*reg.squares(f"frame {F.label or '(unlabeled)'}"))
 
 
-@linalg.overflow_guard()
+@linalg.overflow_guard
 def is_parseval(F: FiniteFrame, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True when the frame operator S @ S* is the identity: S* has orthonormal columns."""
     _require_spanning(F, linalg.regularity_of(F.synthesis, tol))
@@ -169,7 +169,7 @@ def compatibility_operator(F: FiniteFrame, G: FiniteFrame, tol: Tolerance = DEFA
     d_G = linalg.decompose(G.synthesis, tol)
     if not _contains(linalg.decompose(F.synthesis, tol).kernel, d_G.kernel, tol):
         return None
-    return linalg.as_matrix(F.synthesis @ d_G.pinv, "S_F @ pinv(S_G)")
+    return linalg.formed("S_F @ pinv(S_G)", np.matmul, F.synthesis, d_G.pinv)
 
 
 def rebrick_frames(F: FiniteFrame, G: FiniteFrame, tol: Tolerance = DEFAULT_TOL):
@@ -202,7 +202,7 @@ def operator_rebrick_frame(F: FiniteFrame, A, tol: Tolerance = DEFAULT_TOL):
     """
     A_ = _require_operator(F, A)
     _require_spanning(F, linalg.regularity_of(F.synthesis, tol))
-    S = linalg.as_matrix(basis.rebricking_factor(A_, tol)[0] @ F.synthesis, "B @ S")
+    S = linalg.formed("B @ S", np.matmul, basis.rebricking_factor(A_, tol)[0], F.synthesis)
     bounds = linalg.regularity_of(S, tol).squares(f"frame {F.label or '(unlabeled)'}")
     return FiniteFrame(S, label=F.label), FrameBounds(*bounds)
 
@@ -226,7 +226,7 @@ def frrebrick_check(A, S, tol: Tolerance = DEFAULT_TOL) -> FrRebrickVerdict:
     if not linalg.regularity_of(S_, tol).regular:
         raise RankDeficientInput("S must be surjective (full rank)")
     BS = np.eye(p) + 1j * S_
-    AB = linalg.as_matrix(A_ @ BS, "A @ (Id + iS)")
+    AB = linalg.formed("A @ (Id + iS)", np.matmul, A_, BS)
     rank_product = linalg.regularity_of(AB, tol).rank
     return FrRebrickVerdict(rank_product == n, linalg.regularity_of(BS, tol).rank, rank_product)
 
@@ -252,12 +252,13 @@ def surjective_factor(A, B, tol: Tolerance = DEFAULT_TOL):
     k, l = K_A.shape[1], K_B.shape[1]
     if k < l:
         return None
-    T = linalg.as_matrix(d_B.pinv @ A_, "pinv(B) @ A")
+    T = linalg.formed("pinv(B) @ A", np.matmul, d_B.pinv, A_)
     if l > 0:
         T = T + K_B @ K_A[:, :l].conj().T
     return T
 
 
+@linalg.overflow_guard
 def parseval_rebrick(F: FiniteFrame, A, tol: Tolerance = DEFAULT_TOL):
     """Rebrick a Parseval frame: synthesis (Id + i*A) @ S_F / sqrt(2).
 
@@ -269,6 +270,5 @@ def parseval_rebrick(F: FiniteFrame, A, tol: Tolerance = DEFAULT_TOL):
     if not is_parseval(F, tol):
         raise NotParsevalInput("input frame is not Parseval at tolerance")
     B = basis.rebricking_factor(A_, tol)[0] / np.sqrt(2.0)
-    out = FiniteFrame(linalg.as_matrix(B @ F.synthesis, "B @ S"), label=F.label)
-    with linalg.overflow_guard():  # B @ S is checked by name, outside the guard
-        return out, linalg.is_orthonormal(out.synthesis.conj().T, tol)
+    out = FiniteFrame(linalg.formed("B @ S", np.matmul, B, F.synthesis), label=F.label)
+    return out, linalg.is_orthonormal(out.synthesis.conj().T, tol)

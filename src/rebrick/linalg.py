@@ -11,9 +11,9 @@ Every equality decision goes through one rule too, `is_close`, orthonormality
 
 Arrays are validated once, where they enter: each exported function runs
 `as_matrix` or `require_square(_pair)` on its arguments, with real=True (one
-dtype-kind test) where its theory needs a real operand, and a product the
-package forms is checked where it is formed.  The helpers not exported from
-the package take checked arrays and validate nothing.
+dtype-kind test) where its theory needs a real operand, and every product or
+solve the package forms goes through one rule, `formed`, which names it when
+an entry leaves float64.  The unexported helpers take checked arrays only.
 
 Everything here is a pure function of its arguments; nothing mutates
 its inputs and there is no module state, so concurrent use is safe.
@@ -21,6 +21,7 @@ its inputs and there is no module state, so concurrent use is safe.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -35,6 +36,8 @@ SQUARE_RANGE = (float(np.sqrt(np.finfo(np.float64).tiny)), float(np.sqrt(np.finf
 WARN_BAND = 100.0
 # dtype kinds of np.number: signed and unsigned integers, floats, complex, timedelta64
 NUMBER_KINDS = frozenset("iufcm")
+# silent float64 overflow, in a new errstate per use: numpy < 2 saves the old state on it
+quiet_overflow = functools.partial(np.errstate, over="ignore", invalid="ignore")
 
 
 @dataclass(frozen=True)
@@ -228,9 +231,22 @@ def invert(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return d.pinv
 
 
-def overflow_guard() -> np.errstate:
+def overflow_guard(fn):
     """Decorator: an equality operand beyond float64 is a "no" of is_close, without a warning."""
-    return np.errstate(over="ignore", invalid="ignore")
+    @functools.wraps(fn)
+    def guarded(*args, **kwargs):
+        with quiet_overflow():
+            return fn(*args, **kwargs)
+    return guarded
+
+
+def formed(name: str, f, *operands) -> np.ndarray:
+    """f(*operands) of checked arrays, formed with no warning; InvalidMatrix(name) unless finite."""
+    with quiet_overflow():
+        out = f(*operands)
+    if not np.isfinite(out).all():
+        raise InvalidMatrix(f"{name}: entries must be finite (no NaN/Inf)")
+    return out
 
 
 def is_close(A, B, tol: Tolerance, scale: float = 1.0) -> bool:

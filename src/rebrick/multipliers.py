@@ -61,8 +61,9 @@ def apply_multiplier(m, x) -> np.ndarray:
     xv = _as_signal(x)
     if mv.shape != xv.shape:
         raise LengthMismatch(f"multiplier length {mv.size} != signal length {xv.size}")
-    spectrum = _as_signal(mv * np.fft.fft(xv, norm="ortho"), "spectrum")  # m * X can overflow
-    return np.fft.ifft(spectrum, norm="ortho")
+    with linalg.quiet_overflow():  # m * X can overflow; its check names it, without a warning
+        spectrum = mv * np.fft.fft(xv, norm="ortho")
+    return np.fft.ifft(_as_signal(spectrum, "spectrum"), norm="ortho")
 
 
 def multiplier_matrix(m) -> np.ndarray:
@@ -83,7 +84,7 @@ def is_real_symbol_operator(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     return linalg.is_close(m[1:], m[:0:-1].conj(), tol) and linalg.is_close(m[0], m[0].conj(), tol)
 
 
-@linalg.overflow_guard()
+@linalg.overflow_guard
 def validate_rebrick_multiplier(m, tol: Tolerance = DEFAULT_TOL):
     """Check the three clauses a rebricking symbol must satisfy.
 
@@ -126,7 +127,7 @@ def _circulant_gram_defect(Y: np.ndarray) -> np.ndarray:
     return gram
 
 
-@linalg.overflow_guard()
+@linalg.overflow_guard
 def rebrick_translates(x, m, tol: Tolerance = DEFAULT_TOL):
     """Rebrick the translate basis {T^n x} with the symbol m.
 

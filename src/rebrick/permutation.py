@@ -81,18 +81,6 @@ def apply_column_permutation(A, pi) -> np.ndarray:
     return M[:, np.argsort(_check_permutation(pi, M.shape[1]))]
 
 
-def compose(pi, sigma) -> tuple[int, ...]:
-    """Image vector of sigma after pi: (sigma o pi)[k] = sigma[pi[k]].
-
-    Matches matrix composition: P_pi @ P_sigma = P_(sigma o pi), so
-    applying pi then sigma to columns equals applying the composite once.
-    """
-    n = len(pi)
-    p = _check_permutation(pi, n)
-    s = _check_permutation(sigma, n)
-    return tuple(s[p[k]] for k in range(n))
-
-
 def cycle_notation(pi) -> str:
     """One-line cycle notation with 1-based indices, e.g. '(2 3 4)'."""
     n = len(pi)
@@ -209,7 +197,7 @@ def rebrick_with_permutation(V, A, pi, tol: Tolerance = DEFAULT_TOL) -> np.ndarr
     """
     V_, A_ = linalg.require_square_pair(V, A, ("V", "A"), real=True)
     p = _check_permutation(pi, V_.shape[1])
-    AV = linalg.as_matrix(A_ @ V_, "A @ V")
+    AV = linalg.formed("A @ V", np.matmul, A_, V_)
     W = V_ + 1j * AV[:, np.argsort(p)]
     reg = linalg.regularity_of(W, tol)
     if not reg.regular:

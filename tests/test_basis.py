@@ -94,7 +94,6 @@ class TestRebrickPair:
         with pytest.raises(errors.ShapeMismatch):
             basis.rebrick_pair(np.eye(2), np.eye(3))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_transfer_operator_is_named(self):
         rng = np.random.default_rng(4)
         V1, V2 = 1e-170 * random_invertible(rng, 3), 1e300 * random_invertible(rng, 3)
@@ -106,16 +105,17 @@ class TestRebrickPair:
                 ):
                     call(W1, W2)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize(
         "call",
         [
             # ||Id + iA||^2 = 1e20 is in range, so the verdict alone would say yes
             lambda: basis.rebrick_with_operator(1e10 * np.eye(2), 1e300 * np.eye(2)),
             lambda: basis.rebricked_dual(1e300 * np.eye(2), 1e10 * np.eye(2)),
+            # sigma(V)^2 = 1e300 passes the squares check of V, and B @ V = 1e150 + 1e350i leaves
+            # float64 before any bound of it is squared
+            lambda: basis.rebricked_frame_bounds(1e150 * np.eye(2), 1e200 * np.eye(2)),
         ],
-        ids=["rebrick_with_operator", "rebricked_dual"],
+        ids=["rebrick_with_operator", "rebricked_dual", "rebricked_frame_bounds"],
     )
     def test_overflowing_primal_is_named(self, call):
         with pytest.raises(errors.InvalidMatrix, match=r"^B @ V: entries must be finite"):

@@ -514,9 +514,6 @@ _SCALE_CASES = {
 }
 
 
-# products of such entries overflow on the way; the contract is the exit code
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 class TestExtremeScale:
     """Entries scaled far from 1 always end in a documented exit code and a report."""
 
@@ -1026,7 +1023,6 @@ def _draw_positional(data, workdir, k, shape):
     return str(path)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_every_command_line_ends_in_a_report(fuzz_dir, data):

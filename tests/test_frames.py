@@ -422,8 +422,6 @@ class TestFrRebrick:
         with pytest.raises(errors.RankDeficientInput):
             frames.frrebrick_check(A, S)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_overflowing_product_is_named(self):
         A, S, p = self.example(6)
         with pytest.raises(errors.InvalidMatrix, match=r"^A @ \(Id \+ iS\): entries must be finite"):
@@ -598,20 +596,7 @@ _OVERFLOW_CASES = {
 }
 
 
-@pytest.mark.parametrize(
-    "case",
-    [
-        pytest.param(
-            name,
-            id=name,
-            marks=[
-                pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning"),
-                pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning"),
-            ],
-        )
-        for name in sorted(_OVERFLOW_CASES)
-    ],
-)
+@pytest.mark.parametrize("case", sorted(_OVERFLOW_CASES))
 def test_overflowing_product_is_named(case):
     product, call = _OVERFLOW_CASES[case]
     message = f"^{re.escape(product)}: entries must be finite"

@@ -1,4 +1,6 @@
 import re
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -267,23 +269,24 @@ def _validation_cases():
     quarter_turn = rotation(np.pi / 2)
     quarter_turns = np.kron(np.eye(2), quarter_turn)
     return {
-        "rebrick_pair": (5, lambda: basis.rebrick_pair(V, A @ V)),
-        # V, A, the primal B @ V and its dual inv((B @ V)*)
-        "rebricked_dual": (4, lambda: basis.rebricked_dual(V, A)),
-        "rebricked_frame_bounds": (3, lambda: basis.rebricked_frame_bounds(V, A)),
+        # V1, V2 and the transfer operator A, which linalg.eigenvalues checks again
+        "rebrick_pair": (3, lambda: basis.rebrick_pair(V, A @ V)),
+        # V and A; the primal B @ V and its dual inv((B @ V)*) are formed values
+        "rebricked_dual": (2, lambda: basis.rebricked_dual(V, A)),
+        "rebricked_frame_bounds": (2, lambda: basis.rebricked_frame_bounds(V, A)),
         "onb_rebrick_check": (2, lambda: basis.onb_rebrick_check(E, E)),
-        "frrebrick_check": (3, lambda: frames.frrebrick_check(truncating_shift(4, 6), S)),
+        "frrebrick_check": (2, lambda: frames.frrebrick_check(truncating_shift(4, 6), S)),
         # the two syntheses, checked where the frames are built and not again
         "frame_leq": (2, lambda: frames.frame_leq(*(frames.FiniteFrame(W) for W in (V, E)))),
         # 2 and 8 trials: the count does not grow with the search
-        "repair_permutation 2 trials": (3, lambda: permutation.repair_permutation(quarter_turn)),
-        "repair_permutation 8 trials": (3, lambda: permutation.repair_permutation(quarter_turns)),
+        "repair_permutation 2 trials": (2, lambda: permutation.repair_permutation(quarter_turn)),
+        "repair_permutation 8 trials": (2, lambda: permutation.repair_permutation(quarter_turns)),
     }
 
 
 @pytest.mark.parametrize("case", sorted(_validation_cases()))
 def test_validations_per_call(case, monkeypatch):
-    # as_matrix runs once per argument and once per product formed inside
+    # as_matrix runs once per argument; a product formed inside goes through linalg.formed
     most, call = _validation_cases()[case]
     calls = count_validations(monkeypatch)
     call()
@@ -662,3 +665,44 @@ def test_an_overflowing_difference_is_a_no_without_a_warning(case):
             call()
     else:
         assert call() == want
+
+
+# ------------------------------------------------ one formed-value rule
+
+
+@pytest.mark.parametrize(
+    "f, operands",
+    [
+        (np.matmul, (1e200 * np.eye(2), 1e200 * np.eye(2))),  # overflow
+        (np.matmul, (np.array([[1e308, 1e308]]), np.array([[1e308], [-1e308]]))),  # inf - inf
+        (np.linalg.solve, (1e-310 * np.eye(2), np.eye(2))),
+    ],
+    ids=["overflow", "invalid", "solve"],
+)
+def test_a_nonfinite_formed_value_is_named_without_a_warning(f, operands):
+    message = r"^X @ Y: entries must be finite \(no NaN/Inf\)$"
+    with pytest.raises(errors.InvalidMatrix, match=message):
+        linalg.formed("X @ Y", f, *operands)
+
+
+def test_each_thread_gets_its_own_error_state_back(monkeypatch):
+    # both threads are inside one guarded entry point at once; numpy < 2 kept the error state
+    # that an errstate restores on the instance, so one shared instance could swap the two states
+    barrier = threading.Barrier(2, timeout=30)
+    is_close = linalg.is_close
+
+    def waiting(*args, **kwargs):
+        barrier.wait()
+        return is_close(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "is_close", waiting)
+
+    def call(over):
+        if over is not None:
+            np.seterr(over=over)
+        assert multipliers.validate_rebrick_multiplier(np.ones(4)) == (True, [])
+        return np.geterr()["over"]
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        raised, default = pool.submit(call, "raise"), pool.submit(call, None)
+        assert (raised.result(), default.result()) == ("raise", "warn")

@@ -134,8 +134,6 @@ class TestShiftAndMultiplier:
             want = multipliers.idft(m * multipliers.dft(x))
             assert np.array_equal(multipliers.apply_multiplier(m, x), want)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_overflowing_spectrum_is_refused(self):
         with pytest.raises(errors.LengthMismatch, match="spectrum must be finite"):
             multipliers.apply_multiplier(np.full(4, 1e300), np.full(4, 1e300))

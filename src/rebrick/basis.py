@@ -76,7 +76,7 @@ def _verdict(reg_B: Regularity, A: np.ndarray, tol: Tolerance, norm_V1: float) -
     # other disagreement is the ill-conditioning of the eigenvalues.
     smin_B = reg_B.sigma_min
     rebrickable = reg_B.regular
-    eigs = linalg.eigenvalues(A)
+    eigs = linalg.sorted_eigvals(A)
     min_dist = float(np.min(np.abs(eigs - 1j)))
     warning = rebrickable and reg_B.near_edge(min_dist, tol)
     if rebrickable != (min_dist > tol.eig_abs):
@@ -242,19 +242,22 @@ def real_part_preservation_lambda(A, tol: Tolerance = DEFAULT_TOL):
 def rebricked_frame_bounds(V, A, tol: Tolerance = DEFAULT_TOL) -> RieszBoundReport:
     """Exact and estimated frame bounds of the rebricked basis (Id + i*A) @ V.
 
-    InvalidMatrix when a squared singular value of V or of (Id + i*A) @ V
-    leaves the float64 range.
+    InvalidMatrix when a squared singular value of V, of (Id + i*A) @ V or
+    of Id + i*A leaves the float64 range.
     """
     V_, A_ = linalg.require_square_pair(V, A, ("V", "A"), real=True)
     B, reg_B = rebricking_factor(A_, tol)
     c_V, C_V = require_basis(V_, "V", tol).squares("V")
     BV = linalg.formed("B @ V", np.matmul, B, V_)
     c, C = linalg.regularity_of(BV, tol).squares("B @ V")
+    # sigma_max(Id + iA) >= 1, so a regular B has sigma_min > rank_rel * n: at the default
+    # rank_rel (64 * EPS) only a sigma_max beyond the float64 square range is refused
+    c_B, C_B = reg_B.squares("Id + iA")
     return RieszBoundReport(
         c_exact=c,
         C_exact=C,
-        c_lower_estimate=c_V * reg_B.sigma_min**2,
-        C_upper_estimate=C_V * reg_B.sigma_max**2,
+        c_lower_estimate=c_V * c_B,
+        C_upper_estimate=C_V * C_B,
         norm_B=reg_B.sigma_max,
     )
 

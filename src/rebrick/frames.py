@@ -37,11 +37,15 @@ class FiniteFrame:
 
     def __post_init__(self):
         M = linalg.as_matrix(self.synthesis, "synthesis")
-        if M.shape[1] < M.shape[0]:
-            raise NotAFrame(
-                f"need at least as many vectors as dimensions, got {M.shape[0]}x{M.shape[1]}"
-            )
-        object.__setattr__(self, "synthesis", M)
+        object.__setattr__(self, "synthesis", _frame_shape(M))
+
+    @classmethod
+    def _of_formed(cls, S: np.ndarray, label: str = "") -> "FiniteFrame":
+        """The frame of a synthesis the package formed and checked: the shape rule, no rescan."""
+        F = object.__new__(cls)
+        object.__setattr__(F, "synthesis", _frame_shape(S))
+        object.__setattr__(F, "label", label)
+        return F
 
     @property
     def dim(self) -> int:
@@ -50,6 +54,15 @@ class FiniteFrame:
     @property
     def count(self) -> int:
         return self.synthesis.shape[1]
+
+
+def _frame_shape(M: np.ndarray) -> np.ndarray:
+    """M, a checked synthesis; NotAFrame when it has fewer columns than rows."""
+    if M.shape[1] < M.shape[0]:
+        raise NotAFrame(
+            f"need at least as many vectors as dimensions, got {M.shape[0]}x{M.shape[1]}"
+        )
+    return M
 
 
 @dataclass(frozen=True)
@@ -187,7 +200,7 @@ def rebrick_frames(F: FiniteFrame, G: FiniteFrame, tol: Tolerance = DEFAULT_TOL)
     _require_spanning(F, linalg.regularity_of(F.synthesis, tol))
     _require_spanning(G, linalg.regularity_of(G.synthesis, tol))
     S = F.synthesis + 1j * G.synthesis
-    combined = FiniteFrame(S, label=f"{F.label}+i*{G.label}" if F.label or G.label else "")
+    combined = FiniteFrame._of_formed(S, f"{F.label}+i*{G.label}" if F.label or G.label else "")
     reg = linalg.regularity_of(S, tol)
     if not reg.regular:
         raise NotRebrickable("combined synthesis does not span the complex space")
@@ -204,7 +217,7 @@ def operator_rebrick_frame(F: FiniteFrame, A, tol: Tolerance = DEFAULT_TOL):
     _require_spanning(F, linalg.regularity_of(F.synthesis, tol))
     S = linalg.formed("B @ S", np.matmul, basis.rebricking_factor(A_, tol)[0], F.synthesis)
     bounds = linalg.regularity_of(S, tol).squares(f"frame {F.label or '(unlabeled)'}")
-    return FiniteFrame(S, label=F.label), FrameBounds(*bounds)
+    return FiniteFrame._of_formed(S, F.label), FrameBounds(*bounds)
 
 
 def frrebrick_check(A, S, tol: Tolerance = DEFAULT_TOL) -> FrRebrickVerdict:
@@ -270,5 +283,5 @@ def parseval_rebrick(F: FiniteFrame, A, tol: Tolerance = DEFAULT_TOL):
     if not is_parseval(F, tol):
         raise NotParsevalInput("input frame is not Parseval at tolerance")
     B = basis.rebricking_factor(A_, tol)[0] / np.sqrt(2.0)
-    out = FiniteFrame(linalg.formed("B @ S", np.matmul, B, F.synthesis), label=F.label)
+    out = FiniteFrame._of_formed(linalg.formed("B @ S", np.matmul, B, F.synthesis), F.label)
     return out, linalg.is_orthonormal(out.synthesis.conj().T, tol)

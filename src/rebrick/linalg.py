@@ -177,10 +177,13 @@ def eigenvalues(M) -> np.ndarray:
 
     Real input comes back closed under complex conjugation.
     """
-    A = require_square(M)
+    return sorted_eigvals(require_square(M))
+
+
+def sorted_eigvals(A: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a checked square A, sorted by (real, imag)."""
     w = np.linalg.eigvals(A)
-    order = np.lexsort((w.imag, w.real))
-    return w[order]
+    return w[np.lexsort((w.imag, w.real))]
 
 
 def rank(M, tol: Tolerance = DEFAULT_TOL) -> int:

@@ -15,6 +15,9 @@ A real CSV row is checked by one character class and parsed by float(),
 which on that alphabet accepts exactly the plain decimals; a row with an
 "i" goes through the complex row pattern.  parse_cell runs only on a row
 that neither reads, so that a bad cell is named by its row and column.
+A Toeplitz matrix (every entry has the bits of its upper-left neighbour),
+such as a matrix of translates, is written from its 2N - 1 diagonals, each
+formatted once; the bytes are those of the cell-at-a-time writers.
 """
 
 from __future__ import annotations
@@ -65,18 +68,57 @@ def parse_cell(text: str, row: int, col: int) -> complex | float:
     return complex(re_part, float(im_part))
 
 
-def _csv_lines(A: np.ndarray):
-    """The CSV lines of a 2-D array, one %-format per line."""
-    if not np.iscomplexobj(A):
+def _as_written(M) -> np.ndarray:
+    """M as the writers read it: a complex128 array if it is complex, else float64."""
+    A = np.asarray(M)
+    return A.astype(complex if np.iscomplexobj(A) else float, copy=False)
+
+
+def _toeplitz_diagonals(A: np.ndarray) -> np.ndarray | None:
+    """A[::-1, 0] then A[0, 1:], the 2N - 1 diagonals of a Toeplitz A, else None.
+
+    A (float64 or complex128, at least 2 x 2) is Toeplitz when every entry has
+    the bits of its upper-left neighbour: bits, not values, since 0.0 and -0.0
+    compare equal but are written apart.  Row j of A is then the diagonals
+    [rows - 1 - j:][:cols].
+    """
+    # row 1 against row 0 first, so a general matrix is turned away after O(cols) work
+    if min(A.shape) < 2 or A[1, 1:].tobytes() != A[0, :-1].tobytes():
+        return None
+    parts = (A.real, A.imag) if A.dtype.kind == "c" else (A,)
+    if not all(np.array_equal(b[1:, 1:], b[:-1, :-1]) for b in (p.view(np.int64) for p in parts)):
+        return None
+    return np.concatenate([A[::-1, 0], A[0, 1:]])
+
+
+def _toeplitz_rows(cells: list, rows: int, cols: int):
+    """The rows of a Toeplitz matrix, top down, as slices of its formatted diagonals."""
+    return (cells[start : start + cols] for start in range(rows - 1, -1, -1))
+
+
+def _csv_rows(A: np.ndarray):
+    """The CSV line of each row of a float64 or complex128 array, one %-format per line."""
+    if A.dtype.kind != "c":
         line = ",".join(["%.17g"] * A.shape[1])
-        for row in A.astype(float):
+        for row in A:
             yield line % tuple(row.tolist())
         return
-    im = A.imag.astype(float)
+    im = A.imag
     kinds = np.where(im == 0.0, 0, np.where(im >= 0.0, 1, 2))
-    values = np.stack([A.real.astype(float), np.abs(im)], axis=-1).reshape(A.shape[0], -1)
+    values = np.stack([A.real, np.abs(im)], axis=-1).reshape(A.shape[0], -1)
     for kind, row in zip(kinds, values):
         yield ",".join(map(_CELL_FORMATS.__getitem__, kind.tolist())) % tuple(row.tolist())
+
+
+def _csv_lines(M):
+    """The CSV lines of a 2-D array; a Toeplitz one formats each of its diagonals once."""
+    A = _as_written(M)
+    d = _toeplitz_diagonals(A)
+    if d is None:
+        yield from _csv_rows(A)
+        return
+    cells = next(_csv_rows(d[None, :])).split(",")
+    yield from map(",".join, _toeplitz_rows(cells, *A.shape))
 
 
 def format_cell(value) -> str:
@@ -165,7 +207,7 @@ def load_csv(path, digest=None) -> np.ndarray:
 
 
 def save_csv(path, M) -> None:
-    Path(path).write_text("\n".join(_csv_lines(np.asarray(M))) + "\n")
+    Path(path).write_text("\n".join(_csv_lines(M)) + "\n")
 
 
 def _json_dim(doc: dict, key: str, default: int, path) -> int:
@@ -242,11 +284,22 @@ def load_json(path, digest=None) -> np.ndarray:
 
 
 def save_json(path, M) -> None:
-    A = np.asarray(M)
-    if np.iscomplexobj(A):
-        A = np.stack([A.real, A.imag], axis=-1)
-    doc = {"rows": int(A.shape[0]), "cols": int(A.shape[1]), "data": A.astype(float).tolist()}
-    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
+    """Write M as json.dumps(doc, sort_keys=True); a Toeplitz M formats each diagonal once."""
+    A = _as_written(M)
+    rows, cols = A.shape
+    complex_cells = A.dtype.kind == "c"
+    d = _toeplitz_diagonals(A)
+    if d is None:
+        data = (np.stack([A.real, A.imag], axis=-1) if complex_cells else A).tolist()
+        text = json.dumps({"rows": rows, "cols": cols, "data": data}, sort_keys=True) + "\n"
+    else:
+        cells = (np.stack([d.real, d.imag], axis=-1) if complex_cells else d).tolist()
+        data = ", ".join(
+            "[" + ", ".join(row) + "]"
+            for row in _toeplitz_rows(list(map(json.dumps, cells)), rows, cols)
+        )
+        text = '{"cols": %d, "data": [%s], "rows": %d}\n' % (cols, data, rows)
+    Path(path).write_text(text)
 
 
 def load_matrix(path, digest=None) -> np.ndarray:

@@ -106,13 +106,16 @@ def validate_rebrick_multiplier(m, tol: Tolerance = DEFAULT_TOL):
 def _circulant(c: np.ndarray) -> np.ndarray:
     """N x N matrix whose column n is c shifted down by n: np.roll(c, n).
 
-    A read-only view of the doubled signal: it holds 2N entries, not N^2.
+    A read-only view of the doubled signal d = [c, c], built by one ndarray
+    constructor call: it holds 2N entries, not N^2.
     """
     N = c.size
-    # row j reads c[j], c[j-1], ..., c[j-N+1] (mod N), a length-N window of
-    # the reversed doubled signal
-    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([c, c])[::-1], N)
-    return windows[N - 1 :: -1]
+    d = np.concatenate([c, c])
+    step = d.itemsize
+    # entry (j, n) sits at d[N + j - n] = c[(j - n) mod N]: one step down a row, one back a column
+    C = np.ndarray((N, N), d.dtype, buffer=d, offset=N * step, strides=(step, -step))
+    C.flags.writeable = False
+    return C
 
 
 def _circulant_gram_defect(Y: np.ndarray) -> np.ndarray:

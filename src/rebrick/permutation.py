@@ -168,7 +168,7 @@ def repair_permutation(A, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Permut
         order = np.argsort(pi)  # apply_column_permutation, with M and pi known valid
         reg = linalg.regularity_of(Id + iM[:, order], tol)
         if reg.regular:
-            eigs = linalg.eigenvalues(M[:, order])
+            eigs = linalg.sorted_eigvals(M[:, order])
             min_dist = float(np.min(np.abs(eigs - 1j)))
             return PermutationRepair(
                 permutation=tuple(pi),

@@ -121,6 +121,14 @@ class TestRebrickPair:
         with pytest.raises(errors.InvalidMatrix, match=r"^B @ V: entries must be finite"):
             call()
 
+    def test_overflowing_operator_square_is_named(self):
+        # sigma(V)^2 = 1e-300 and sigma(B @ V)^2 = 1e100 are in range; sigma(Id + iA)^2 = 1e400,
+        # the square of the upper estimate's norm, is not
+        with pytest.raises(
+            errors.InvalidMatrix, match=r"^Id \+ iA: singular values in \[1\.000e\+200, "
+        ):
+            basis.rebricked_frame_bounds(1e-150 * np.eye(2), 1e200 * np.eye(2))
+
     def test_three_svds_one_eig_one_solve(self, monkeypatch):
         # sigma(V1), sigma(V2), sigma(B); eig(A); A by LU
         rng = np.random.default_rng(6)
@@ -185,7 +193,7 @@ class TestRebrickPair:
         def planted_i(M):
             return np.array([-1j, 1j])
 
-        monkeypatch.setattr(linalg, "eigenvalues", planted_i)
+        monkeypatch.setattr(linalg, "sorted_eigvals", planted_i)
         with pytest.raises(errors.InternalConsistencyError, match=r"sigma_min\(B\)=2.236e\+00"):
             basis.rebrick_pair(np.eye(2), 2.0 * np.eye(2))
 

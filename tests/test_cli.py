@@ -19,6 +19,8 @@ from support import (
     count_svd_calls,
     duplicated_e1_frame,
     plant_eigenvalue_i,
+    reference_save_csv,
+    reference_save_json,
     refuse_inverses,
     rotation,
     shifted_duplicate_frame,
@@ -474,6 +476,28 @@ class TestMultiplier:
         assert got == report["exit_code"] == code
         if code == 2:
             assert report["error"].startswith("multiplier: ")
+
+    @pytest.mark.parametrize("ext", ["csv", "json"])
+    def test_rebrick_out_is_the_reference_writers_bytes(self, tmp_path, capsys, ext):
+        # the translate matrix is Toeplitz and written from its diagonals; the bytes are
+        # those of the per-cell writers, for a valid symbol (exit 0) and an invalid one (exit 1)
+        rng = np.random.default_rng(26)
+        out, expected = tmp_path / f"t.{ext}", tmp_path / f"ref.{ext}"
+        reference = {"csv": reference_save_csv, "json": reference_save_json}[ext]
+        for N in range(2, 65):
+            theta = 2 * np.pi * rng.random(N)
+            theta = (theta - theta[-np.arange(N) % N]) / 2  # odd phases: a real generator
+            x = multipliers.idft(np.exp(1j * theta) / np.sqrt(N)).real
+            even = rng.standard_normal(N)
+            for m, code in ((_sign_pattern(N), 0), ((even + even[-np.arange(N) % N])[None], 1)):
+                xf, mf = write(tmp_path, "x.csv", x[None]), write(tmp_path, "m.csv", m)
+                assert run(["multiplier", "rebrick", xf, mf, "--out", str(out), "--quiet"]) == code
+                cols, _ = multipliers.rebrick_translates(
+                    matio.load_matrix(xf)[0], matio.load_matrix(mf)[0]
+                )
+                reference(expected, np.array(cols))
+                assert out.read_bytes() == expected.read_bytes(), (N, code)
+        capsys.readouterr()
 
     def test_sweep(self, capsys):
         code, report = run_json(capsys, ["multiplier", "sweep", "16", "32", "64"])

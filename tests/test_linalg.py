@@ -268,29 +268,41 @@ def _validation_cases():
     S = rng.standard_normal((6, 6)) + 4 * np.eye(6)
     quarter_turn = rotation(np.pi / 2)
     quarter_turns = np.kron(np.eye(2), quarter_turn)
+    F_V, F_E = frames.FiniteFrame(V), frames.FiniteFrame(E)
     return {
-        # V1, V2 and the transfer operator A, which linalg.eigenvalues checks again
-        "rebrick_pair": (3, lambda: basis.rebrick_pair(V, A @ V)),
+        # V1 and V2; the transfer operator A is a formed value, and its eigenvalues are not checked
+        "rebrick_pair": (["V1", "V2"], lambda: basis.rebrick_pair(V, A @ V)),
         # V and A; the primal B @ V and its dual inv((B @ V)*) are formed values
-        "rebricked_dual": (2, lambda: basis.rebricked_dual(V, A)),
-        "rebricked_frame_bounds": (2, lambda: basis.rebricked_frame_bounds(V, A)),
-        "onb_rebrick_check": (2, lambda: basis.onb_rebrick_check(E, E)),
-        "frrebrick_check": (2, lambda: frames.frrebrick_check(truncating_shift(4, 6), S)),
+        "rebricked_dual": (["V", "A"], lambda: basis.rebricked_dual(V, A)),
+        "rebricked_frame_bounds": (["V", "A"], lambda: basis.rebricked_frame_bounds(V, A)),
+        "onb_rebrick_check": (["E1", "E2"], lambda: basis.onb_rebrick_check(E, E)),
+        "frrebrick_check": (["A", "S"], lambda: frames.frrebrick_check(truncating_shift(4, 6), S)),
         # the two syntheses, checked where the frames are built and not again
-        "frame_leq": (2, lambda: frames.frame_leq(*(frames.FiniteFrame(W) for W in (V, E)))),
+        "frame_leq": (
+            ["synthesis", "synthesis"],
+            lambda: frames.frame_leq(*(frames.FiniteFrame(W) for W in (V, E))),
+        ),
+        # the operator alone: the frames come checked, and a formed synthesis is not scanned again
+        "operator_rebrick_frame": (["A"], lambda: frames.operator_rebrick_frame(F_V, A)),
+        "parseval_rebrick": (["A"], lambda: frames.parseval_rebrick(F_E, A)),
+        "rebrick_frames": ([], lambda: frames.rebrick_frames(F_V, F_E)),
         # 2 and 8 trials: the count does not grow with the search
-        "repair_permutation 2 trials": (2, lambda: permutation.repair_permutation(quarter_turn)),
-        "repair_permutation 8 trials": (2, lambda: permutation.repair_permutation(quarter_turns)),
+        "repair_permutation 2 trials": (
+            ["matrix"], lambda: permutation.repair_permutation(quarter_turn)
+        ),
+        "repair_permutation 8 trials": (
+            ["matrix"], lambda: permutation.repair_permutation(quarter_turns)
+        ),
     }
 
 
 @pytest.mark.parametrize("case", sorted(_validation_cases()))
 def test_validations_per_call(case, monkeypatch):
     # as_matrix runs once per argument; a product formed inside goes through linalg.formed
-    most, call = _validation_cases()[case]
+    expected, call = _validation_cases()[case]
     calls = count_validations(monkeypatch)
     call()
-    assert 0 < len(calls) <= most, calls
+    assert calls == expected
 
 
 def test_square_pair_messages():

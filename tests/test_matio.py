@@ -318,6 +318,64 @@ def test_writers_match_the_per_cell_reference(files, A, ext):
     assert (files / f"new.{ext}").read_bytes() == (files / f"reference.{ext}").read_bytes()
 
 
+def _toeplitz(diagonals: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The rows x cols matrix whose entry (j, n) is diagonals[rows - 1 - j + n]."""
+    j, n = np.ogrid[:rows, :cols]
+    return diagonals[rows - 1 - j + n]
+
+
+@st.composite
+def _toeplitz_matrices(draw):
+    """Toeplitz matrices, and near-Toeplitz ones: one cell's bits changed."""
+    rows, cols = draw(
+        st.one_of(
+            st.sampled_from([(1, 1), (1, 6), (6, 1), (2, 2), (2, 7), (7, 2)]),
+            st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        )
+    )
+    k = rows + cols - 1
+    d = np.array(draw(st.lists(_FLOATS, min_size=k, max_size=k)), dtype=float)
+    if draw(st.booleans()):
+        d = d + 0j
+        d.imag = draw(st.lists(_FLOATS, min_size=k, max_size=k))
+    A = _toeplitz(d, rows, cols)
+    change = draw(st.sampled_from(["none", "bit", "sign of zero"]))
+    if change != "none":
+        j, n = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        part = draw(st.sampled_from([A.real, A.imag] if A.dtype.kind == "c" else [A]))
+        if change == "bit":
+            part.view(np.int64)[j, n] ^= np.int64(1) << np.int64(draw(st.integers(0, 63)))
+        else:  # -0.0 against 0.0: equal values, written apart
+            part[j, n] = -0.0 if not np.signbit(part[j, n]) else 0.0
+    return A
+
+
+@settings(max_examples=400, deadline=None)
+@given(A=_toeplitz_matrices())
+def test_toeplitz_writers_match_the_per_cell_reference(files, A):
+    for write, reference, ext in (
+        (matio.save_csv, reference_save_csv, "csv"),
+        (matio.save_json, reference_save_json, "json"),
+    ):
+        write(files / f"new.{ext}", A)
+        reference(files / f"reference.{ext}", A)
+        assert (files / f"new.{ext}").read_bytes() == (files / f"reference.{ext}").read_bytes()
+
+
+def test_toeplitz_rule_reads_bits():
+    d = np.array([1.0, 0.0, 2.0, np.nan, 3.0])
+    A = _toeplitz(d, 3, 3)
+    np.testing.assert_array_equal(matio._toeplitz_diagonals(A), d)
+    A[2, 2] = -0.0  # equal to its neighbour 0.0 as a value, not as bits
+    assert matio._toeplitz_diagonals(A) is None
+    Z = _toeplitz(d + 1j * d[::-1], 3, 3)
+    np.testing.assert_array_equal(matio._toeplitz_diagonals(Z), d + 1j * d[::-1])
+    Z.imag[1, 2] = np.nan  # the real parts still agree
+    assert matio._toeplitz_diagonals(Z) is None
+    # a vector has no upper-left neighbours and goes the general way
+    assert matio._toeplitz_diagonals(np.ones((1, 4))) is None
+
+
 _CSV_CELLS = st.one_of(
     st.sampled_from(
         [

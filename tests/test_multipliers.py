@@ -258,18 +258,22 @@ class TestRebrickTranslates:
         cols, unitary = multipliers.rebrick_translates(x, np.ones(N))
         assert unitary
 
-    @pytest.mark.parametrize("N", [1, 2, 5, 8, 33])
+    @pytest.mark.parametrize("N", [1, 2, 5, 8, 33, 512, 2048])
     def test_circulant_gather_matches_rolls(self, N):
         rng = np.random.default_rng(N)
         c = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        rolled = np.column_stack([np.roll(c, n) for n in range(N)])
-        np.testing.assert_array_equal(multipliers._circulant(c), rolled)
+        C = multipliers._circulant(c)
+        assert C.shape == (N, N) and not C.flags.writeable
+        assert C.base.size == 2 * N  # a view of the doubled signal, not N^2 entries
+        for n in range(N):  # column by column, so no N x N copy is made
+            assert C[:, n].tobytes() == np.roll(c, n).tobytes(), n
 
     def test_translate_matrix_is_a_read_only_view(self):
         N = 8
         cols, _ = multipliers.rebrick_translates(np.eye(1, N)[0], np.ones(N))
         assert cols.shape == (N, N) and not cols.flags.writeable
         assert np.shares_memory(cols[:, 0], cols[:, 1])  # the columns overlap: 2N entries
+        assert cols.base.size == 2 * N
 
     def test_memory_is_linear_in_N(self):
         N = 2**11

@@ -11,7 +11,7 @@ exist once the spanning requirement is dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,8 +43,9 @@ class FiniteFrame:
     def _of_formed(cls, S: np.ndarray, label: str = "") -> "FiniteFrame":
         """The frame of a synthesis the package formed and checked: the shape rule, no rescan."""
         F = object.__new__(cls)
-        object.__setattr__(F, "synthesis", _frame_shape(S))
-        object.__setattr__(F, "label", label)
+        # every field, by the class's own list: a field added later fails here, not silently
+        for field, value in zip(fields(cls), (_frame_shape(S), label), strict=True):
+            object.__setattr__(F, field.name, value)
         return F
 
     @property

@@ -16,8 +16,9 @@ which on that alphabet accepts exactly the plain decimals; a row with an
 "i" goes through the complex row pattern.  parse_cell runs only on a row
 that neither reads, so that a bad cell is named by its row and column.
 A Toeplitz matrix (every entry has the bits of its upper-left neighbour),
-such as a matrix of translates, is written from its 2N - 1 diagonals, each
-formatted once; the bytes are those of the cell-at-a-time writers.
+such as a matrix of translates, is written to CSV from its 2N - 1
+diagonals, each formatted once; the bytes are those of the cell-at-a-time
+writer.
 """
 
 from __future__ import annotations
@@ -68,12 +69,6 @@ def parse_cell(text: str, row: int, col: int) -> complex | float:
     return complex(re_part, float(im_part))
 
 
-def _as_written(M) -> np.ndarray:
-    """M as the writers read it: a complex128 array if it is complex, else float64."""
-    A = np.asarray(M)
-    return A.astype(complex if np.iscomplexobj(A) else float, copy=False)
-
-
 def _toeplitz_diagonals(A: np.ndarray) -> np.ndarray | None:
     """A[::-1, 0] then A[0, 1:], the 2N - 1 diagonals of a Toeplitz A, else None.
 
@@ -89,11 +84,6 @@ def _toeplitz_diagonals(A: np.ndarray) -> np.ndarray | None:
     if not all(np.array_equal(b[1:, 1:], b[:-1, :-1]) for b in (p.view(np.int64) for p in parts)):
         return None
     return np.concatenate([A[::-1, 0], A[0, 1:]])
-
-
-def _toeplitz_rows(cells: list, rows: int, cols: int):
-    """The rows of a Toeplitz matrix, top down, as slices of its formatted diagonals."""
-    return (cells[start : start + cols] for start in range(rows - 1, -1, -1))
 
 
 def _csv_rows(A: np.ndarray):
@@ -112,13 +102,16 @@ def _csv_rows(A: np.ndarray):
 
 def _csv_lines(M):
     """The CSV lines of a 2-D array; a Toeplitz one formats each of its diagonals once."""
-    A = _as_written(M)
+    A = np.asarray(M)
+    A = A.astype(complex if np.iscomplexobj(A) else float, copy=False)
     d = _toeplitz_diagonals(A)
     if d is None:
         yield from _csv_rows(A)
         return
     cells = next(_csv_rows(d[None, :])).split(",")
-    yield from map(",".join, _toeplitz_rows(cells, *A.shape))
+    rows, cols = A.shape
+    for start in range(rows - 1, -1, -1):  # row j is cells [rows - 1 - j:][:cols]
+        yield ",".join(cells[start : start + cols])
 
 
 def format_cell(value) -> str:
@@ -284,22 +277,11 @@ def load_json(path, digest=None) -> np.ndarray:
 
 
 def save_json(path, M) -> None:
-    """Write M as json.dumps(doc, sort_keys=True); a Toeplitz M formats each diagonal once."""
-    A = _as_written(M)
-    rows, cols = A.shape
-    complex_cells = A.dtype.kind == "c"
-    d = _toeplitz_diagonals(A)
-    if d is None:
-        data = (np.stack([A.real, A.imag], axis=-1) if complex_cells else A).tolist()
-        text = json.dumps({"rows": rows, "cols": cols, "data": data}, sort_keys=True) + "\n"
-    else:
-        cells = (np.stack([d.real, d.imag], axis=-1) if complex_cells else d).tolist()
-        data = ", ".join(
-            "[" + ", ".join(row) + "]"
-            for row in _toeplitz_rows(list(map(json.dumps, cells)), rows, cols)
-        )
-        text = '{"cols": %d, "data": [%s], "rows": %d}\n' % (cols, data, rows)
-    Path(path).write_text(text)
+    A = np.asarray(M)
+    if np.iscomplexobj(A):
+        A = np.stack([A.real, A.imag], axis=-1)
+    doc = {"rows": int(A.shape[0]), "cols": int(A.shape[1]), "data": A.astype(float).tolist()}
+    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def load_matrix(path, digest=None) -> np.ndarray:

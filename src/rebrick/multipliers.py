@@ -111,11 +111,10 @@ def _circulant(c: np.ndarray) -> np.ndarray:
     """
     N = c.size
     d = np.concatenate([c, c])
+    d.flags.writeable = False  # the owner too, so the view cannot be made writeable again
     step = d.itemsize
     # entry (j, n) sits at d[N + j - n] = c[(j - n) mod N]: one step down a row, one back a column
-    C = np.ndarray((N, N), d.dtype, buffer=d, offset=N * step, strides=(step, -step))
-    C.flags.writeable = False
-    return C
+    return np.ndarray((N, N), d.dtype, buffer=d, offset=N * step, strides=(step, -step))
 
 
 def _circulant_gram_defect(Y: np.ndarray) -> np.ndarray:

@@ -274,6 +274,8 @@ class TestRebrickTranslates:
         assert cols.shape == (N, N) and not cols.flags.writeable
         assert np.shares_memory(cols[:, 0], cols[:, 1])  # the columns overlap: 2N entries
         assert cols.base.size == 2 * N
+        with pytest.raises(ValueError):  # its owner is read-only too
+            cols.flags.writeable = True
 
     def test_memory_is_linear_in_N(self):
         N = 2**11

@@ -38,30 +38,24 @@ from .frames import (
     rebrick_frames,
     surjective_factor,
 )
-from .linalg import DEFAULT_TOL, Tolerance, eigenvalues, invert, kernel_basis, rank, svd
+from .linalg import DEFAULT_TOL, Tolerance
 from .multipliers import (
     ConditioningRow,
     TrigRebrickReport,
     analytic_defect,
     apply_multiplier,
     conditioning_sweep,
-    dft,
     discrete_hilbert,
-    idft,
-    multiplier_matrix,
     rebrick_translates,
-    shift_matrix,
     trig_rebrick_demo,
     validate_rebrick_multiplier,
 )
 from .permutation import (
     CharPoly,
     PermutationRepair,
-    apply_column_permutation,
     char_poly,
     cycle_notation,
     invariant_eigenvalue_candidates,
-    permutation_matrix,
     rebrick_with_permutation,
     repair_permutation,
     summed_char_poly,
@@ -83,32 +77,23 @@ __all__ = [
     "Tolerance",
     "TrigRebrickReport",
     "analytic_defect",
-    "apply_column_permutation",
     "apply_multiplier",
     "char_poly",
     "compatibility_operator",
     "conditioning_sweep",
     "cycle_notation",
-    "dft",
     "discrete_hilbert",
-    "eigenvalues",
     "errors",
     "frame_bounds",
     "frame_kernel",
     "frame_leq",
     "frrebrick_check",
-    "idft",
     "invariant_eigenvalue_candidates",
-    "invert",
     "is_parseval",
-    "kernel_basis",
-    "multiplier_matrix",
     "non_transitivity_witness",
     "onb_rebrick_check",
     "operator_rebrick_frame",
     "parseval_rebrick",
-    "permutation_matrix",
-    "rank",
     "real_part_preservation_lambda",
     "rebrick_frames",
     "rebrick_pair",
@@ -118,11 +103,9 @@ __all__ = [
     "rebricked_dual",
     "rebricked_frame_bounds",
     "repair_permutation",
-    "shift_matrix",
     "spectral_factorize_orthosym",
     "summed_char_poly",
     "surjective_factor",
-    "svd",
     "symmetry_condition_check",
     "transfer_operator",
     "trig_rebrick_demo",

@@ -51,10 +51,6 @@ class ShapeMismatch(InputError):
 class Singular(InputError):
     """A matrix required to be invertible is singular at tolerance."""
 
-    def __init__(self, msg, sigma_min=0.0):
-        super().__init__(msg)
-        self.sigma_min = sigma_min
-
 
 class NotABasis(InputError):
     """Columns of a factor do not form a basis (singular at tolerance)."""

@@ -9,11 +9,14 @@ Only a caller holding singular values without their matrix names a size.
 Every equality decision goes through one rule too, `is_close`, orthonormality
 (`is_orthonormal`) included, under one `overflow_guard` per entry point.
 
-Arrays are validated once, where they enter: each exported function runs
-`as_matrix` or `require_square(_pair)` on its arguments, with real=True (one
-dtype-kind test) where its theory needs a real operand, and every product or
-solve the package forms goes through one rule, `formed`, which names it when
-an entry leaves float64.  The unexported helpers take checked arrays only.
+Arrays are validated once, where they enter the package: each function that
+rebrick exports runs `as_matrix` or `require_square(_pair)` on its arguments,
+with real=True (one dtype-kind test) where its theory needs a real operand,
+and every product or solve the package forms goes through one rule, `formed`,
+which names it when an entry leaves float64.  Of this module, rebrick exports
+only `Tolerance` and `DEFAULT_TOL`; its functions serve the other modules, and
+all but `as_matrix`, `require_square` and `require_square_pair` take checked
+arrays only.
 
 Everything here is a pure function of its arguments; nothing mutates
 its inputs and there is no module state, so concurrent use is safe.
@@ -27,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidMatrix, ShapeMismatch, Singular
+from .errors import InvalidMatrix, ShapeMismatch
 
 EPS = float(np.finfo(np.float64).eps)
 # sigma**2 is a normal float64 exactly when sigma lies in SQUARE_RANGE
@@ -117,17 +120,6 @@ def require_square_pair(M1, M2, names: tuple[str, str], real: bool = False):
     return A1, A2
 
 
-def svd(M):
-    """Singular value decomposition M = U @ diag(s) @ V.conj().T.
-
-    Returns (U, s, V) with orthonormal columns in U and V and s sorted
-    in descending order.
-    """
-    A = as_matrix(M)
-    U, s, Vh = np.linalg.svd(A, full_matrices=False)
-    return U, s, Vh.conj().T
-
-
 class Regularity(NamedTuple):
     """One regularity decision: a singular value counts when it exceeds cutoff."""
 
@@ -172,23 +164,10 @@ def regularity_of(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Regularity:
     return regularity(np.linalg.svd(M, compute_uv=False), max(M.shape), tol)
 
 
-def eigenvalues(M) -> np.ndarray:
-    """Eigenvalue multiset of a square matrix, sorted by (real, imag).
-
-    Real input comes back closed under complex conjugation.
-    """
-    return sorted_eigvals(require_square(M))
-
-
 def sorted_eigvals(A: np.ndarray) -> np.ndarray:
     """Eigenvalues of a checked square A, sorted by (real, imag)."""
     w = np.linalg.eigvals(A)
     return w[np.lexsort((w.imag, w.real))]
-
-
-def rank(M, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Number of singular values above the cutoff."""
-    return regularity_of(as_matrix(M), tol).rank
 
 
 class Decomposition(NamedTuple):
@@ -215,23 +194,6 @@ def decompose(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Decomposition:
     """One SVD of a checked M, judged at size max(rows, cols); wide M gets every row of Vh."""
     U, s, Vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
     return Decomposition(U, s, Vh, regularity(s, max(M.shape), tol))
-
-
-def kernel_basis(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the nullspace as columns (possibly zero columns); one SVD."""
-    return decompose(as_matrix(M), tol).kernel
-
-
-def invert(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Inverse of a square matrix, or Singular when it is not regular at tolerance; one SVD."""
-    d = decompose(require_square(M), tol)
-    if not d.reg.regular:
-        raise Singular(
-            "matrix is singular at tolerance "
-            f"(sigma_min={d.reg.sigma_min:.3e}, cutoff={d.reg.cutoff:.3e})",
-            sigma_min=d.reg.sigma_min,
-        )
-    return d.pinv
 
 
 def overflow_guard(fn):

@@ -38,44 +38,20 @@ def _as_signal(x, name: str = "signal") -> np.ndarray:
     return out
 
 
-def dft(x) -> np.ndarray:
-    """Unitary forward DFT; Parseval holds exactly: ||x|| == ||dft(x)||."""
-    return np.fft.fft(_as_signal(x), norm="ortho")
-
-
-def idft(X) -> np.ndarray:
-    """Unitary inverse DFT."""
-    return np.fft.ifft(_as_signal(X, "spectrum"), norm="ortho")
-
-
-def shift_matrix(N: int) -> np.ndarray:
-    """Circular right shift: (T x)[m] = x[m-1 mod N]."""
-    if N < 1:
-        raise LengthMismatch("N must be positive")
-    return np.roll(np.eye(N), 1, axis=0)
-
-
 def apply_multiplier(m, x) -> np.ndarray:
-    """Apply the shift-invariant operator with frequency symbol m to x."""
+    """Apply the shift-invariant operator with frequency symbol m to x.
+
+    An output beyond the float64 range is LengthMismatch("output must be finite").
+    """
     mv = _as_signal(m, "multiplier")
     xv = _as_signal(x)
     if mv.shape != xv.shape:
         raise LengthMismatch(f"multiplier length {mv.size} != signal length {xv.size}")
-    with linalg.quiet_overflow():  # m * X can overflow; its check names it, without a warning
-        spectrum = mv * np.fft.fft(xv, norm="ortho")
-    return np.fft.ifft(_as_signal(spectrum, "spectrum"), norm="ortho")
-
-
-def multiplier_matrix(m) -> np.ndarray:
-    """Dense N x N matrix of the operator with symbol m.
-
-    No decision in this module builds it: they all run on the symbol.  It
-    is the dense reference those decisions are tested against.
-    """
-    mv = _as_signal(m, "multiplier")
-    N = mv.size
-    F = np.fft.fft(np.eye(N), axis=0, norm="ortho")
-    return np.fft.ifft(mv[:, None] * F, axis=0, norm="ortho")
+    # m * X or its inverse DFT can overflow; an inf or NaN in m * X makes every entry of
+    # the output non-finite, so one check of the output names both, without a warning
+    with linalg.quiet_overflow():
+        y = np.fft.ifft(mv * np.fft.fft(xv, norm="ortho"), norm="ortho")
+    return _as_signal(y, "output")
 
 
 def is_real_symbol_operator(m, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -149,7 +125,7 @@ def rebrick_translates(x, m, tol: Tolerance = DEFAULT_TOL):
     if xv.shape != mv.shape:
         raise LengthMismatch(f"generator length {xv.size} != multiplier length {mv.size}")
     N = xv.size
-    X = np.fft.fft(xv, norm="ortho")  # dft(xv), on the signal checked above
+    X = np.fft.fft(xv, norm="ortho")
     if not linalg.is_close(np.abs(X), 1.0 / np.sqrt(N), tol):
         raise GeneratorNotONB(
             "translates of the generator are not orthonormal "
@@ -182,7 +158,7 @@ def analytic_defect(N: int, tol: Tolerance = DEFAULT_TOL):
     rank is N/2 + 1: analytic signals never span the complex space.
     The singular values of a shift-invariant operator are the moduli of
     its symbol, so the rank is decided on them in O(N), with the cutoff
-    that `linalg.rank` applies to the dense matrix.
+    that `linalg.regularity_of` applies to the dense matrix.
     """
     s = np.abs(1.0 + 1j * discrete_hilbert(N))
     r = linalg.regularity(s, N, tol).rank

@@ -69,18 +69,6 @@ def _check_permutation(pi, n: int) -> tuple[int, ...]:
     return p
 
 
-def permutation_matrix(pi, n: int) -> np.ndarray:
-    """Matrix P with P[k, pi[k]] = 1; acts on columns by right multiplication."""
-    p = _check_permutation(pi, n)
-    return np.eye(n)[list(p)]
-
-
-def apply_column_permutation(A, pi) -> np.ndarray:
-    """A @ P_pi: column pi[k] of the result is column k of A."""
-    M = linalg.as_matrix(A)
-    return M[:, np.argsort(_check_permutation(pi, M.shape[1]))]
-
-
 def cycle_notation(pi) -> str:
     """One-line cycle notation with 1-based indices, e.g. '(2 3 4)'."""
     n = len(pi)
@@ -165,7 +153,7 @@ def repair_permutation(A, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Permut
             # seeded once the identity has failed; Random(-s) would repeat Random(s)
             rng = rng or random.Random(s if s >= 0 else str(s))
             rng.shuffle(pi)
-        order = np.argsort(pi)  # apply_column_permutation, with M and pi known valid
+        order = np.argsort(pi)  # M[:, order] is M @ P_pi
         reg = linalg.regularity_of(Id + iM[:, order], tol)
         if reg.regular:
             eigs = linalg.sorted_eigvals(M[:, order])

@@ -9,8 +9,14 @@ from pathlib import Path
 
 import numpy as np
 
-from rebrick import linalg, multipliers
-from rebrick.errors import InvalidMatrix, MatrixParseError, NotOrthogonalSymmetric, ShapeMismatch
+from rebrick import linalg, multipliers, permutation
+from rebrick.errors import (
+    InvalidMatrix,
+    LengthMismatch,
+    MatrixParseError,
+    NotOrthogonalSymmetric,
+    ShapeMismatch,
+)
 from rebrick.permutation import PermutationRepair
 
 
@@ -200,8 +206,8 @@ def exact_rank(A_int) -> int:
 def range_kernel_fills(A, S, tol=linalg.DEFAULT_TOL) -> bool:
     """range(Id + iS) + ker(A)_C fills C^p: A @ (Id + iS) is surjective (frrebrick_check)."""
     p = S.shape[0]
-    K = linalg.kernel_basis(A, tol)  # the complex span of a real basis is ker(A) + i*ker(A)
-    return linalg.rank(np.hstack([np.eye(p) + 1j * S, K]), tol) == p
+    K = linalg.decompose(A, tol).kernel  # the complex span of a real basis is ker(A) + i*ker(A)
+    return linalg.regularity_of(np.hstack([np.eye(p) + 1j * S, K]), tol).rank == p
 
 
 # Largest relative residual that the compatibility tests measure: 6e-15 from
@@ -242,18 +248,45 @@ def dual_real_part(A) -> np.ndarray:
     return np.linalg.inv(np.eye(len(A)) - 1j * np.asarray(A).T).real
 
 
-# ------------------------------------------------- dense multiplier oracle
+# ------------------------------------------------- dense oracles
+# The dense matrices that the symbol and index routes of rebrick.multipliers and
+# rebrick.permutation never build, kept as the reference those routes must match.
+
+def shift_matrix(N: int) -> np.ndarray:
+    """Circular right shift: (T x)[m] = x[m-1 mod N]."""
+    if N < 1:
+        raise LengthMismatch("N must be positive")
+    return np.roll(np.eye(N), 1, axis=0)
+
+
+def multiplier_matrix(m) -> np.ndarray:
+    """Dense N x N matrix of the operator with symbol m.
+
+    No decision in rebrick.multipliers builds it: they all run on the symbol.
+    It is the dense reference those decisions are tested against.
+    """
+    mv = multipliers._as_signal(m, "multiplier")
+    N = mv.size
+    F = np.fft.fft(np.eye(N), axis=0, norm="ortho")
+    return np.fft.ifft(mv[:, None] * F, axis=0, norm="ortho")
+
+
+def permutation_matrix(pi, n: int) -> np.ndarray:
+    """Matrix P with P[k, pi[k]] = 1; acts on columns by right multiplication."""
+    p = permutation._check_permutation(pi, n)
+    return np.eye(n)[list(p)]
+
 
 def dense_id_plus_i(m) -> np.ndarray:
     """Dense N x N matrix of Id + i*A, A the operator with symbol m."""
-    A = multipliers.multiplier_matrix(m)
+    A = multiplier_matrix(m)
     return np.eye(A.shape[0]) + 1j * A
 
 
 def dense_rank_sigma_min(m, tol=linalg.DEFAULT_TOL) -> tuple[int, float]:
     """(rank, sigma_min) of Id + i*A from a dense SVD."""
     B = dense_id_plus_i(m)
-    return linalg.rank(B, tol), float(np.linalg.svd(B, compute_uv=False)[-1])
+    return linalg.regularity_of(B, tol).rank, float(np.linalg.svd(B, compute_uv=False)[-1])
 
 
 def dense_translates(x, m) -> tuple[np.ndarray, float]:
@@ -282,11 +315,10 @@ def count_svd_calls(monkeypatch) -> list:
 
 
 def refuse_inverses(monkeypatch) -> None:
-    """From now on linalg.invert and np.linalg.inv raise: a product with an inverse is a solve."""
+    """From now on np.linalg.inv raises: a product with an inverse is a solve."""
     def refuse(*args, **kwargs):
         raise AssertionError("an explicit inverse on a decision path; solve instead")
 
-    monkeypatch.setattr(linalg, "invert", refuse)
     monkeypatch.setattr(np.linalg, "inv", refuse)
 
 

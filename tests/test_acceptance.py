@@ -16,6 +16,7 @@ from support import (
     appended_vector_frame,
     duplicated_e1_frame,
     is_unitary_defect,
+    multiplier_matrix,
     plant_eigenvalue_i,
     random_invertible,
     random_orthogonal,
@@ -62,7 +63,7 @@ def test_criterion_02_eighth_turn_cases_and_non_transitivity():
             _, v = basis.rebrick_pair(V1, V2)
             assert v.rebrickable
             A = basis.transfer_operator(V1, V2)
-            eigs = sorted(linalg.eigenvalues(A), key=lambda z: z.imag)
+            eigs = sorted(linalg.sorted_eigvals(A), key=lambda z: z.imag)
             assert np.max(np.abs(np.array(eigs) - target)) <= 1e-10
         A1, A2 = basis.non_transitivity_witness(2)
         flags = tuple(
@@ -82,7 +83,7 @@ def test_criterion_03_summed_char_poly_identity():
                 A = rng.standard_normal((n, n))
                 total = np.zeros(n + 1)
                 for pi in perms:
-                    AP = permutation.apply_column_permutation(A, pi)
+                    AP = A[:, np.argsort(pi)]
                     total += np.array(permutation.char_poly(AP).coefficients)
                 closed = permutation.summed_char_poly(A)
                 scale = np.maximum(np.abs(closed), 1.0)
@@ -93,7 +94,7 @@ def test_criterion_03_summed_char_poly_identity():
             n = A.shape[0]
             cands = np.linalg.eigvals(A)
             for pi in all_perms(range(n)):
-                w = np.linalg.eigvals(permutation.apply_column_permutation(A, pi))
+                w = np.linalg.eigvals(A[:, np.argsort(pi)])
                 cands = np.array([c for c in cands if np.min(np.abs(w - c)) <= 1e-8])
                 if cands.size == 0:
                     break
@@ -195,8 +196,8 @@ def test_criterion_07_partial_order_suite():
             A = rng.standard_normal((n1, p1))
             B = rng.standard_normal((p1, q1))
             assert (
-                linalg.kernel_basis(A @ B).shape[1]
-                == linalg.kernel_basis(A).shape[1] + linalg.kernel_basis(B).shape[1]
+                linalg.decompose(A @ B).kernel.shape[1]
+                == linalg.decompose(A).kernel.shape[1] + linalg.decompose(B).kernel.shape[1]
             )
 
         # explicit factorization through a smaller-kernel surjection
@@ -209,7 +210,7 @@ def test_criterion_07_partial_order_suite():
             T = frames.surjective_factor(A, B)
             assert T is not None
             assert np.max(np.abs(B @ T - A)) <= 1e-9
-            assert linalg.kernel_basis(T).shape[1] == (p1 - n1) - (q1 - n1)
+            assert linalg.decompose(T).kernel.shape[1] == (p1 - n1) - (q1 - n1)
 
 
 def test_criterion_08_absorbed_defect_example():
@@ -219,9 +220,9 @@ def test_criterion_08_absorbed_defect_example():
         S[:2, :2] = ROT90
         A = truncating_shift(n, p)
         BS = np.eye(p) + 1j * S
-        assert linalg.rank(BS) == p - 1
+        assert linalg.regularity_of(BS).rank == p - 1
         assert frames.frrebrick_check(A, S).surjective is True
-        assert linalg.rank(A @ BS) == n
+        assert linalg.regularity_of(A @ BS).rank == n
 
 
 def test_criterion_09_analytic_signal_obstruction():
@@ -230,14 +231,14 @@ def test_criterion_09_analytic_signal_obstruction():
         r, k = multipliers.analytic_defect(N)
         assert (r, k) == (33, 31)
         rng = np.random.default_rng(19)
-        H = multipliers.multiplier_matrix(multipliers.discrete_hilbert(N)).real
+        H = multiplier_matrix(multipliers.discrete_hilbert(N)).real
         B = np.eye(N) + 1j * H
         for _ in range(10):
             f = rng.standard_normal(N)
-            X = multipliers.dft(f)
+            X = np.fft.fft(f, norm="ortho")
             X[0] = 0.0
             X[N // 2] = 0.0  # convention bins carry no analytic content
-            f = multipliers.idft(X).real
+            f = np.fft.ifft(X, norm="ortho").real
             witness = f - 1j * (H @ f)
             assert np.max(np.abs(B @ witness)) <= 1e-10 * max(1.0, np.linalg.norm(f))
 

@@ -680,5 +680,5 @@ class TestSpectralFactorize:
 
 def test_block_rotation_witness_used_by_other_tests():
     A = block_rotation(4, np.pi / 2)
-    w = linalg.eigenvalues(A)
+    w = linalg.sorted_eigvals(A)
     assert np.min(np.abs(w - 1j)) < 1e-12

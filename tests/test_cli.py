@@ -487,7 +487,7 @@ class TestMultiplier:
         for N in range(2, 65):
             theta = 2 * np.pi * rng.random(N)
             theta = (theta - theta[-np.arange(N) % N]) / 2  # odd phases: a real generator
-            x = multipliers.idft(np.exp(1j * theta) / np.sqrt(N)).real
+            x = np.fft.ifft(np.exp(1j * theta) / np.sqrt(N), norm="ortho").real
             even = rng.standard_normal(N)
             for m, code in ((_sign_pattern(N), 0), ((even + even[-np.arange(N) % N])[None], 1)):
                 xf, mf = write(tmp_path, "x.csv", x[None]), write(tmp_path, "m.csv", m)

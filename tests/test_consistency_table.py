@@ -32,7 +32,7 @@ def reflector(rng, n):
 
 
 def spans(S, n):
-    return linalg.rank(S) == n
+    return linalg.regularity_of(S).rank == n
 
 
 class TestApplyingAnOperator:

@@ -212,9 +212,9 @@ class TestCompatibilityOperator:
         T = frames.compatibility_operator(F, Gf)
         assert T is not None and solves_compatibility(T, F, Gf)
         np.testing.assert_allclose(T @ G, F_padded, atol=1e-9)
-        ker_T = linalg.kernel_basis(T).shape[1]
-        ker_F = linalg.kernel_basis(F_padded).shape[1]
-        ker_G = linalg.kernel_basis(G).shape[1]
+        ker_T = linalg.decompose(T).kernel.shape[1]
+        ker_F = linalg.decompose(F_padded).kernel.shape[1]
+        ker_G = linalg.decompose(G).kernel.shape[1]
         assert ker_T == ker_F - ker_G
 
     def test_exists_iff_leq(self):
@@ -355,11 +355,11 @@ class TestFrRebrick:
     def test_kernel_absorbs_the_defect(self):
         A, S, p = self.example(6)
         BS = np.eye(p) + 1j * S
-        assert linalg.rank(BS) == p - 1  # not surjective on its own
+        assert linalg.regularity_of(BS).rank == p - 1  # not surjective on its own
         v = frames.frrebrick_check(A, S)
         assert v.surjective is True
         assert (v.rank_id_iS, v.rank_product) == (p - 1, 6)
-        assert linalg.rank(A @ BS) == 6
+        assert linalg.regularity_of(A @ BS).rank == 6
 
     def test_invertible_a_cannot_absorb(self):
         rng = np.random.default_rng(8)
@@ -406,12 +406,12 @@ class TestFrRebrick:
                 rows = np.eye(p)[:n] if kind == 0 else np.eye(p)[p - n :]
                 A = random_orthogonal(rng, n) @ rows @ Q.T
             BS = np.eye(p) + 1j * S
-            K = linalg.kernel_basis(A, tol)
+            K = linalg.decompose(A, tol).kernel
             if not all(decisive(M) for M in (A, S, BS, A @ BS, np.hstack([BS, K]))):
                 continue
             v = frames.frrebrick_check(A, S, tol)
             assert v.surjective == range_kernel_fills(A, S, tol)
-            ranks = (linalg.rank(BS, tol), linalg.rank(A @ BS, tol))
+            ranks = (linalg.regularity_of(BS, tol).rank, linalg.regularity_of(A @ BS, tol).rank)
             assert (v.rank_id_iS, v.rank_product) == ranks
             seen[v.surjective] += 1
         assert min(seen.values()) >= 50, seen
@@ -439,7 +439,7 @@ class TestSurjectiveFactor:
         A = truncating_shift(3, 5)
         T = frames.surjective_factor(A, A)
         np.testing.assert_allclose(T, np.eye(5), atol=1e-10)
-        assert linalg.kernel_basis(T).shape[1] == 0
+        assert linalg.decompose(T).kernel.shape[1] == 0
 
     def test_factor_through_invertible(self):
         rng = np.random.default_rng(11)
@@ -448,7 +448,7 @@ class TestSurjectiveFactor:
         T = frames.surjective_factor(A, B)
         assert T.shape == (4, 5)
         np.testing.assert_allclose(B @ T, A, atol=1e-9)
-        assert linalg.kernel_basis(T).shape[1] == 1
+        assert linalg.decompose(T).kernel.shape[1] == 1
 
     def test_bigger_kernel_through_smaller(self):
         rng = np.random.default_rng(12)
@@ -457,8 +457,8 @@ class TestSurjectiveFactor:
         T = frames.surjective_factor(A, B)
         assert T.shape == (5, 7)
         np.testing.assert_allclose(B @ T, A, atol=1e-9)
-        assert linalg.kernel_basis(T).shape[1] == 2
-        assert linalg.rank(T) == 5  # surjective
+        assert linalg.decompose(T).kernel.shape[1] == 2
+        assert linalg.regularity_of(T).rank == 5  # surjective
 
     def test_impossible_direction_returns_none(self):
         rng = np.random.default_rng(13)
@@ -476,9 +476,9 @@ class TestSurjectiveFactor:
             B = rng.standard_normal((p, q))
             if np.linalg.matrix_rank(A) < n or np.linalg.matrix_rank(B) < p:
                 continue
-            dim_ab = linalg.kernel_basis(A @ B).shape[1]
-            dim_a = linalg.kernel_basis(A).shape[1]
-            dim_b = linalg.kernel_basis(B).shape[1]
+            dim_ab = linalg.decompose(A @ B).kernel.shape[1]
+            dim_a = linalg.decompose(A).kernel.shape[1]
+            dim_b = linalg.decompose(B).kernel.shape[1]
             assert dim_ab == dim_a + dim_b
 
     def test_kernel_dim_invariant_under_basis_change(self):
@@ -486,7 +486,7 @@ class TestSurjectiveFactor:
         A = rng.standard_normal((3, 6))
         R = random_invertible(rng, 6)
         assert (
-            linalg.kernel_basis(A).shape[1] == linalg.kernel_basis(A @ R).shape[1]
+            linalg.decompose(A).kernel.shape[1] == linalg.decompose(A @ R).kernel.shape[1]
         )
 
     def test_two_svds(self, monkeypatch):
@@ -542,7 +542,7 @@ class TestParsevalRebrick:
         out, ok = frames.parseval_rebrick(F, rotation(np.pi / 4))
         assert not ok
         # still a frame: the combination spans
-        assert linalg.rank(out.synthesis) == 2
+        assert linalg.regularity_of(out.synthesis).rank == 2
 
     def test_boolean_matches_operator_condition(self):
         rng = np.random.default_rng(16)

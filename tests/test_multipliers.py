@@ -5,36 +5,51 @@ import numpy as np
 import pytest
 
 from rebrick import errors, linalg, multipliers
-from support import dense_rank_sigma_min, dense_translates, is_unitary_defect, max_abs
+from support import (
+    dense_rank_sigma_min,
+    dense_translates,
+    is_unitary_defect,
+    max_abs,
+    multiplier_matrix,
+    shift_matrix,
+)
 
 
 class TestDft:
+    """apply_multiplier acts in the unitary DFT domain: the symbol multiplies the spectrum."""
+
     def test_delta_goes_flat(self):
+        # a delta has a flat spectrum, so the impulse response is the inverse DFT of the symbol
         x = np.zeros(8)
         x[0] = 1.0
-        np.testing.assert_allclose(
-            multipliers.dft(x), np.full(8, 1 / np.sqrt(8)), atol=1e-14
-        )
+        m = np.random.default_rng(0).standard_normal(8) + 1j
+        np.testing.assert_allclose(np.fft.fft(multipliers.apply_multiplier(m, x)), m, atol=1e-14)
 
     def test_inversion(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        np.testing.assert_allclose(multipliers.idft(multipliers.dft(x)), x, atol=1e-12)
+        m = np.exp(1j * rng.random(16)) * (1.0 + rng.random(16))
+        y = multipliers.apply_multiplier(1.0 / m, multipliers.apply_multiplier(m, x))
+        np.testing.assert_allclose(y, x, atol=1e-12)
 
     def test_parseval(self):
+        # a unimodular symbol is a unitary operator, since the DFT is unitary
         rng = np.random.default_rng(1)
         for _ in range(100):
             x = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+            m = np.exp(2j * np.pi * rng.random(32))
             assert abs(
-                np.linalg.norm(x) - np.linalg.norm(multipliers.dft(x))
+                np.linalg.norm(x) - np.linalg.norm(multipliers.apply_multiplier(m, x))
             ) <= 1e-12 * np.linalg.norm(x)
 
     def test_real_signal_conjugate_symmetric(self):
+        # a symbol with m[k] == conj(m[N-k]) maps a real signal to a real one
         rng = np.random.default_rng(2)
         x = rng.standard_normal(12)
-        X = multipliers.dft(x)
-        mirrored = np.conj(X[(-np.arange(12)) % 12])
-        np.testing.assert_allclose(X, mirrored, atol=1e-12)
+        r = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        m = (r + np.conj(r[(-np.arange(12)) % 12])) / 2.0
+        assert multipliers.is_real_symbol_operator(m)
+        np.testing.assert_allclose(multipliers.apply_multiplier(m, x).imag, 0.0, atol=1e-12)
 
 
 class TestSignalChecks:
@@ -47,7 +62,7 @@ class TestSignalChecks:
     )
     def test_non_numeric_is_refused(self, x):
         with pytest.raises(errors.LengthMismatch, match="^signal must be numeric$"):
-            multipliers.dft(x)
+            multipliers.apply_multiplier(np.ones(2), x)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
     @pytest.mark.parametrize(
@@ -60,13 +75,14 @@ class TestSignalChecks:
         ids=["longdouble", "nan-imag", "NaT"],
     )
     def test_non_finite_is_refused(self, x):
-        with pytest.raises(errors.LengthMismatch, match="^spectrum must be finite$"):
-            multipliers.idft(x)
+        with pytest.raises(errors.LengthMismatch, match="^multiplier must be finite$"):
+            multipliers.validate_rebrick_multiplier(x)
 
     def test_integers_and_timedelta_are_signals(self):
-        want = multipliers.dft(np.array([1.0, 2.0]))
-        assert np.array_equal(multipliers.dft(np.array([1, 2], dtype=np.int8)), want)
-        assert np.array_equal(multipliers.dft(np.array([1, 2], dtype="m8[s]")), want)
+        m = np.array([1.0, -1.0])
+        want = multipliers.apply_multiplier(m, np.array([1.0, 2.0]))
+        for x in (np.array([1, 2], dtype=np.int8), np.array([1, 2], dtype="m8[s]")):
+            assert np.array_equal(multipliers.apply_multiplier(m, x), want)
 
 
 class TestShiftAndMultiplier:
@@ -79,11 +95,11 @@ class TestShiftAndMultiplier:
 
     def test_shift_symbol_matches_shift_matrix(self):
         N = 12
-        T = multipliers.shift_matrix(N)
+        T = shift_matrix(N)
         # diagonalize the one-step shift through the DFT to read off its symbol
         delta = np.zeros(N)
         delta[0] = 1.0
-        symbol = multipliers.dft(T @ delta) / multipliers.dft(delta)
+        symbol = np.fft.fft(T @ delta, norm="ortho") / np.fft.fft(delta, norm="ortho")
         rng = np.random.default_rng(4)
         x = rng.standard_normal(N)
         np.testing.assert_allclose(
@@ -93,7 +109,7 @@ class TestShiftAndMultiplier:
     def test_commutes_with_shift(self):
         rng = np.random.default_rng(5)
         N = 16
-        T = multipliers.shift_matrix(N)
+        T = shift_matrix(N)
         for _ in range(50):
             m = rng.standard_normal(N) + 1j * rng.standard_normal(N)
             x = rng.standard_normal(N) + 1j * rng.standard_normal(N)
@@ -105,7 +121,7 @@ class TestShiftAndMultiplier:
         rng = np.random.default_rng(6)
         N = 8
         m = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        A = multipliers.multiplier_matrix(m)
+        A = multiplier_matrix(m)
         x = rng.standard_normal(N)
         np.testing.assert_allclose(A @ x, multipliers.apply_multiplier(m, x), atol=1e-12)
 
@@ -114,7 +130,7 @@ class TestShiftAndMultiplier:
             multipliers.apply_multiplier(np.ones(4), np.ones(5))
 
     def test_checks_each_array_once(self, monkeypatch):
-        # m, x and the formed spectrum m * X; the FFTs take the checked arrays
+        # m, x and the formed output ifft(m * X); the FFTs take the checked arrays
         names = []
         as_signal = multipliers._as_signal
 
@@ -124,19 +140,26 @@ class TestShiftAndMultiplier:
 
         monkeypatch.setattr(multipliers, "_as_signal", counting)
         multipliers.apply_multiplier(np.ones(8), np.arange(8.0))
-        assert names == ["multiplier", "signal", "spectrum"]
+        assert names == ["multiplier", "signal", "output"]
 
     def test_bit_identical_to_dft_route(self):
         rng = np.random.default_rng(7)
         for N in (1, 2, 7, 16, 64):
             m = rng.standard_normal(N) + 1j * rng.standard_normal(N)
             x = rng.standard_normal(N)
-            want = multipliers.idft(m * multipliers.dft(x))
+            want = np.fft.ifft(m * np.fft.fft(x, norm="ortho"), norm="ortho")
             assert np.array_equal(multipliers.apply_multiplier(m, x), want)
 
     def test_overflowing_spectrum_is_refused(self):
-        with pytest.raises(errors.LengthMismatch, match="spectrum must be finite"):
+        with pytest.raises(errors.LengthMismatch, match="^output must be finite$"):
             multipliers.apply_multiplier(np.full(4, 1e300), np.full(4, 1e300))
+
+    def test_overflowing_inverse_dft_is_refused(self):
+        # m * X is finite, but the inverse DFT of the flat 1e308 symbol overflows
+        x = np.zeros(8)
+        x[0] = 1.0
+        with pytest.raises(errors.LengthMismatch, match="^output must be finite$"):
+            multipliers.apply_multiplier(np.full(8, 1e308), x)
 
 
 class TestValidateMultiplier:
@@ -254,7 +277,7 @@ class TestRebrickTranslates:
         # force conjugate symmetry so the generator is real
         for k in range(1, N // 2):
             phases[N - k] = np.conj(phases[k])
-        x = multipliers.idft(phases / np.sqrt(N)).real
+        x = np.fft.ifft(phases / np.sqrt(N), norm="ortho").real
         cols, unitary = multipliers.rebrick_translates(x, np.ones(N))
         assert unitary
 
@@ -280,7 +303,7 @@ class TestRebrickTranslates:
     def test_memory_is_linear_in_N(self):
         N = 2**11
         rng = np.random.default_rng(11)
-        x = multipliers.idft(np.exp(2j * np.pi * rng.random(N)) / np.sqrt(N))
+        x = np.fft.ifft(np.exp(2j * np.pi * rng.random(N)) / np.sqrt(N), norm="ortho")
         m = rng.choice([-1.0, 1.0], N)[np.minimum(np.arange(N), (-np.arange(N)) % N)]
         tracemalloc.start()
         try:
@@ -300,35 +323,35 @@ class TestDiscreteHilbert:
         np.testing.assert_array_equal(m[5:], [1j, 1j, 1j])
 
     def test_operator_is_real(self):
-        H = multipliers.multiplier_matrix(multipliers.discrete_hilbert(32))
+        H = multiplier_matrix(multipliers.discrete_hilbert(32))
         assert np.max(np.abs(H.imag)) <= 1e-12
 
     def test_cosine_maps_to_sine(self):
         N = 32
         t = np.arange(N)
         x = np.cos(2 * np.pi * t / N)
-        H = multipliers.multiplier_matrix(multipliers.discrete_hilbert(N)).real
+        H = multiplier_matrix(multipliers.discrete_hilbert(N)).real
         np.testing.assert_allclose(H @ x, np.sin(2 * np.pi * t / N), atol=1e-10)
 
     def test_isometry_off_dc_and_nyquist(self):
         rng = np.random.default_rng(8)
         N = 16
-        H = multipliers.multiplier_matrix(multipliers.discrete_hilbert(N)).real
+        H = multiplier_matrix(multipliers.discrete_hilbert(N)).real
         for _ in range(20):
             x = rng.standard_normal(N)
-            X = multipliers.dft(x)
+            X = np.fft.fft(x, norm="ortho")
             X[0] = 0.0
             X[N // 2] = 0.0
-            x = multipliers.idft(X).real
+            x = np.fft.ifft(X, norm="ortho").real
             assert abs(np.linalg.norm(H @ x) - np.linalg.norm(x)) <= 1e-10
 
     def test_squares_to_minus_identity_off_dc_and_nyquist(self):
         N = 16
-        H = multipliers.multiplier_matrix(multipliers.discrete_hilbert(N)).real
+        H = multiplier_matrix(multipliers.discrete_hilbert(N)).real
         # projector onto the DC/Nyquist-free subspace
         mask = np.ones(N)
         mask[0] = mask[N // 2] = 0.0
-        P = multipliers.multiplier_matrix(mask).real
+        P = multiplier_matrix(mask).real
         np.testing.assert_allclose(H @ H @ P, -P, atol=1e-10)
 
     def test_gabor_symbol_of_id_plus_ih(self):
@@ -354,14 +377,14 @@ class TestAnalyticDefect:
     def test_kernel_contains_antianalytic_witnesses(self):
         N = 32
         rng = np.random.default_rng(9)
-        H = multipliers.multiplier_matrix(multipliers.discrete_hilbert(N)).real
+        H = multiplier_matrix(multipliers.discrete_hilbert(N)).real
         B = np.eye(N) + 1j * H
         for _ in range(10):
             f = rng.standard_normal(N)
-            X = multipliers.dft(f)
+            X = np.fft.fft(f, norm="ortho")
             X[0] = 0.0
             X[N // 2] = 0.0  # the convention bins carry no analytic content
-            f = multipliers.idft(X).real
+            f = np.fft.ifft(X, norm="ortho").real
             witness = f - 1j * (H @ f)
             assert np.max(np.abs(B @ witness)) <= 1e-10 * max(np.linalg.norm(f), 1)
 
@@ -427,7 +450,7 @@ class TestSymbolRouteMatchesDenseOracle:
         assert row.sigma_min == pytest.approx(sigma_min, abs=1e-12)
 
         rng = np.random.default_rng(N)
-        x = multipliers.idft(np.exp(2j * np.pi * rng.random(N)) / np.sqrt(N))
+        x = np.fft.ifft(np.exp(2j * np.pi * rng.random(N)) / np.sqrt(N), norm="ortho")
         valid = rng.choice([-1.0, 1.0], N)[np.minimum(np.arange(N), (-np.arange(N)) % N)]
         invalid = valid.copy()
         k = int(rng.integers(1, N // 2))

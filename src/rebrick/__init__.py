@@ -19,7 +19,6 @@ from .basis import (
     rebricked_dual,
     rebricked_frame_bounds,
     spectral_factorize_orthosym,
-    symmetry_condition_check,
     transfer_operator,
 )
 from .frames import (
@@ -106,7 +105,6 @@ __all__ = [
     "spectral_factorize_orthosym",
     "summed_char_poly",
     "surjective_factor",
-    "symmetry_condition_check",
     "transfer_operator",
     "trig_rebrick_demo",
     "validate_rebrick_multiplier",

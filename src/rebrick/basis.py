@@ -104,7 +104,7 @@ def require_basis(V: np.ndarray, which: str, tol: Tolerance) -> Regularity:
     """The one basis rule: Regularity of a checked square V; NotABasis unless sigma(V) clears it."""
     reg = linalg.regularity_of(V, tol)
     if not reg.regular:
-        raise NotABasis(f"columns of {which} do not form a basis", which=which)
+        raise NotABasis(f"columns of {which} do not form a basis")
     return reg
 
 
@@ -172,7 +172,7 @@ def _orthogonal_pair(E1, E2, tol: Tolerance):
     M1, M2 = linalg.require_square_pair(E1, E2, ("E1", "E2"), real=True)
     for name, M in (("E1", M1), ("E2", M2)):
         if not linalg.is_orthonormal(M, tol):
-            raise NotOrthogonal(f"{name} is not orthogonal at tolerance", which=name)
+            raise NotOrthogonal(f"{name} is not orthogonal at tolerance")
     return M1, M2
 
 
@@ -182,21 +182,12 @@ def onb_rebrick_check(E1, E2, tol: Tolerance = DEFAULT_TOL):
 
     Returns ((E1 + i*E2)/sqrt(2), is_onb, A) with A = E2 @ E1.T.  is_onb
     is decided by the definition alone: the combined matrix is unitary at
-    tolerance.  The paper's equivalent form, A symmetric, is
-    `symmetry_condition_check`; the tests check the two against each other.
+    tolerance.  The paper's equivalent form, A symmetric (Gram symmetry
+    <d_n, e_k> == <d_k, e_n>), is a test oracle checked against it.
     """
     M1, M2 = _orthogonal_pair(E1, E2, tol)
     U = (M1 + 1j * M2) / np.sqrt(2.0)
     return U, linalg.is_orthonormal(U, tol), M2 @ M1.T
-
-
-@linalg.overflow_guard
-def symmetry_condition_check(E1, E2, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Gram-symmetry test <d_n, e_k> == <d_k, e_n> for the columns of E1, E2."""
-    M1, M2 = _orthogonal_pair(E1, E2, tol)
-    # G[n, k] = <d_n, e_k> with d_n, e_k the columns of E2, E1
-    G = M2.T @ M1
-    return linalg.is_close(G, G.T, tol)
 
 
 def rebricked_dual(V, A, tol: Tolerance = DEFAULT_TOL):

@@ -221,7 +221,7 @@ def cmd_multiplier_hilbert(args, tol):
     _check_cap("--N", args.N, MAX_SYMBOL_N)
     r, k = multipliers.analytic_defect(args.N, tol)
     certs = {"N": args.N, "rank": r, "kernel_dim": k}
-    return {}, {"analytic_defect": True}, certs, 0
+    return {}, {"analytic_defect": k > 0}, certs, 0 if k > 0 else 1
 
 
 def cmd_multiplier_trig(args, tol):

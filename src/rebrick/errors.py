@@ -55,10 +55,6 @@ class Singular(InputError):
 class NotABasis(InputError):
     """Columns of a factor do not form a basis (singular at tolerance)."""
 
-    def __init__(self, msg, which=""):
-        super().__init__(msg)
-        self.which = which
-
 
 class TooSmall(InputError):
     """Requested dimension is below the minimum the construction needs."""
@@ -66,10 +62,6 @@ class TooSmall(InputError):
 
 class NotOrthogonal(InputError):
     """A matrix required to be orthogonal fails the check at tolerance."""
-
-    def __init__(self, msg, which=""):
-        super().__init__(msg)
-        self.which = which
 
 
 class NotRebrickable(NegativeVerdict):
@@ -85,11 +77,7 @@ class NotAPermutation(InputError):
 
 
 class SearchExhausted(NegativeVerdict):
-    """No repairing permutation: the trial cap was hit, or (trials == 1) none can pass."""
-
-    def __init__(self, msg, trials=0):
-        super().__init__(msg)
-        self.trials = trials
+    """No repairing permutation: the trial cap was hit, or the identity trial rules all out."""
 
 
 class NotRepaired(NegativeVerdict):

@@ -114,10 +114,6 @@ def _csv_lines(M):
         yield ",".join(cells[start : start + cols])
 
 
-def format_cell(value) -> str:
-    return next(_csv_lines(np.array([[complex(value)]])))
-
-
 def _read_text(path, digest=None) -> str:
     """The file's text, decoded as UTF-8, once its size is known to be within the cap.
 

@@ -155,7 +155,8 @@ def analytic_defect(N: int, tol: Tolerance = DEFAULT_TOL):
 
     The symbol of Id + i*H is 2 on positive frequencies, 0 on negative
     ones and 1 at DC/Nyquist, so the kernel has dimension N/2 - 1 and the
-    rank is N/2 + 1: analytic signals never span the complex space.
+    rank is N/2 + 1: analytic signals span the complex space only at
+    N = 2, where Id + i*H = Id.
     The singular values of a shift-invariant operator are the moduli of
     its symbol, so the rank is decided on them in O(N), with the cutoff
     that `linalg.regularity_of` applies to the dense matrix.

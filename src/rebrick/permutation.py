@@ -40,16 +40,6 @@ class CharPoly:
         if self.coefficients[-1] != 1.0:
             raise ValueError("leading coefficient must be exactly 1")
 
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __call__(self, x):
-        acc = 0.0 + 0.0j if np.iscomplexobj(np.asarray(x)) else 0.0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
 
 @dataclass(frozen=True)
 class PermutationRepair:
@@ -139,8 +129,9 @@ def repair_permutation(A, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Permut
     or random.Random(str(seed)) for a negative seed, at most one million
     in all, at every n.  One exists for every real A:
     det(Id + i * A @ P_pi) averages 1 + i * sum(A) / n over all pi.  Yet at
-    tolerance none may pass: SearchExhausted(trials=1) when the identity
-    trial's singular values put every trial at or below its cutoff (Weyl).
+    tolerance none may pass: SearchExhausted("no permutation can repair A ...")
+    when the identity trial's singular values put every trial at or below
+    its cutoff (Weyl).
     """
     M = linalg.require_square(A, real=True)
     n = M.shape[0]
@@ -172,8 +163,8 @@ def repair_permutation(A, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Permut
             most, least = reg.sigma_min + 2 + slack, tol.rank_rel * n * (reg.sigma_max - 2 - slack)
             if most <= least:
                 msg = f"no permutation can repair A: every trial has sigma_min <= {most:.3e}"
-                raise SearchExhausted(f"{msg}, at or below its cutoff >= {least:.3e}", trials=1)
-    raise SearchExhausted(f"no repairing permutation found in {trials} trials", trials=trials)
+                raise SearchExhausted(f"{msg}, at or below its cutoff >= {least:.3e}")
+    raise SearchExhausted(f"no repairing permutation found in {trials} trials")
 
 
 def rebrick_with_permutation(V, A, pi, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

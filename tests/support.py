@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from rebrick import linalg, multipliers, permutation
+from rebrick import basis, linalg, multipliers, permutation
 from rebrick.errors import (
     InvalidMatrix,
     LengthMismatch,
@@ -241,6 +241,17 @@ def id_plus_a2_regularity(A, tol=linalg.DEFAULT_TOL) -> linalg.Regularity:
     s = np.linalg.svd(np.eye(n) + A @ A, compute_uv=False)
     cutoff = tol.rank_rel * n * float(np.linalg.svd(np.eye(n) + 1j * A, compute_uv=False)[0]) ** 2
     return linalg.Regularity(float(s[-1]), float(s[0]), cutoff, int(np.count_nonzero(s > cutoff)))
+
+
+@linalg.overflow_guard
+def symmetry_condition_check(E1, E2, tol=linalg.DEFAULT_TOL) -> bool:
+    """The paper's form of the `onb_rebrick_check` answer: Gram symmetry <d_n, e_k> == <d_k, e_n>.
+
+    d_n and e_k are the columns of E2 and E1, which must be orthogonal, as there.
+    """
+    M1, M2 = basis._orthogonal_pair(E1, E2, tol)
+    G = M2.T @ M1  # G[n, k] = <d_n, e_k>
+    return linalg.is_close(G, G.T, tol)
 
 
 def dual_real_part(A) -> np.ndarray:

@@ -24,6 +24,7 @@ from support import (
     random_symmetric,
     rotation,
     shifted_duplicate_frame,
+    symmetry_condition_check,
     truncating_shift,
 )
 
@@ -137,7 +138,7 @@ def test_criterion_05_onb_rebricking_classes():
             U, is_onb, _ = basis.onb_rebrick_check(E, E2)
             assert is_onb
             assert is_unitary_defect(U) <= 1e-10
-            assert basis.symmetry_condition_check(E, E2) == is_onb
+            assert symmetry_condition_check(E, E2) == is_onb
         count = 0
         while count < 500:
             n = int(rng.integers(2, 17))
@@ -149,7 +150,7 @@ def test_criterion_05_onb_rebricking_classes():
             U, is_onb, _ = basis.onb_rebrick_check(E, A @ E)
             assert not is_onb
             assert is_unitary_defect(U) > 1e-6
-            assert basis.symmetry_condition_check(E, A @ E) == is_onb
+            assert symmetry_condition_check(E, A @ E) == is_onb
 
 
 def test_criterion_06_redundant_rebricked_frame_bounds():

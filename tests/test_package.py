@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import rebrick
-from rebrick import linalg, multipliers, permutation
+from rebrick import basis, errors, linalg, matio, multipliers, permutation
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -56,28 +56,36 @@ PUBLIC = [
     "spectral_factorize_orthosym",
     "summed_char_poly",
     "surjective_factor",
-    "symmetry_condition_check",
     "transfer_operator",
     "trig_rebrick_demo",
     "validate_rebrick_multiplier",
 ]
 
-# generic numpy wrappers and dense oracles that the package no longer holds, by old home
+# generic numpy wrappers, dense oracles and second routes that the package no longer holds,
+# by old home
 REMOVED = {
+    basis: ("symmetry_condition_check",),
     linalg: ("svd", "rank", "kernel_basis", "invert", "eigenvalues"),
+    matio: ("format_cell",),
     multipliers: ("dft", "idft", "shift_matrix", "multiplier_matrix"),
     permutation: ("permutation_matrix", "apply_column_permutation"),
 }
 
 
 def test_public_surface():
-    assert sorted(rebrick.__all__) == PUBLIC
+    assert len(rebrick.__all__) == 45 and sorted(rebrick.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(rebrick, name) is not None
     for module, names in REMOVED.items():
         for name in names:
             assert not hasattr(rebrick, name), name
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+    # CharPoly is a record of coefficients, with no evaluation of its own
+    assert not hasattr(rebrick.CharPoly, "degree")
+    assert not callable(rebrick.char_poly(np.eye(2)))
+    # the message names the operand or the refusal; the exception carries nothing else
+    for cls in (errors.NotABasis, errors.NotOrthogonal, errors.SearchExhausted):
+        assert vars(cls("message")) == {}, cls.__name__
 
 
 def _run_readme_blocks() -> tuple[dict, dict]:
@@ -130,3 +138,25 @@ def _unused_imports(path: Path) -> list[str]:
 )
 def test_every_import_is_used(path):
     assert _unused_imports(path) == []
+
+
+def _raised_names(tree: ast.AST) -> set[str]:
+    """Names raised in a module: X in `raise X(...)`, `raise X` and `raise mod.X(...)`."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, (ast.Name, ast.Attribute)):
+                names.add(exc.id if isinstance(exc, ast.Name) else exc.attr)
+    return names
+
+
+def test_every_error_class_is_raised():
+    raised = set()
+    for path in (ROOT / "src" / "rebrick").glob("*.py"):
+        raised |= _raised_names(ast.parse(path.read_text()))
+    classes = [c for c in vars(errors).values() if isinstance(c, type)]
+    # a class is in use when it, or a class derived from it, has a raise site
+    used = [c for c in classes if any(issubclass(d, c) and d.__name__ in raised for d in classes)]
+    assert classes
+    assert [c.__name__ for c in classes if c not in used] == []

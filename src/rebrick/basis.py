@@ -23,12 +23,10 @@ import numpy as np
 from . import linalg
 from .errors import (
     InternalConsistencyError,
-    NotABasis,
+    InvalidSize,
     NotOrthogonal,
-    NotOrthogonalSymmetric,
     NotRebrickable,
-    Singular,
-    TooSmall,
+    RankDeficientInput,
 )
 from .linalg import DEFAULT_TOL, EPS, Regularity, Tolerance
 
@@ -101,10 +99,10 @@ def _verdict(reg_B: Regularity, A: np.ndarray, tol: Tolerance, norm_V1: float) -
 
 
 def require_basis(V: np.ndarray, which: str, tol: Tolerance) -> Regularity:
-    """The one basis rule: Regularity of a checked square V; NotABasis unless sigma(V) clears it."""
+    """The one basis rule: the Regularity of a checked square V; RankDeficientInput if singular."""
     reg = linalg.regularity_of(V, tol)
     if not reg.regular:
-        raise NotABasis(f"columns of {which} do not form a basis")
+        raise RankDeficientInput(f"columns of {which} do not form a basis")
     return reg
 
 
@@ -118,7 +116,7 @@ def transfer_operator(V1, V2, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 def rebrick_pair(V1, V2, tol: Tolerance = DEFAULT_TOL):
     """Combine two real bases into V1 + i*V2 and certify the result.
 
-    Raises NotABasis when either factor is singular at tolerance (V1 first),
+    Raises RankDeficientInput when either factor is singular at tolerance (V1 first),
     and InvalidMatrix when V2 @ inv(V1) leaves the float64 range.
     Returns (complex matrix, RebrickVerdict).
     """
@@ -160,7 +158,7 @@ def non_transitivity_witness(dim: int):
     with the identity.
     """
     if dim < 2:
-        raise TooSmall("witness needs dimension >= 2")
+        raise InvalidSize("witness needs dimension >= 2")
     A = np.eye(dim)
     c = 1.0 / np.sqrt(2.0)
     A[:2, :2] = np.array([[c, -c], [c, c]])
@@ -216,7 +214,7 @@ def real_part_preservation_lambda(A, tol: Tolerance = DEFAULT_TOL):
     """
     A_ = linalg.require_square(A, "A", real=True)
     if not linalg.regularity_of(A_, tol).regular:
-        raise Singular("A must be invertible")
+        raise RankDeficientInput("A must be invertible")
     n = A_.shape[0]
     A2 = A_ @ A_
     mu = float(np.trace(A2).real) / n
@@ -264,9 +262,9 @@ def spectral_factorize_orthosym(A, tol: Tolerance = DEFAULT_TOL):
     """
     A_ = linalg.require_square(A, "A", real=True)
     if not linalg.is_close(A_, A_.T, tol):
-        raise NotOrthogonalSymmetric("input is not symmetric at tolerance")
+        raise NotOrthogonal("input is not symmetric at tolerance")
     if not linalg.is_orthonormal(A_, tol):
-        raise NotOrthogonalSymmetric("input is not orthogonal at tolerance")
+        raise NotOrthogonal("input is not orthogonal at tolerance")
     w, R = np.linalg.eigh(A_)
     order = np.argsort(-w)  # +1 eigenvalues first
     R = R[:, order]

@@ -1,16 +1,20 @@
 """Exception hierarchy shared by all rebrick modules.
 
-Every error raised on purpose by this package derives from RebrickError,
-so callers can catch the whole family in one clause.  Each concrete class
-derives from exactly one of three kinds, and the kind carries the CLI
-exit code, so the mapping from errors to exit codes is this class
-hierarchy and nothing else:
+Every error that rebrick raises on purpose derives from RebrickError, so
+callers can catch the whole family in one clause.  The one exception is
+the ValueError that the records Tolerance, FrameBounds and CharPoly raise
+when built with invalid fields.  Each concrete class derives from exactly
+one of three kinds, and the kind carries the CLI exit code, so the
+mapping from errors to exit codes is this class hierarchy and nothing
+else:
 
   InputError                the question itself is malformed   exit 2
   NegativeVerdict           a well-posed question answered no  exit 1
   InternalConsistencyError  two decision routes contradict     exit 3
 
-A command line that matches no declared CLI command is a UsageError (exit 2).
+Each concrete class names one refused hypothesis; its message names the
+operand.  A command line that matches no declared CLI command is a
+UsageError (exit 2).
 """
 
 
@@ -41,79 +45,27 @@ class UsageError(InputError):
 
 
 class InvalidMatrix(InputError):
-    """Matrix input is not a finite rectangular array, or its scale leaves float64."""
+    """An array or signal is not finite and numeric, or a value formed from it leaves float64."""
 
 
 class ShapeMismatch(InputError):
-    """Operands have incompatible shapes."""
+    """Operands' shapes, lengths or index counts disagree."""
 
 
-class Singular(InputError):
-    """A matrix required to be invertible is singular at tolerance."""
-
-
-class NotABasis(InputError):
-    """Columns of a factor do not form a basis (singular at tolerance)."""
-
-
-class TooSmall(InputError):
-    """Requested dimension is below the minimum the construction needs."""
+class RankDeficientInput(InputError):
+    """A basis, frame or operator required to be regular is not, at tolerance."""
 
 
 class NotOrthogonal(InputError):
-    """A matrix required to be orthogonal fails the check at tolerance."""
+    """An input required to be orthogonal, symmetric or Parseval fails the check at tolerance."""
 
 
-class NotRebrickable(NegativeVerdict):
-    """The operator or pair fails the rebricking test, so the construction is undefined."""
-
-
-class NotOrthogonalSymmetric(InputError):
-    """Factorization input must be orthogonal and symmetric."""
+class InvalidSize(InputError):
+    """A size parameter lies outside the domain of the construction."""
 
 
 class NotAPermutation(InputError):
     """Index vector is not a bijection on the column indices."""
-
-
-class SearchExhausted(NegativeVerdict):
-    """No repairing permutation: the trial cap was hit, or the identity trial rules all out."""
-
-
-class NotRepaired(NegativeVerdict):
-    """The supplied permutation does not make the rebricked matrix regular."""
-
-
-class NotAFrame(InputError):
-    """Synthesis matrix does not span the ambient space (rank below n)."""
-
-
-class IndexCountMismatch(InputError):
-    """Two frames compared by the partial order must share the index count."""
-
-
-class RankDeficientInput(InputError):
-    """An operator required to be surjective has deficient row rank."""
-
-
-class NotParsevalInput(InputError):
-    """Input frame is not Parseval at tolerance."""
-
-
-class LengthMismatch(InputError):
-    """Signal and multiplier lengths differ."""
-
-
-class OddLength(InputError):
-    """Signal length must be even for this construction."""
-
-
-class GeneratorNotONB(InputError):
-    """Translates of the generator do not form an orthonormal basis."""
-
-
-class GridTooSmall(InputError):
-    """Sampling grid too coarse for exact discrete orthogonality."""
 
 
 class MatrixParseError(InputError):
@@ -123,3 +75,11 @@ class MatrixParseError(InputError):
         super().__init__(msg)
         self.row = row
         self.col = col
+
+
+class NotRebrickable(NegativeVerdict):
+    """The rebricked candidate is singular at tolerance, so the construction is undefined."""
+
+
+class SearchExhausted(NegativeVerdict):
+    """No repairing permutation: the cap was hit, or a Weyl bound on sigma(A) rules all out."""

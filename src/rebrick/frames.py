@@ -17,10 +17,8 @@ import numpy as np
 
 from . import basis, linalg
 from .errors import (
-    IndexCountMismatch,
     InvalidMatrix,
-    NotAFrame,
-    NotParsevalInput,
+    NotOrthogonal,
     NotRebrickable,
     RankDeficientInput,
     ShapeMismatch,
@@ -58,9 +56,9 @@ class FiniteFrame:
 
 
 def _frame_shape(M: np.ndarray) -> np.ndarray:
-    """M, a checked synthesis; NotAFrame when it has fewer columns than rows."""
+    """M, a checked synthesis; RankDeficientInput when it has fewer columns than rows."""
     if M.shape[1] < M.shape[0]:
-        raise NotAFrame(
+        raise RankDeficientInput(
             f"need at least as many vectors as dimensions, got {M.shape[0]}x{M.shape[1]}"
         )
     return M
@@ -99,9 +97,9 @@ class FrRebrickVerdict:
 
 
 def _require_spanning(F: FiniteFrame, reg: linalg.Regularity) -> linalg.Regularity:
-    """reg, the Regularity of F's synthesis at cutoff size m; NotAFrame unless F spans."""
+    """reg, the Regularity of F's synthesis at cutoff size m; RankDeficientInput unless F spans."""
     if not reg.regular:
-        raise NotAFrame(f"frame {F.label or '(unlabeled)'} does not span: rank < {F.dim}")
+        raise RankDeficientInput(f"frame {F.label or '(unlabeled)'} does not span: rank < {F.dim}")
     return reg
 
 
@@ -115,7 +113,7 @@ def _require_operator(F: FiniteFrame, A) -> np.ndarray:
 def frame_bounds(F: FiniteFrame, tol: Tolerance = DEFAULT_TOL) -> FrameBounds:
     """Sharp bounds c, C with c*||f||^2 <= sum |<f, f_n>|^2 <= C*||f||^2.
 
-    NotAFrame unless F spans; InvalidMatrix when c or C leaves the float64 range.
+    RankDeficientInput unless F spans; InvalidMatrix when c or C leaves the float64 range.
     """
     reg = _require_spanning(F, linalg.regularity_of(F.synthesis, tol))
     return FrameBounds(*reg.squares(f"frame {F.label or '(unlabeled)'}"))
@@ -148,7 +146,7 @@ def _check_comparable(F: FiniteFrame, G: FiniteFrame):
     if F.dim != G.dim:
         raise ShapeMismatch(f"frames live in different spaces: {F.dim} vs {G.dim}")
     if F.count != G.count:
-        raise IndexCountMismatch(
+        raise ShapeMismatch(
             f"frames have different index counts: {F.count} vs {G.count}"
         )
 
@@ -191,7 +189,7 @@ def rebrick_frames(F: FiniteFrame, G: FiniteFrame, tol: Tolerance = DEFAULT_TOL)
 
     Succeeds exactly when the combined synthesis S_F + i*S_G still spans;
     no operator mapping F onto G is required, so incompatible pairs can
-    still combine.  Returns (FiniteFrame, FrameBounds).  NotAFrame means
+    still combine.  Returns (FiniteFrame, FrameBounds).  RankDeficientInput means
     an input does not span; NotRebrickable means the combination does not.
     """
     _check_comparable(F, G)
@@ -282,7 +280,7 @@ def parseval_rebrick(F: FiniteFrame, A, tol: Tolerance = DEFAULT_TOL):
     """
     A_ = _require_operator(F, A)
     if not is_parseval(F, tol):
-        raise NotParsevalInput("input frame is not Parseval at tolerance")
+        raise NotOrthogonal("input frame is not Parseval at tolerance")
     B = basis.rebricking_factor(A_, tol)[0] / np.sqrt(2.0)
     out = FiniteFrame._of_formed(linalg.formed("B @ S", np.matmul, B, F.synthesis), F.label)
     return out, linalg.is_orthonormal(out.synthesis.conj().T, tol)

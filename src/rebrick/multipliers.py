@@ -17,36 +17,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import (
-    GeneratorNotONB,
-    GridTooSmall,
-    InvalidMatrix,
-    LengthMismatch,
-    OddLength,
-)
+from .errors import InvalidMatrix, InvalidSize, NotOrthogonal, ShapeMismatch
 from .linalg import DEFAULT_TOL, Tolerance
 
 
 def _as_signal(x, name: str = "signal") -> np.ndarray:
     v = np.asarray(x)
     if v.dtype.kind not in linalg.NUMBER_KINDS:
-        raise LengthMismatch(f"{name} must be numeric")
+        raise InvalidMatrix(f"{name} must be numeric")
     if v.ndim != 1 or v.size == 0:
-        raise LengthMismatch(f"{name} must be a nonempty 1-D array")
+        raise InvalidMatrix(f"{name} must be a nonempty 1-D array")
     if (out := linalg.finite_cast(v, np.complex128)) is None:
-        raise LengthMismatch(f"{name} must be finite")
+        raise InvalidMatrix(f"{name} must be finite")
     return out
 
 
 def apply_multiplier(m, x) -> np.ndarray:
     """Apply the shift-invariant operator with frequency symbol m to x.
 
-    An output beyond the float64 range is LengthMismatch("output must be finite").
+    An output beyond the float64 range is InvalidMatrix("output must be finite").
     """
     mv = _as_signal(m, "multiplier")
     xv = _as_signal(x)
     if mv.shape != xv.shape:
-        raise LengthMismatch(f"multiplier length {mv.size} != signal length {xv.size}")
+        raise ShapeMismatch(f"multiplier length {mv.size} != signal length {xv.size}")
     # m * X or its inverse DFT can overflow; an inf or NaN in m * X makes every entry of
     # the output non-finite, so one check of the output names both, without a warning
     with linalg.quiet_overflow():
@@ -123,11 +117,11 @@ def rebrick_translates(x, m, tol: Tolerance = DEFAULT_TOL):
     if not is_real_symbol_operator(mv, tol):
         raise InvalidMatrix("multiplier: its operator is not real (m[k] != conj(m[N-k]))")
     if xv.shape != mv.shape:
-        raise LengthMismatch(f"generator length {xv.size} != multiplier length {mv.size}")
+        raise ShapeMismatch(f"generator length {xv.size} != multiplier length {mv.size}")
     N = xv.size
     X = np.fft.fft(xv, norm="ortho")
     if not linalg.is_close(np.abs(X), 1.0 / np.sqrt(N), tol):
-        raise GeneratorNotONB(
+        raise NotOrthogonal(
             "translates of the generator are not orthonormal "
             "(DFT magnitudes deviate from 1/sqrt(N))"
         )
@@ -143,7 +137,7 @@ def discrete_hilbert(N: int) -> np.ndarray:
     (the convention that keeps the operator real-valued).
     """
     if N < 2 or N % 2 != 0:
-        raise OddLength(f"N must be even and >= 2, got {N}")
+        raise InvalidSize(f"N must be even and >= 2, got {N}")
     m = np.zeros(N, dtype=complex)
     m[1 : N // 2] = -1j
     m[N // 2 + 1 :] = 1j
@@ -191,11 +185,11 @@ def trig_rebrick_demo(K: int, N: int | None = None) -> TrigRebrickReport:
     deviation per class.
     """
     if K < 1:
-        raise GridTooSmall("K must be >= 1")
+        raise InvalidSize("K must be >= 1")
     if N is None:
         N = 4 * K + 2
     if N < 4 * K + 2:
-        raise GridTooSmall(f"grid N={N} too small for K={K}; need N >= {4 * K + 2}")
+        raise InvalidSize(f"grid N={N} too small for K={K}; need N >= {4 * K + 2}")
     t = np.arange(N) / N
     weight = 1.0 / np.sqrt(N)
 
@@ -257,9 +251,9 @@ def conditioning_sweep(N_list) -> list[ConditioningRow]:
     """
     sizes = [int(N) for N in N_list]
     if any(N < 4 or N % 2 for N in sizes):
-        raise OddLength("sweep sizes must be even and >= 4")
+        raise InvalidSize("sweep sizes must be even and >= 4")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise OddLength("sweep sizes must be strictly increasing")
+        raise InvalidSize("sweep sizes must be strictly increasing")
     rows = []
     for N in sizes:
         s = np.abs(1.0 + 1j * _creeping_symbol(N))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import NotAPermutation, NotRepaired, SearchExhausted
+from .errors import NotAPermutation, NotRebrickable, SearchExhausted
 from .linalg import DEFAULT_TOL, Tolerance
 
 _TRIAL_CAP = 1_000_000
@@ -130,8 +130,9 @@ def repair_permutation(A, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Permut
     in all, at every n.  One exists for every real A:
     det(Id + i * A @ P_pi) averages 1 + i * sum(A) / n over all pi.  Yet at
     tolerance none may pass: SearchExhausted("no permutation can repair A ...")
-    when the identity trial's singular values put every trial at or below
-    its cutoff (Weyl).
+    after the identity trial when the singular values of A put every trial
+    at or below its cutoff (Weyl).  That bound costs one more SVD, taken only
+    when the identity trial fails with a cutoff of at least 1/2.
     """
     M = linalg.require_square(A, real=True)
     n = M.shape[0]
@@ -156,11 +157,14 @@ def repair_permutation(A, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Permut
                 sigma_min_after=reg.sigma_min,
                 degenerate=reg.near_edge(min_dist, tol),
             )
-        if trials == 1:
-            # Weyl (sigma(AP) = sigma(A), |Id| = 1): each trial's sigma_min <= reg.sigma_min + 2,
-            # its sigma_max >= reg.sigma_max - 2; slack: two SVDs, each n * EPS * sigma_max off
-            slack = 2 * n * linalg.EPS * reg.sigma_max
-            most, least = reg.sigma_min + 2 + slack, tol.rank_rel * n * (reg.sigma_max - 2 - slack)
+        if trials == 1 and reg.cutoff >= 0.5:
+            # Weyl (sigma(AP) = sigma(A), |Id| = 1): every trial has sigma_min <= sigma_min(A) + 1
+            # and sigma_max >= sigma_max(A) - 1.  A refusal puts this trial's cutoff at >= 1, so
+            # below 1/2 (room for rounding) A is not decomposed.  slack: two SVDs, each off by
+            # n * EPS * (sigma_max(A) + 1)
+            a = linalg.regularity_of(M, tol)
+            slack = 2 * n * linalg.EPS * (a.sigma_max + 1)
+            most, least = a.sigma_min + 1 + slack, tol.rank_rel * n * (a.sigma_max - 1 - slack)
             if most <= least:
                 msg = f"no permutation can repair A: every trial has sigma_min <= {most:.3e}"
                 raise SearchExhausted(f"{msg}, at or below its cutoff >= {least:.3e}")
@@ -171,7 +175,7 @@ def rebrick_with_permutation(V, A, pi, tol: Tolerance = DEFAULT_TOL) -> np.ndarr
     """The repaired complex basis matrix V + i * A @ V @ P_pi.
 
     Equals V @ (Id + i * At @ P_pi) for the conjugated operator
-    At = inv(V) @ A @ V.  Raises NotRepaired when pi does not make the
+    At = inv(V) @ A @ V.  Raises NotRebrickable when pi does not make the
     result regular.
     """
     V_, A_ = linalg.require_square_pair(V, A, ("V", "A"), real=True)
@@ -180,7 +184,7 @@ def rebrick_with_permutation(V, A, pi, tol: Tolerance = DEFAULT_TOL) -> np.ndarr
     W = V_ + 1j * AV[:, np.argsort(p)]
     reg = linalg.regularity_of(W, tol)
     if not reg.regular:
-        raise NotRepaired(
+        raise NotRebrickable(
             f"permutation {p} leaves the rebricked matrix singular (sigma_min={reg.sigma_min:.3e})"
         )
     return W

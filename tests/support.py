@@ -12,9 +12,9 @@ import numpy as np
 from rebrick import basis, linalg, multipliers, permutation
 from rebrick.errors import (
     InvalidMatrix,
-    LengthMismatch,
+    InvalidSize,
     MatrixParseError,
-    NotOrthogonalSymmetric,
+    NotOrthogonal,
     ShapeMismatch,
 )
 from rebrick.permutation import PermutationRepair
@@ -266,7 +266,7 @@ def dual_real_part(A) -> np.ndarray:
 def shift_matrix(N: int) -> np.ndarray:
     """Circular right shift: (T x)[m] = x[m-1 mod N]."""
     if N < 1:
-        raise LengthMismatch("N must be positive")
+        raise InvalidSize("N must be positive")
     return np.roll(np.eye(N), 1, axis=0)
 
 
@@ -422,9 +422,9 @@ def reference_spectral_factorize_orthosym(A, tol=linalg.DEFAULT_TOL):
     if np.iscomplexobj(A_):
         raise InvalidMatrix("A: entries must be real")
     if not (max_abs(A_ - A_.T) <= tol.equality_abs):
-        raise NotOrthogonalSymmetric("input is not symmetric at tolerance")
+        raise NotOrthogonal("input is not symmetric at tolerance")
     if not (is_unitary_defect(A_) <= tol.equality_abs):
-        raise NotOrthogonalSymmetric("input is not orthogonal at tolerance")
+        raise NotOrthogonal("input is not orthogonal at tolerance")
     w, R = np.linalg.eigh(A_)
     order = np.argsort(-w)  # +1 eigenvalues first
     w = w[order]
@@ -436,7 +436,7 @@ def reference_spectral_factorize_orthosym(A, tol=linalg.DEFAULT_TOL):
             R[:, j] = -R[:, j]
     D = np.diag(d)
     if not (max_abs(R @ D @ R.T - A_) <= 1e2 * tol.equality_abs):
-        raise NotOrthogonalSymmetric("eigenvalues are not +/-1 at tolerance")
+        raise NotOrthogonal("eigenvalues are not +/-1 at tolerance")
     return R, D
 
 

@@ -178,7 +178,8 @@ class TestErrorKinds:
 
     def test_every_error_has_exactly_one_kind(self):
         classes = self.concrete_errors()
-        assert len(classes) >= 20
+        # one class per refused hypothesis, plus InternalConsistencyError, which is its own kind
+        assert len(classes) == 11
         for cls in classes:
             assert sum(issubclass(cls, kind) for kind in self.KINDS) == 1, cls.__name__
 

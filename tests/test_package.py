@@ -84,7 +84,7 @@ def test_public_surface():
     assert not hasattr(rebrick.CharPoly, "degree")
     assert not callable(rebrick.char_poly(np.eye(2)))
     # the message names the operand or the refusal; the exception carries nothing else
-    for cls in (errors.NotABasis, errors.NotOrthogonal, errors.SearchExhausted):
+    for cls in (errors.RankDeficientInput, errors.NotOrthogonal, errors.SearchExhausted):
         assert vars(cls("message")) == {}, cls.__name__
 
 
@@ -140,23 +140,74 @@ def test_every_import_is_used(path):
     assert _unused_imports(path) == []
 
 
-def _raised_names(tree: ast.AST) -> set[str]:
-    """Names raised in a module: X in `raise X(...)`, `raise X` and `raise mod.X(...)`."""
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Raise) and node.exc is not None:
-            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            if isinstance(exc, (ast.Name, ast.Attribute)):
-                names.add(exc.id if isinstance(exc, ast.Name) else exc.attr)
-    return names
+# one concrete class per refused hypothesis, by kind; the kind carries the exit code
+ERROR_CLASSES = {
+    errors.InputError: [
+        "InvalidMatrix",
+        "InvalidSize",
+        "MatrixParseError",
+        "NotAPermutation",
+        "NotOrthogonal",
+        "RankDeficientInput",
+        "ShapeMismatch",
+        "UsageError",
+    ],
+    errors.NegativeVerdict: ["NotRebrickable", "SearchExhausted"],
+}
+CONCRETE = sorted(name for names in ERROR_CLASSES.values() for name in names)
+# records that refuse invalid fields with ValueError, as Python's own types do
+VALUE_ERROR_RECORDS = {"CharPoly", "FrameBounds", "Tolerance"}
+SOURCES = sorted((ROOT / "src" / "rebrick").glob("*.py"))
+
+
+def test_one_error_class_per_refused_hypothesis():
+    assert len(CONCRETE) == 10
+    defined = sorted(name for name, c in vars(errors).items() if isinstance(c, type))
+    kinds = ["InputError", "InternalConsistencyError", "NegativeVerdict", "RebrickError"]
+    assert defined == sorted(CONCRETE + kinds)
+    for kind, names in ERROR_CLASSES.items():
+        for name in names:
+            assert getattr(errors, name).__bases__ == (kind,), name
+    assert (errors.InputError.exit_code, errors.NegativeVerdict.exit_code) == (2, 1)
+    assert errors.InternalConsistencyError.exit_code == 3
+
+
+def _raises(tree: ast.Module):
+    """(top-level def or class, raised name) for each raise in a module.
+
+    The name is X in `raise X(...)`, `raise X` and `raise mod.X(...)`; a call of a
+    module function stands for the class its return annotation names, and a bare
+    `raise` is None.
+    """
+    returns = {
+        f.name: f.returns.id
+        for f in tree.body
+        if isinstance(f, ast.FunctionDef) and isinstance(f.returns, ast.Name)
+    }
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+                yield getattr(top, "name", None), returns.get(name, name)
+
+
+def test_every_raise_names_a_rebrick_error():
+    value_error_scopes = set()
+    for path in SOURCES:
+        for scope, name in _raises(ast.parse(path.read_text())):
+            if name == "ValueError":
+                value_error_scopes.add(scope)
+                continue
+            cls = getattr(errors, name or "", None)
+            assert isinstance(cls, type) and issubclass(cls, errors.RebrickError), (path.name, name)
+    assert value_error_scopes == VALUE_ERROR_RECORDS
 
 
 def test_every_error_class_is_raised():
-    raised = set()
-    for path in (ROOT / "src" / "rebrick").glob("*.py"):
-        raised |= _raised_names(ast.parse(path.read_text()))
-    classes = [c for c in vars(errors).values() if isinstance(c, type)]
-    # a class is in use when it, or a class derived from it, has a raise site
-    used = [c for c in classes if any(issubclass(d, c) and d.__name__ in raised for d in classes)]
-    assert classes
-    assert [c.__name__ for c in classes if c not in used] == []
+    raised = {name for path in SOURCES for _, name in _raises(ast.parse(path.read_text()))}
+    classes = [name for name, c in vars(errors).items() if isinstance(c, type)]
+    # the kinds RebrickError, InputError and NegativeVerdict are caught, never raised
+    assert sorted(name for name in classes if name in raised) == sorted(
+        CONCRETE + ["InternalConsistencyError"]
+    )

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rebrick import errors, linalg, permutation
 from support import (
     char_poly_minors,
+    count_svd_calls,
     exact_char_poly,
     permutation_matrix,
     plant_eigenvalue_i,
@@ -295,6 +296,30 @@ class TestRepair:
         with pytest.raises(errors.SearchExhausted, match="^no permutation can repair A"):
             permutation.repair_permutation(t * np.ones((n, n)))
 
+    @pytest.mark.parametrize(
+        "A",
+        [3e13 * np.ones((2, 2)), 3e12 * np.outer([1.0, 2.0, 3.0], [3.0, -1.0, 2.0])],
+        ids=["3e13 ones(2)", "rank 1, n = 3"],
+    )
+    def test_refused_inside_the_old_weyl_gap(self, A, monkeypatch):
+        # each trial's cutoff lies between 1 and 5: the bound through sigma(Id + iA) +- 2 missed
+        # them and ran every shuffle; the bound through sigma(A) takes one more SVD, of A
+        monkeypatch.setattr(permutation, "_TRIAL_CAP", 2)
+        calls = count_svd_calls(monkeypatch)
+        with pytest.raises(errors.SearchExhausted, match="^no permutation can repair A"):
+            permutation.repair_permutation(A)
+        assert len(calls) == 2
+        n = A.shape[0]
+        trials = (np.eye(n) + 1j * A[:, list(p)] for p in all_perms(range(n)))
+        assert not any(linalg.regularity_of(B).regular for B in trials)
+
+    @pytest.mark.parametrize("A", [ROT90, np.kron(np.eye(4), ROT90)], ids=["n = 2", "n = 8"])
+    def test_unit_scale_repair_takes_one_svd_per_trial(self, A, monkeypatch):
+        # the identity trial fails with a cutoff far below 1/2, so A itself is not decomposed
+        calls = count_svd_calls(monkeypatch)
+        rep = permutation.repair_permutation(A)
+        assert rep.trials >= 2 and len(calls) == rep.trials
+
 
 class TestRebrickWithPermutation:
     def test_matches_conjugated_form(self):
@@ -315,7 +340,7 @@ class TestRebrickWithPermutation:
         np.testing.assert_allclose(W, np.eye(3) + 1j * A, atol=1e-12)
 
     def test_rejects_non_repairing_permutation(self):
-        with pytest.raises(errors.NotRepaired):
+        with pytest.raises(errors.NotRebrickable):
             permutation.rebrick_with_permutation(np.eye(2), ROT90, (0, 1))
 
     def test_overflowing_product_is_named(self):
@@ -361,21 +386,36 @@ def test_repair_matches_the_reference_past_the_identity(n, seed):
     assert got == reference_repair_permutation(A, seed=seed)
 
 
+def _two_step_refusal(A, tol=linalg.DEFAULT_TOL) -> bool:
+    """The earlier bound, through sigma(Id + iA) +- 2: one the refusal must keep."""
+    n = A.shape[0]
+    reg = linalg.regularity_of(np.eye(n) + 1j * A, tol)
+    slack = 2 * n * linalg.EPS * reg.sigma_max
+    return reg.sigma_min + 2 + slack <= tol.rank_rel * n * (reg.sigma_max - 2 - slack)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_refusal_is_sound(n, monkeypatch):
     """Whenever the refusal fires, no permutation of n! passes at tolerance."""
     # a hopeless input the refusal misses would otherwise run the full cap
     monkeypatch.setattr(permutation, "_TRIAL_CAP", 1000)
     rng = np.random.default_rng(50 + n)
+    # rank r < n puts sigma_min(A) far below sigma_max(A); at 1e12-1e15 a trial's cutoff
+    # passes 1, where the bound through sigma(Id + iA) left a gap
+    inputs = [(scale, r) for scale in 10.0 ** np.arange(0.0, 16.25, 0.25) for r in range(n + 1)]
+    inputs += [(scale, r) for scale in 10.0 ** np.arange(12.0, 15.05, 0.1) for r in range(1, n)]
     fired = 0
-    for scale in 10.0 ** np.arange(0.0, 16.25, 0.25):
-        for r in range(n + 1):  # rank r < n puts sigma_min(A) far below sigma_max(A)
-            A = scale * rng.standard_normal((n, r)) @ rng.standard_normal((r, n))
-            try:
-                permutation.repair_permutation(A)
-            except errors.SearchExhausted as exc:
-                if str(exc).startswith("no permutation can repair A"):  # the refusal, not the cap
-                    fired += 1
-                    trials = (np.eye(n) + 1j * A[:, list(p)] for p in all_perms(range(n)))
-                    assert not any(linalg.regularity_of(B).regular for B in trials)
+    for scale, r in inputs:
+        A = scale * rng.standard_normal((n, r)) @ rng.standard_normal((r, n))
+        try:
+            permutation.repair_permutation(A)
+            refused = False
+        except errors.SearchExhausted as exc:
+            refused = str(exc).startswith("no permutation can repair A")  # the refusal, not the cap
+        if refused:
+            fired += 1
+            trials = (np.eye(n) + 1j * A[:, list(p)] for p in all_perms(range(n)))
+            assert not any(linalg.regularity_of(B).regular for B in trials)
+        else:
+            assert not _two_step_refusal(A)
     assert fired > 0

@@ -140,9 +140,9 @@ def cmd_repair(args, tol):
     basis.require_basis(V, "V", tol)
     AV = linalg.formed("A @ V", np.matmul, A, V)
     At = linalg.formed("inv(V) @ A @ V", np.linalg.solve, V, AV)
+    # the search decides from sigma(Id + i At P); W = V @ (Id + i At P) is not judged again
     rep = permutation.repair_permutation(At, tol, seed=args.seed)
-    W = permutation.rebrick_with_permutation(V, A, rep.permutation, tol)
-    out = _write_out(args, W)
+    out = _write_out(args, V + 1j * AV[:, np.argsort(rep.permutation)])
     certs = {
         "permutation_image": [k + 1 for k in rep.permutation],
         "permutation_cycles": permutation.cycle_notation(rep.permutation),

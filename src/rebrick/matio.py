@@ -12,9 +12,9 @@ is read, the cell count before the array is built.
 
 Readers and writers take a CSV row, or a whole JSON document, per step.
 A real CSV row is checked by one character class and parsed by float(),
-which on that alphabet accepts exactly the plain decimals; a row with an
-"i" goes through the complex row pattern.  parse_cell runs only on a row
-that neither reads, so that a bad cell is named by its row and column.
+which on that alphabet accepts exactly the plain decimals.  Any other row,
+complex ones included, is read cell by cell by parse_cell, so that a bad
+cell is named by its row and column.
 A Toeplitz matrix (every entry has the bits of its upper-left neighbour),
 such as a matrix of translates, is written to CSV from its 2N - 1
 diagonals, each formatted once; the bytes are those of the cell-at-a-time
@@ -39,12 +39,10 @@ MAX_CELLS = 2**20
 # a written cell takes at most 51 bytes (two 24-character %.17g parts, a sign, an i and a comma)
 _BYTES_PER_CELL = 64
 
-_NUM = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-_IMAG = r"[+-](?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-_CELL_RE = re.compile(rf"(?P<re>{_NUM})(?:(?P<im>{_IMAG})i)?")
-# on this alphabet float() accepts exactly _NUM: no space, "_", "nan"/"inf" or non-ASCII digit
+_NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_CELL_RE = re.compile(rf"(?P<re>[+-]?{_NUM})(?:(?P<im>[+-]{_NUM})i)?")
+# on this alphabet float() accepts exactly [+-]?_NUM: no space, "_", "nan"/"inf" or non-ASCII digit
 _REAL_CHARS_RE = re.compile(r"[0-9eE.+\-,]*")
-_ROW_RE = re.compile(rf"{_NUM}(?:{_IMAG}i)?(?:,{_NUM}(?:{_IMAG}i)?)*")
 # CSV cell formats by the imaginary part: zero (of either sign) is not written, a nan
 # one gets "-"; "%.0s" takes the unwritten imaginary part and prints nothing
 _CELL_FORMATS = ("%.17g%.0s", "%.17g+%.17gi", "%.17g-%.17gi")
@@ -174,13 +172,9 @@ def load_csv(path, digest=None) -> np.ndarray:
         if _REAL_CHARS_RE.fullmatch(line):
             try:
                 parsed = list(map(float, line.split(",")))
-            except ValueError:  # "1e+", "1..2", an empty cell: the row patterns below decide
+            except ValueError:  # "1e+", "1..2", an empty cell: parse_cell decides
                 pass
-        if parsed is None and "i" in line and _ROW_RE.fullmatch(line):
-            # complex() reads a matched "a+bj" as parse_cell reads "a+bi"
-            parsed = list(map(complex, line.replace("i", "j").split(",")))
-            has_complex = True
-        elif parsed is None:  # spaces, non-ASCII digits, or a bad cell that parse_cell names
+        if parsed is None:  # complex cells, spaces, non-ASCII digits, or a bad cell that it names
             parsed = [parse_cell(c, r, ci + 1) for ci, c in enumerate(line.split(","))]
             has_complex = has_complex or any(isinstance(c, complex) for c in parsed)
         if width is None:

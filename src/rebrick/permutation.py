@@ -15,6 +15,7 @@ image (0, 2, 3, 1) the columns (a1|a2|a3|a4) become (a1|a4|a2|a3).
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import random
 from dataclasses import dataclass
@@ -52,8 +53,13 @@ class PermutationRepair:
     degenerate: bool = False
 
 
+def _is_index(k) -> bool:
+    """k is an integer value: 1 and 1.0 are; 1.9, NaN, inf and 1j are not."""
+    return isinstance(k, numbers.Integral) or isinstance(k, numbers.Real) and float(k).is_integer()
+
+
 def _check_permutation(pi, n: int) -> tuple[int, ...]:
-    p = tuple(int(k) for k in pi)
+    p = tuple(int(k) if _is_index(k) else -1 for k in pi)  # -1 is in no bijection on 0..n-1
     if sorted(p) != list(range(n)):
         raise NotAPermutation(f"{pi!r} is not a bijection on 0..{n - 1}")
     return p
@@ -61,23 +67,17 @@ def _check_permutation(pi, n: int) -> tuple[int, ...]:
 
 def cycle_notation(pi) -> str:
     """One-line cycle notation with 1-based indices, e.g. '(2 3 4)'."""
-    n = len(pi)
-    p = _check_permutation(pi, n)
-    seen = [False] * n
-    cycles = []
-    for start in range(n):
-        if seen[start] or p[start] == start:
-            seen[start] = True
-            continue
-        cyc = [start]
-        seen[start] = True
-        k = p[start]
-        while k != start:
+    p = _check_permutation(pi, len(pi))
+    seen, cycles = set(), []
+    for start in range(len(p)):
+        cyc, k = [], start
+        while k not in seen:  # the cycle through start, unless an earlier start walked it
+            seen.add(k)
             cyc.append(k)
-            seen[k] = True
             k = p[k]
-        cycles.append("(" + " ".join(str(j + 1) for j in cyc) + ")")
-    return "".join(cycles) if cycles else "id"
+        if len(cyc) > 1:
+            cycles.append("(" + " ".join(str(j + 1) for j in cyc) + ")")
+    return "".join(cycles) or "id"
 
 
 def char_poly(A) -> CharPoly:
@@ -175,8 +175,10 @@ def rebrick_with_permutation(V, A, pi, tol: Tolerance = DEFAULT_TOL) -> np.ndarr
     """The repaired complex basis matrix V + i * A @ V @ P_pi.
 
     Equals V @ (Id + i * At @ P_pi) for the conjugated operator
-    At = inv(V) @ A @ V.  Raises NotRebrickable when pi does not make the
-    result regular.
+    At = inv(V) @ A @ V.  For a pi that the caller supplies, the SVD of the
+    result is the one check: NotRebrickable when it is singular at tolerance.
+    The CLI `repair` forms the same expression from the pi its search found
+    and certified, and does not judge it again.
     """
     V_, A_ = linalg.require_square_pair(V, A, ("V", "A"), real=True)
     p = _check_permutation(pi, V_.shape[1])

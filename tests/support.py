@@ -346,6 +346,19 @@ def count_validations(monkeypatch) -> list:
     return calls
 
 
+def count_formed(monkeypatch) -> list:
+    """Record every linalg.formed call from now on; returns the growing record of names."""
+    calls = []
+    formed = linalg.formed
+
+    def counting(name, f, *operands):
+        calls.append(name)
+        return formed(name, f, *operands)
+
+    monkeypatch.setattr(linalg, "formed", counting)
+    return calls
+
+
 # ------------------------------------------------- per-call guards
 # The guards that rebrick.linalg, .permutation and .basis replaced with fewer
 # numpy calls, kept as the reference the new code must match: the same dtype

@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 from rebrick import basis, cli, errors, linalg, matio, multipliers, permutation
 from rebrick.cli import run
 from support import (
+    count_formed,
     count_svd_calls,
+    count_validations,
     duplicated_e1_frame,
     plant_eigenvalue_i,
     reference_save_csv,
@@ -240,6 +242,23 @@ class TestRepair:
         code, report = run_json(capsys, ["repair", v, a])
         assert code == 0 and report["verdicts"]["repaired"] is True
 
+    def test_the_search_alone_decides(self, tmp_path, capsys):
+        # sigma_min(Id + iAt) = 1e-4 clears the search's cutoff; W = V (Id + iAt), with
+        # V = diag(1, 1e-11), has sigma_min 1.4e-15 and is written without a second verdict
+        v, a, out = tmp_path / "v.csv", tmp_path / "a.csv", tmp_path / "w.csv"
+        v.write_text("1,0\n0,1e-11\n")
+        a.write_text("1e-4,-1e11\n1e-11,1e-4\n")
+        code, report = run_json(capsys, ["repair", str(v), str(a), "--out", str(out)])
+        certs = report["certificates"]
+        assert code == 0 and report["verdicts"] == {"repaired": True}
+        assert certs["trials"] == 1 and certs["permutation_cycles"] == "id"
+        assert certs["sigma_min_after"] == pytest.approx(1e-4)
+        V, A = matio.load_matrix(v), matio.load_matrix(a)
+        assert matio.load_matrix(out).tobytes() == (V + 1j * (A @ V)).tobytes()
+        # a permutation supplied to the library is judged by the SVD of W
+        with pytest.raises(errors.NotRebrickable, match=r"^permutation \(0, 1\) leaves"):
+            permutation.rebrick_with_permutation(V, A, (0, 1))
+
     def test_negative_seed_at_nine(self, tmp_path, capsys):
         rng = np.random.default_rng(2)
         v = write(tmp_path, "v.csv", np.eye(9) + 0.1 * rng.standard_normal((9, 9)))
@@ -361,20 +380,6 @@ class TestFrame:
         assert code == 0
         assert report["certificates"]["rank_id_iS"] == p - 1
         assert report["certificates"]["rank_product"] == n
-
-    def test_rebrick_takes_three_svds(self, tmp_path, capsys, monkeypatch):
-        rng = np.random.default_rng(19)
-        f = write(tmp_path, "f.csv", rng.standard_normal((3, 5)))
-        g = write(tmp_path, "g.csv", rng.standard_normal((3, 5)))
-        calls = count_svd_calls(monkeypatch)
-        assert run(["frame", "rebrick", f, g, "--quiet"]) == 0
-        assert len(calls) == 3  # F spans, G spans, F + iG spans (with its bounds)
-
-    def test_frrebrick_takes_four_svds(self, tmp_path, capsys, monkeypatch):
-        a, s = (write(tmp_path, f"{k}.csv", M) for k, M in zip("as", _frrebrick_example()))
-        calls = count_svd_calls(monkeypatch)
-        assert run(["frame", "frrebrick", a, s, "--quiet"]) == 0
-        assert len(calls) == 4  # as many as frames.frrebrick_check alone
 
     def test_frrebrick_near_the_cutoff_is_a_verdict(self, tmp_path, capsys):
         # S = quarter turn + Id, and ker(A) = span(e_{p-1}, e_p) tilted by phi
@@ -951,6 +956,53 @@ def _leaf_options():
 
     walk(cli._PARSER, [])
     return leaves
+
+
+def _costs():
+    """Each leaf command on a small fixed input: (inputs, the names passed to linalg.as_matrix,
+    the names passed to linalg.formed, np.linalg.svd calls, exit code).  A matrix input is
+    written to a file; a fileless leaf takes its _FILELESS arguments."""
+    rng = np.random.default_rng(19)
+    F, G = rng.standard_normal((3, 5)), rng.standard_normal((3, 5))
+    quarter_turn = [np.eye(2), rotation(np.pi / 2)]
+    return {
+        "check-basis": ([np.eye(2)], ["matrix"], [], 1, 0),
+        "rebrick": ([np.eye(2), rotation(np.pi / 4)], ["V1", "V2"], ["V2 @ inv(V1)"], 3, 0),
+        # sigma(V), then one SVD per trial (4 at seed 0); the search alone decides
+        "repair": (quarter_turn, ["V", "A", "matrix"], ["A @ V", "inv(V) @ A @ V"], 5, 0),
+        "frame bounds": ([F], ["synthesis"], [], 1, 0),
+        "frame parseval": ([F], ["synthesis"], [], 1, 1),
+        "frame order": (
+            [duplicated_e1_frame(4), shifted_duplicate_frame(4)], ["synthesis"] * 2, [], 2, 1
+        ),
+        # F spans, G spans, F + iG spans (with its bounds)
+        "frame rebrick": ([F, G], ["synthesis"] * 2, [], 3, 0),
+        # as many as frames.frrebrick_check alone
+        "frame frrebrick": (_frrebrick_example(), ["A", "S"], ["A @ (Id + iS)"], 4, 0),
+        # the multiplier commands check signals and work on the symbol: no matrix, no SVD
+        "multiplier validate": ([_sign_pattern(16)], [], [], 0, 0),
+        "multiplier rebrick": ([np.eye(1, 8), _sign_pattern(8)], [], [], 0, 0),
+        "multiplier hilbert": ([], [], [], 0, 0),
+        "multiplier trig": ([], [], [], 0, 0),
+        "multiplier sweep": ([], [], [], 0, 0),
+    }
+
+
+class TestCostPerCommand:
+    """What each command validates, forms and decomposes, pinned exactly."""
+
+    def test_every_leaf_has_a_row(self):
+        assert sorted(_costs()) == sorted(_leaf_options())
+
+    @pytest.mark.parametrize("command", sorted(_costs()))
+    def test_row(self, tmp_path, capsys, monkeypatch, command):
+        inputs, validated, formed, svds, want = _costs()[command]
+        files = [write(tmp_path, f"m{k}.csv", M) for k, M in enumerate(inputs)]
+        names, products = count_validations(monkeypatch), count_formed(monkeypatch)
+        calls = count_svd_calls(monkeypatch)
+        code = run(command.split() + files + _FILELESS.get(command, []) + ["--quiet"])
+        capsys.readouterr()
+        assert (names, products, len(calls), code) == (validated, formed, svds, want)
 
 
 class TestFlagSurface:

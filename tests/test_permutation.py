@@ -63,11 +63,24 @@ class TestColumnPermutation:
             permutation.rebrick_with_permutation(np.eye(3), np.eye(3), (0, 0, 2))
         with pytest.raises(errors.NotAPermutation):
             permutation.rebrick_with_permutation(np.eye(3), np.eye(3), (0, 1))
+        # an entry that is not an integer value is refused, not truncated by int()
+        for pi in [(1.9, 0.99), (np.nan, 0), (1.0, np.nan), (np.inf, 0), (1j, 0), (1 + 0j, 0)]:
+            with pytest.raises(errors.NotAPermutation, match="is not a bijection on 0..1$"):
+                permutation.rebrick_with_permutation(np.eye(2), ROT90, pi)
+        with pytest.raises(errors.NotAPermutation, match=r"^\(1\.5, 0\.2\) is not a bijection"):
+            permutation.cycle_notation((1.5, 0.2))
+        # integer-valued floats are integers
+        np.testing.assert_array_equal(
+            permutation.rebrick_with_permutation(np.eye(2), ROT90, (1.0, 0.0)),
+            permutation.rebrick_with_permutation(np.eye(2), ROT90, (1, 0)),
+        )
+        assert permutation.cycle_notation(np.array([1.0, 0.0])) == "(1 2)"
 
     def test_cycle_notation(self):
         assert permutation.cycle_notation((0, 1, 2)) == "id"
         assert permutation.cycle_notation((1, 0)) == "(1 2)"
         assert permutation.cycle_notation((0, 2, 3, 1)) == "(2 3 4)"
+        assert permutation.cycle_notation((1, 0, 2, 4, 5, 3)) == "(1 2)(4 5 6)"
 
 
 class TestCharPoly:

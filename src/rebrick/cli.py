@@ -1,21 +1,11 @@
-"""Command-line front end.
+"""Command-line front end: the `rebrick` tool as one table of leaf commands.
 
-Usage: rebrick <command> [<subcommand>] ARGS [FLAGS] [--format json|text] [--quiet]
-
-Each of the 13 leaf commands is declared once in `build_parser`, with
-its positionals and FLAGS, the flags that can change its answer, so
-argparse alone checks the shape of a command line: --tol T (eig_abs and
-equality_abs) is declared only on the seven commands that read one of
-them, --seed S only on repair.  Every run produces a report carrying
-the verdict, the numeric certificates behind it and the tolerance block
-that the verdict depends on; a usage error gets one too, whose `command`
-is the argv as given.  Exit codes are the scripting contract: 0
-affirmative verdict, 1 negative verdict, 2 input error, 3 internal
-inconsistency (the certificates of two decision routes break a theorem,
-which is a bug).  An error's exit code is the `exit_code` of its kind in
-`rebrick.errors`.  --quiet is exactly --format json (an exit 2 or 3
-still writes `error:` to stderr); identical command lines and inputs
-produce byte-identical JSON.
+Each leaf command is declared once, by the `@_Leaf` row above its answer
+`(args, tol, *inputs) -> (verdicts, certificates, affirmative)`, which holds
+only its caps, its library call (whose result gives the verdicts) and its
+report fields.  `build_parser` builds argparse from the rows.  `run` does the
+rest once: loading, `inputs`, writing --out, the exit code (0 when
+affirmative, else 1, or an error's `exit_code`) and the rendering.
 """
 
 from __future__ import annotations
@@ -41,6 +31,27 @@ from .errors import (
 )
 from .frames import FiniteFrame
 from .linalg import Tolerance
+
+# the text of `rebrick -h`: usage, flags and exit codes
+_HELP = """Command-line front end.
+
+Usage: rebrick <command> [<subcommand>] ARGS [FLAGS] [--format json|text] [--quiet]
+
+Each of the 13 leaf commands is declared once in `build_parser`, with
+its positionals and FLAGS, the flags that can change its answer, so
+argparse alone checks the shape of a command line: --tol T (eig_abs and
+equality_abs) is declared only on the seven commands that read one of
+them, --seed S only on repair.  Every run produces a report carrying
+the verdict, the numeric certificates behind it and the tolerance block
+that the verdict depends on; a usage error gets one too, whose `command`
+is the argv as given.  Exit codes are the scripting contract: 0
+affirmative verdict, 1 negative verdict, 2 input error, 3 internal
+inconsistency (the certificates of two decision routes break a theorem,
+which is a bug).  An error's exit code is the `exit_code` of its kind in
+`rebrick.errors`.  --quiet is exactly --format json (an exit 2 or 3
+still writes `error:` to stderr); identical command lines and inputs
+produce byte-identical JSON.
+"""
 
 SCHEMA_VERSION = 2
 
@@ -73,19 +84,14 @@ def _jsonable(value):
     return value
 
 
-def _load(path):
+def _load(path, label, vector):
     digest = hashlib.sha256()
     M = matio.load_matrix(path, digest)
+    if vector and 1 not in M.shape:
+        raise InvalidMatrix(f"{label} ({path}): expected a single row or column")
     info = {"path": str(path), "sha256": digest.hexdigest()}
     info["rows"], info["cols"] = int(M.shape[0]), int(M.shape[1])
-    return M, info
-
-
-def _load_vector(path, name="vector"):
-    M, info = _load(path)
-    if 1 not in M.shape:
-        raise InvalidMatrix(f"{name} ({path}): expected a single row or column")
-    return M.reshape(-1), info
+    return (M.reshape(-1) if vector else M), info
 
 
 def _resolve_tol(args) -> Tolerance:
@@ -104,37 +110,57 @@ def _check_cap(what: str, value: int, cap: int) -> None:
         raise InvalidMatrix(f"{what}={value} exceeds the cap {cap}")
 
 
-def _write_out(args, M) -> str | None:
-    if args.out is None:
-        return None
-    matio.save_matrix(args.out, M)
-    return str(args.out)
+# ---------------------------------------------------------------- the table
 
 
-# ---------------------------------------------------------------- commands
+@dataclasses.dataclass(frozen=True)
+class _Leaf:
+    """A row of the table: one leaf command.  As a decorator, it declares its answer."""
+
+    path: str
+    help: str
+    files: dict  # report label -> argparse dest, in command-line order
+    arguments: tuple = ()  # (name or --flag, add_argument options), echoed in this order
+    vectors: bool = False  # each file is read as a single row or column
+    out: bool = False  # --out is declared (not echoed); certificates["out"] is the matrix to write
+    answer: object = None
+
+    def __call__(self, answer):
+        _LEAVES[self.path] = dataclasses.replace(self, answer=answer)
+        return answer
 
 
-def cmd_check_basis(args, tol):
-    M, info = _load(args.file)
+_LEAVES: dict[str, _Leaf] = {}  # "frame order" -> its row, in the parser's order
+_GROUPS = {"frame": "frame bounds, order and rebricking",
+           "multiplier": "shift-invariant rebricking on Z_N"}
+
+
+# --tol only where eig_abs or equality_abs is read, declared last so it echoes last
+_TOL = ("--tol", {"type": float, "help": "sets eig_abs and equality_abs"})
+_SEED = ("--seed", {"type": int, "default": 0, "help": "seed of the repair search"})
+_N, _K = ("--N", {"type": int, "required": True}), ("--K", {"type": int, "required": True})
+_SIZES = ("sizes", {"nargs": "*", "type": int, "help": "even sizes N (default 16 32 64 128 256)"})
+
+
+@_Leaf("check-basis", "do the columns form a basis?", {"file": "file"})
+def _check_basis(args, tol, M):
     M = linalg.require_square(M)
     reg = linalg.regularity_of(M, tol)
-    verdicts = {"is_basis": reg.regular}
     certs = {"sigma_min": reg.sigma_min, "sigma_max": reg.sigma_max, "n": int(M.shape[0])}
-    return {"file": info}, verdicts, certs, 0 if reg.regular else 1
+    return {"is_basis": reg.regular}, certs, reg.regular
 
 
-def cmd_rebrick(args, tol):
-    V1, i1 = _load(args.file_v1)
-    V2, i2 = _load(args.file_v2)
+@_Leaf("rebrick", "combine two real bases into V1 + i*V2",
+       {"V1": "file_v1", "V2": "file_v2"}, (_TOL,), out=True)
+def _rebrick(args, tol, V1, V2):
     B, v = basis.rebrick_pair(V1, V2, tol)
-    certs = dataclasses.asdict(v)
-    certs["out"] = _write_out(args, B) if v.rebrickable else None
-    return {"V1": i1, "V2": i2}, {"rebrickable": v.rebrickable}, certs, 0 if v.rebrickable else 1
+    certs = {**dataclasses.asdict(v), "out": B if v.rebrickable else None}
+    return {"rebrickable": v.rebrickable}, certs, v.rebrickable
 
 
-def cmd_repair(args, tol):
-    V, iv = _load(args.file_v)
-    A, ia = _load(args.file_a)
+@_Leaf("repair", "permute columns until Id + iAP is regular",
+       {"V": "file_v", "A": "file_a"}, (_SEED, _TOL), out=True)
+def _repair(args, tol, V, A):
     V, A = linalg.require_square_pair(V, A, ("V", "A"), real=True)
     # sigma(V) decides V, then one LU solve; checked products end an overflow before the search
     basis.require_basis(V, "V", tol)
@@ -142,7 +168,6 @@ def cmd_repair(args, tol):
     At = linalg.formed("inv(V) @ A @ V", np.linalg.solve, V, AV)
     # the search decides from sigma(Id + i At P); W = V @ (Id + i At P) is not judged again
     rep = permutation.repair_permutation(At, tol, seed=args.seed)
-    out = _write_out(args, V + 1j * AV[:, np.argsort(rep.permutation)])
     certs = {
         "permutation_image": [k + 1 for k in rep.permutation],
         "permutation_cycles": permutation.cycle_notation(rep.permutation),
@@ -150,92 +175,84 @@ def cmd_repair(args, tol):
         "sigma_min_after": rep.sigma_min_after,
         "min_dist_to_i_after": rep.min_dist_to_i_after,
         "degenerate": rep.degenerate,
-        "out": out,
+        "out": V + 1j * AV[:, np.argsort(rep.permutation)],
     }
-    return {"V": iv, "A": ia}, {"repaired": True}, certs, 0
+    return {"repaired": True}, certs, True
 
 
-def cmd_frame_bounds(args, tol):
-    S, info = _load(args.file_f)
+@_Leaf("frame bounds", "sharp frame bounds c, C", {"frame": "file_f"})
+def _frame_bounds(args, tol, S):
     fb = frames.frame_bounds(FiniteFrame(S), tol)
-    return {"frame": info}, {"is_frame": True}, {"c": fb.c, "C": fb.C}, 0
+    return {"is_frame": True}, {"c": fb.c, "C": fb.C}, True
 
 
-def cmd_frame_parseval(args, tol):
-    S, info = _load(args.file_f)
+@_Leaf("frame parseval", "is the frame Parseval?", {"frame": "file_f"}, (_TOL,))
+def _frame_parseval(args, tol, S):
     ok = frames.is_parseval(FiniteFrame(S), tol)
-    return {"frame": info}, {"parseval": ok}, {}, 0 if ok else 1
+    return {"parseval": ok}, {}, ok
 
 
-def cmd_frame_order(args, tol):
-    SF, i1 = _load(args.file_f)
-    SG, i2 = _load(args.file_g)
+@_Leaf("frame order", "kernel order, both directions", {"F": "file_f", "G": "file_g"}, (_TOL,))
+def _frame_order(args, tol, SF, SG):
     v = frames.frame_leq(FiniteFrame(SF, "F"), FiniteFrame(SG, "G"), tol)
     verdicts = {"leq": v.leq, "geq": v.geq, "equivalent": v.equivalent}
-    certs = {"ker_dim_F": v.ker_dim_F, "ker_dim_G": v.ker_dim_G}
-    return {"F": i1, "G": i2}, verdicts, certs, 0 if (v.leq or v.geq) else 1
+    return verdicts, {"ker_dim_F": v.ker_dim_F, "ker_dim_G": v.ker_dim_G}, v.leq or v.geq
 
 
-def cmd_frame_rebrick(args, tol):
-    SF, i1 = _load(args.file_f)
-    SG, i2 = _load(args.file_g)
+@_Leaf("frame rebrick", "combine F + i*G", {"F": "file_f", "G": "file_g"}, out=True)
+def _frame_rebrick(args, tol, SF, SG):
     F, G = FiniteFrame(SF, "F"), FiniteFrame(SG, "G")
     try:
         combined, fb = frames.rebrick_frames(F, G, tol)
     except NegativeVerdict:
-        return {"F": i1, "G": i2}, {"rebrickable": False}, {}, 1
-    out = _write_out(args, combined.synthesis)
-    certs = {"c": fb.c, "C": fb.C, "out": out}
-    return {"F": i1, "G": i2}, {"rebrickable": True}, certs, 0
+        return {"rebrickable": False}, {}, False
+    return {"rebrickable": True}, {"c": fb.c, "C": fb.C, "out": combined.synthesis}, True
 
 
-def cmd_frame_frrebrick(args, tol):
-    A, i1 = _load(args.file_a)
-    S, i2 = _load(args.file_s)
+@_Leaf("frame frrebrick", "is A (Id + i*S) surjective?", {"A": "file_a", "S": "file_s"})
+def _frame_frrebrick(args, tol, A, S):
     v = frames.frrebrick_check(A, S, tol)
-    certs = {"rank_id_iS": v.rank_id_iS, "rank_product": v.rank_product}
-    certs.update(p=S.shape[0], n=A.shape[0])
-    verdicts = {"surjective_product": v.surjective}
-    return {"A": i1, "S": i2}, verdicts, certs, 0 if v.surjective else 1
+    certs = dict(rank_id_iS=v.rank_id_iS, rank_product=v.rank_product, p=S.shape[0], n=A.shape[0])
+    return {"surjective_product": v.surjective}, certs, v.surjective
 
 
-def cmd_multiplier_validate(args, tol):
-    m, info = _load_vector(args.file_m, name="multiplier")
+@_Leaf("multiplier validate", "is m a rebricking symbol?", {"multiplier": "file_m"}, (_TOL,),
+       vectors=True)
+def _multiplier_validate(args, tol, m):
     ok, reasons = multipliers.validate_rebrick_multiplier(m, tol)
-    return {"multiplier": info}, {"valid": ok}, {"reasons": reasons}, 0 if ok else 1
+    return {"valid": ok}, {"reasons": reasons}, ok
 
 
-def cmd_multiplier_rebrick(args, tol):
-    x, i1 = _load_vector(args.file_x, name="generator")
-    m, i2 = _load_vector(args.file_m, name="multiplier")
+@_Leaf("multiplier rebrick", "are the translates an ONB?",
+       {"generator": "file_x", "multiplier": "file_m"}, (_TOL,), vectors=True, out=True)
+def _multiplier_rebrick(args, tol, x, m):
     if args.out is not None:
         # --out writes the N x N translate matrix: bound it like a matrix file
         _check_cap("translate matrix cells N*N", x.size * x.size, matio.MAX_CELLS)
     cols, unitary = multipliers.rebrick_translates(x, m, tol)
-    out = _write_out(args, cols)
-    certs = {"unitary": unitary, "out": out}
-    return {"generator": i1, "multiplier": i2}, {"onb": unitary}, certs, 0 if unitary else 1
+    return {"onb": unitary}, {"unitary": unitary, "out": cols}, unitary
 
 
-def cmd_multiplier_hilbert(args, tol):
+@_Leaf("multiplier hilbert", "rank / kernel of Id + iH", {}, (_N,))
+def _multiplier_hilbert(args, tol):
     _check_cap("--N", args.N, MAX_SYMBOL_N)
     r, k = multipliers.analytic_defect(args.N, tol)
-    certs = {"N": args.N, "rank": r, "kernel_dim": k}
-    return {}, {"analytic_defect": k > 0}, certs, 0 if k > 0 else 1
+    return {"analytic_defect": k > 0}, {"N": args.N, "rank": r, "kernel_dim": k}, k > 0
 
 
-def cmd_multiplier_trig(args, tol):
+@_Leaf("multiplier trig", "trigonometric demo", {}, (("--N", {"type": int}), _K, _TOL))
+def _multiplier_trig(args, tol):
     _check_cap("--K", args.K, MAX_TRIG_K)
     if args.N is not None:
         _check_cap("--N", args.N, MAX_TRIG_N)
     rep = multipliers.trig_rebrick_demo(args.K, args.N)
     ok = linalg.is_close(rep.max_dev, 0.0, tol)
     fields = ("K", "N", "max_dev", "max_dev_constant", "max_dev_exp_pos", "max_dev_exp_neg")
-    certs = {f: getattr(rep, f) for f in fields}
-    return {}, {"matches_exponentials": ok}, certs, 0 if ok else 1
+    return {"matches_exponentials": ok}, {f: getattr(rep, f) for f in fields}, ok
 
 
-def cmd_multiplier_sweep(args, tol):
+@_Leaf("multiplier sweep", "sigma_min of Id + iA over N", {}, (_SIZES,))
+def _multiplier_sweep(args, tol):
     sizes = args.sizes or [16, 32, 64, 128, 256]
     _check_cap("number of sweep sizes", len(sizes), MAX_SWEEP_SIZES)
     _check_cap("sweep size", max(sizes), MAX_SYMBOL_N)
@@ -247,7 +264,7 @@ def cmd_multiplier_sweep(args, tol):
         "note": "sigma_min values are modeling-dependent (sampled symbol band)",
     }
     verdicts = {"strictly_decreasing": decreasing, "always_injective": injective}
-    return {}, verdicts, certs, 0 if (decreasing and injective) else 1
+    return verdicts, certs, decreasing and injective
 
 
 # ---------------------------------------------------------------- plumbing
@@ -301,50 +318,21 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--quiet", action="store_true", help="same as --format json")
 
     p = _Parser(
-        prog="rebrick", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+        prog="rebrick", description=_HELP, formatter_class=argparse.RawDescriptionHelpFormatter
     )
-    top = p.add_subparsers(dest="command", required=True)
-
-    def leaf(group, name, handler, help, *arguments, out=False):
-        # each argument is a positional name or (name or --flag, add_argument options),
-        # in the order the command echo lists them
-        s = group.add_parser(name, parents=[common], help=help)
-        arguments = [(a, {}) if isinstance(a, str) else a for a in arguments]
-        for arg, options in arguments:
+    groups = {"": p.add_subparsers(dest="command", required=True)}
+    for leaf in _LEAVES.values():
+        group, _, name = leaf.path.rpartition(" ")
+        if group not in groups:
+            sub = groups[""].add_parser(group, help=_GROUPS[group])
+            groups[group] = sub.add_subparsers(dest="subcommand", required=True)
+        s = groups[group].add_parser(name, parents=[common], help=leaf.help)
+        for dest in leaf.files.values():
+            s.add_argument(dest)
+        for arg, options in leaf.arguments:
             s.add_argument(arg, **options)
-        if out:  # the commands that build a matrix; --out is not echoed
+        if leaf.out:
             s.add_argument("--out", type=Path, help="write the result matrix here")
-        # prog reads "rebrick frame order": the path to this leaf
-        s.set_defaults(handler=handler, path=s.prog.split()[1:], echoed=[a for a, _ in arguments])
-
-    def group(name, help):
-        return top.add_parser(name, help=help).add_subparsers(dest="subcommand", required=True)
-
-    # --tol only where eig_abs or equality_abs is read, declared last so it echoes last
-    tol = ("--tol", {"type": float, "help": "sets eig_abs and equality_abs"})
-    seed = ("--seed", {"type": int, "default": 0, "help": "seed of the repair search"})
-    leaf(top, "check-basis", cmd_check_basis, "do the columns form a basis?", "file")
-    leaf(top, "rebrick", cmd_rebrick, "combine two real bases into V1 + i*V2",
-         "file_v1", "file_v2", tol, out=True)
-    leaf(top, "repair", cmd_repair, "permute columns until Id + iAP is regular",
-         "file_v", "file_a", seed, tol, out=True)
-
-    frame = group("frame", "frame bounds, order and rebricking")
-    leaf(frame, "bounds", cmd_frame_bounds, "sharp frame bounds c, C", "file_f")
-    leaf(frame, "parseval", cmd_frame_parseval, "is the frame Parseval?", "file_f", tol)
-    leaf(frame, "order", cmd_frame_order, "kernel order, both directions", "file_f", "file_g", tol)
-    leaf(frame, "rebrick", cmd_frame_rebrick, "combine F + i*G", "file_f", "file_g", out=True)
-    leaf(frame, "frrebrick", cmd_frame_frrebrick, "is A (Id + i*S) surjective?", "file_a", "file_s")
-
-    mult = group("multiplier", "shift-invariant rebricking on Z_N")
-    N, K = ("--N", {"type": int, "required": True}), ("--K", {"type": int, "required": True})
-    leaf(mult, "validate", cmd_multiplier_validate, "is m a rebricking symbol?", "file_m", tol)
-    leaf(mult, "rebrick", cmd_multiplier_rebrick, "are the translates an ONB?",
-         "file_x", "file_m", tol, out=True)
-    leaf(mult, "hilbert", cmd_multiplier_hilbert, "rank / kernel of Id + iH", N)
-    leaf(mult, "trig", cmd_multiplier_trig, "trigonometric demo", ("--N", {"type": int}), K, tol)
-    sizes = {"nargs": "*", "type": int, "help": "even sizes N (default 16 32 64 128 256)"}
-    leaf(mult, "sweep", cmd_multiplier_sweep, "sigma_min of Id + iA over N", ("sizes", sizes))
     return p
 
 
@@ -352,10 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
-def _command_echo(args) -> list[str]:
+def _command_echo(args, leaf: _Leaf) -> list[str]:
     """The parsed command: its path, then its arguments in declared order, flags if set."""
-    echo = list(args.path)
-    for name in args.echoed:
+    echo = leaf.path.split()
+    for name in [*leaf.files.values(), *(a for a, _ in leaf.arguments)]:
         value = getattr(args, name.lstrip("-"))
         if not name.startswith("-"):
             echo += [str(v) for v in value] if isinstance(value, list) else [str(value)]
@@ -377,10 +365,19 @@ def run(argv=None) -> int:
     args = None
     try:
         args = _PARSER.parse_args(argv)
-        report["command"] = _command_echo(args)
+        leaf = _LEAVES[" ".join(filter(None, (args.command, getattr(args, "subcommand", None))))]
+        report["command"] = _command_echo(args, leaf)
         tol = _resolve_tol(args)
         report["tolerances"] = dataclasses.asdict(tol)
-        inputs, verdicts, certs, code = args.handler(args, tol)
+        files = leaf.files.items()
+        loaded = [_load(getattr(args, dest), label, leaf.vectors) for label, dest in files]
+        verdicts, certs, affirmative = leaf.answer(args, tol, *(M for M, _ in loaded))
+        if "out" in certs:  # the matrix an --out leaf built, or None where it writes none
+            M, certs["out"] = certs["out"], None
+            if M is not None and args.out is not None:
+                matio.save_matrix(args.out, M)
+                certs["out"] = str(args.out)
+        code = 0 if affirmative else 1
     except (InputError, NegativeVerdict, InternalConsistencyError, OSError) as exc:
         code = getattr(exc, "exit_code", 2)  # OSError: an unreadable file is bad input
         report["error"] = str(exc)
@@ -389,6 +386,7 @@ def run(argv=None) -> int:
         if code != 1:
             print(f"error: {exc}", file=sys.stderr)
     else:
+        inputs = {label: info for label, (_, info) in zip(leaf.files, loaded)}
         report.update(inputs=inputs, verdicts=verdicts, certificates=certs)
     report["exit_code"] = code
     print(_render(report, _wants_json(args, argv)))

@@ -4,9 +4,11 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -942,20 +944,36 @@ _FILELESS = {
 }
 
 
-def _leaf_options():
-    """Each leaf command of the parser and the option strings it declares."""
+def _leaf_parsers():
+    """Each leaf command of the parser, with its own parser."""
     leaves = {}
 
     def walk(parser, path):
         subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         if not subs:
-            leaves[" ".join(path)] = {o for a in parser._actions for o in a.option_strings}
+            leaves[" ".join(path)] = parser
         for action in subs:
             for name, sub in action.choices.items():
                 walk(sub, path + [name])
 
     walk(cli._PARSER, [])
     return leaves
+
+
+def _leaf_options():
+    """Each leaf command of the parser and the option strings it declares."""
+    return {
+        command: {o for a in parser._actions for o in a.option_strings}
+        for command, parser in _leaf_parsers().items()
+    }
+
+
+def _leaf_positionals():
+    """Each leaf command of the parser and the positionals it declares, in order."""
+    return {
+        command: [a for a in parser._actions if not a.option_strings]
+        for command, parser in _leaf_parsers().items()
+    }
 
 
 def _costs():
@@ -1043,6 +1061,63 @@ class TestFlagSurface:
         assert code == report["exit_code"] == 2
         assert report["error"] == f"rebrick: unrecognized arguments: {flag} 3"
         assert report["command"] == argv and report["verdicts"] == {}
+
+
+def _help_screen(argv):
+    """Run `argv` in process; returns its stdout, which argparse ends with SystemExit(0)."""
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit) as stop:
+        run(argv)
+    assert stop.value.code == 0
+    return out.getvalue()
+
+
+class TestHelpScreens:
+    """`-h` on the tool, on each group and on each leaf prints its screen and exits 0."""
+
+    @pytest.mark.parametrize("argv", [["-h"], ["frame", "-h"], ["multiplier", "-h"]])
+    def test_tool_and_groups(self, argv):
+        screen, path = _help_screen(argv), argv[:-1]
+        assert screen.startswith(f"usage: {' '.join(['rebrick'] + path)} ")
+        # the commands one level below `path`
+        below = {c.split()[len(path)] for c in _LEAVES if c.split()[: len(path)] == path}
+        listed = re.search(r"\{([\w,-]+)\}", screen).group(1).split(",")
+        assert set(listed) == below and len(listed) == len(below)
+
+    @pytest.mark.parametrize("command", sorted(_LEAVES))
+    def test_usage_names_the_declared_arguments(self, command):
+        screen = _help_screen(command.split() + ["-h"])
+        usage = " ".join(screen.split("\n\n")[0].split())
+        prog = f"usage: rebrick {command} "
+        assert usage.startswith(prog)
+        words = usage[len(prog) :]
+        # --help is listed as -h; a flag's metavar is upper case or a {choice,...} set
+        options = set(re.findall(r"(?<![\w-])(-{1,2}[A-Za-z][\w-]*)", words))
+        assert options == _leaf_options()[command] - {"--help"}
+        positionals = re.findall(r"(?<![-\w{,])([a-z][a-z0-9_]*)(?![\w,}])", words)
+        assert positionals == [a.dest for a in _leaf_positionals()[command]]
+
+
+def _readme_cli_table():
+    """The README's CLI table: command -> (positional count, its own flags)."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| command | positionals | flags of its own |")[1].split("\n\n")[0]
+    rows = {}
+    for line in table.strip().splitlines()[1:]:
+        command, positionals, flags = [cell.strip() for cell in line.strip("|").split("|")]
+        count = "0 or more" if positionals.startswith("0 or more") else positionals.split()[0]
+        count = "0" if count == "none" else count
+        rows[command.strip("`")] = (count, set(re.findall(r"`(--\w+)`", flags)))
+    return rows
+
+
+def test_readme_cli_table_is_the_parser():
+    declared = {}
+    for command, actions in _leaf_positionals().items():
+        count = "0 or more" if any(a.nargs == "*" for a in actions) else str(len(actions))
+        flags = _leaf_options()[command] - {"-h", "--help", "--format", "--quiet"}
+        declared[command] = (count, flags)
+    assert _readme_cli_table() == declared
 
 
 # sizes, --N and --K values just above their caps are refused before anything is allocated

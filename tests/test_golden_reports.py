@@ -1,11 +1,14 @@
-"""Golden CLI reports: every command and subcommand against recorded JSON.
+"""Golden CLI reports: every command and subcommand against recorded reports.
 
 Each case writes seeded inputs to a temporary directory, runs the CLI in
-process with --quiet and compares the report with tests/golden/<case>.json.
-Keys, verdicts, exit codes, strings, integers and booleans must match
-exactly; floats must match to 1e-12 relative (values below 1e-13 are
-rounding noise and are compared absolutely), so the fixtures hold across
-BLAS builds.  Paths are normalised to file names.
+process with --quiet and compares the report with tests/golden/<case>.json,
+then with --format text against tests/golden/<case>.txt.  Keys, verdicts,
+exit codes, strings, integers and booleans must match exactly; floats must
+match to 1e-12 relative (values below 1e-13 are rounding noise and are
+compared absolutely), so the fixtures hold across BLAS builds.  The text
+report is compared line for line, in its own order (certificates are listed
+as the command inserts them, not sorted), with every number in a line held
+to the same tolerance.  Paths are normalised to file names.
 
 Record the fixtures again with
 
@@ -15,6 +18,7 @@ Record the fixtures again with
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -28,6 +32,9 @@ from support import duplicated_e1_frame, plant_eigenvalue_i, rotation, shifted_d
 GOLDEN = Path(__file__).with_name("golden")
 REL = 1e-12
 ABS = 1e-13
+# a decimal number in a text report, with its sign and exponent
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+STYLES = {"json": ["--quiet"], "txt": ["--format", "text"]}
 
 
 def _sign_pattern(N: int) -> np.ndarray:
@@ -119,8 +126,9 @@ CASES = {
 }
 
 
-def run_case(name: str, workdir: Path, capsys=None) -> str:
-    """Write the inputs of `name` to workdir, run it; returns the normalised stdout."""
+def run_case(name: str, workdir: Path, capsys=None, style: str = "json") -> str:
+    """Write the inputs of `name` to workdir, run it in `style` (a key of STYLES); returns
+    the normalised stdout."""
     workdir.mkdir(parents=True, exist_ok=True)
 
     def put(fname, M):
@@ -132,7 +140,7 @@ def run_case(name: str, workdir: Path, capsys=None) -> str:
         return str(p)
 
     rng = np.random.default_rng(sorted(CASES).index(name))
-    argv = CASES[name](put, rng) + ["--quiet"]
+    argv = CASES[name](put, rng) + STYLES[style]
     if capsys is None:
         from contextlib import redirect_stdout
         from io import StringIO
@@ -144,7 +152,10 @@ def run_case(name: str, workdir: Path, capsys=None) -> str:
     else:
         code = run(argv)
         out = capsys.readouterr().out
-    assert json.loads(out)["exit_code"] == code
+    if style == "json":
+        assert json.loads(out)["exit_code"] == code
+    else:
+        assert out.splitlines()[-1] == f"exit_code: {code}"
     return out.replace(str(workdir) + os.sep, "")
 
 
@@ -164,6 +175,16 @@ def _same(got, want, where="report"):
         assert got == want, f"{where}: {got!r} vs recorded {want!r}"
 
 
+def _same_lines(got: str, want: str):
+    got, want = got.splitlines(), want.splitlines()
+    assert len(got) == len(want), f"{len(got)} lines vs {len(want)} recorded"
+    for k, (g, w) in enumerate(zip(got, want), 1):
+        assert NUMBER.split(g) == NUMBER.split(w), f"line {k}: {g!r} vs recorded {w!r}"
+        for a, b in zip(NUMBER.findall(g), NUMBER.findall(w)):
+            close = math.isclose(float(a), float(b), rel_tol=REL, abs_tol=ABS)
+            assert close, f"line {k}: {a} vs recorded {b} in {w!r}"
+
+
 def test_every_command_and_exit_code_is_covered():
     reports = [json.loads((GOLDEN / f"{name}.json").read_text()) for name in CASES]
     assert {r["exit_code"] for r in reports} >= {0, 1, 2}
@@ -181,11 +202,19 @@ def test_report_matches_golden(name, tmp_path, capsys):
     _same(got, want)
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_text_report_matches_golden(name, tmp_path, capsys):
+    got = run_case(name, tmp_path, capsys, style="txt")
+    _same_lines(got, (GOLDEN / f"{name}.txt").read_text())
+
+
 if __name__ == "__main__":
     import tempfile
 
     GOLDEN.mkdir(exist_ok=True)
     for case in sorted(CASES):
-        with tempfile.TemporaryDirectory() as tmp:
-            (GOLDEN / f"{case}.json").write_text(run_case(case, Path(tmp) / case))
+        for style in STYLES:
+            with tempfile.TemporaryDirectory() as tmp:
+                out = run_case(case, Path(tmp) / case, style=style)
+                (GOLDEN / f"{case}.{style}").write_text(out)
     sys.exit(0)

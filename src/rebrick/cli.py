@@ -1,11 +1,19 @@
-"""Command-line front end: the `rebrick` tool as one table of leaf commands.
+"""Rebricking: can real bases and frames be combined into complex ones?
 
-Each leaf command is declared once, by the `@_Leaf` row above its answer
-`(args, tol, *inputs) -> (verdicts, certificates, affirmative)`, which holds
-only its caps, its library call (whose result gives the verdicts) and its
-report fields.  `build_parser` builds argparse from the rows.  `run` does the
-rest once: loading, `inputs`, writing --out, the exit code (0 when
-affirmative, else 1, or an error's `exit_code`) and the rendering.
+Usage: rebrick <command> [<subcommand>] ARGS [FLAGS] [--format json|text] [--quiet]
+
+Each command takes its positionals and FLAGS, the flags that can change
+its answer: --tol T (eig_abs and equality_abs) is declared only on the
+seven commands that read one of them, --seed S only on repair, and
+--out PATH only on the four that build a result matrix.  Every run
+produces a report carrying the verdict, the numeric certificates behind
+it and the tolerance block that the verdict depends on; a usage error
+gets one too, whose `command` is the argv as given.  Exit codes are the
+scripting contract: 0 affirmative verdict, 1 negative verdict, 2 input
+error, 3 internal inconsistency (the certificates of two decision routes
+break a theorem, which is a bug).  --quiet is exactly --format json (an
+exit 2 or 3 still writes `error:` to stderr); identical command lines
+and inputs produce byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -21,37 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from . import basis, frames, linalg, matio, multipliers, permutation
-from .errors import (
-    InputError,
-    InternalConsistencyError,
-    InvalidMatrix,
-    MatrixParseError,
-    NegativeVerdict,
-    UsageError,
-)
+from .errors import InvalidMatrix, MatrixParseError, NegativeVerdict, RebrickError, UsageError
 from .frames import FiniteFrame
 from .linalg import Tolerance
-
-# the text of `rebrick -h`: usage, flags and exit codes
-_HELP = """Command-line front end.
-
-Usage: rebrick <command> [<subcommand>] ARGS [FLAGS] [--format json|text] [--quiet]
-
-Each of the 13 leaf commands is declared once in `build_parser`, with
-its positionals and FLAGS, the flags that can change its answer, so
-argparse alone checks the shape of a command line: --tol T (eig_abs and
-equality_abs) is declared only on the seven commands that read one of
-them, --seed S only on repair.  Every run produces a report carrying
-the verdict, the numeric certificates behind it and the tolerance block
-that the verdict depends on; a usage error gets one too, whose `command`
-is the argv as given.  Exit codes are the scripting contract: 0
-affirmative verdict, 1 negative verdict, 2 input error, 3 internal
-inconsistency (the certificates of two decision routes break a theorem,
-which is a bug).  An error's exit code is the `exit_code` of its kind in
-`rebrick.errors`.  --quiet is exactly --format json (an exit 2 or 3
-still writes `error:` to stderr); identical command lines and inputs
-produce byte-identical JSON.
-"""
 
 SCHEMA_VERSION = 2
 
@@ -64,23 +44,18 @@ MAX_TRIG_N = 2**16
 
 
 def _jsonable(value):
-    if isinstance(value, (np.floating, float)):
-        f = float(value)
-        if not math.isfinite(f):
-            return "inf" if f > 0 else ("-inf" if f < 0 else "nan")
-        return f
+    if isinstance(value, (np.generic, np.ndarray)):
+        value = value.tolist()
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            return "inf" if value > 0 else ("-inf" if value < 0 else "nan")
+        return value
+    if isinstance(value, complex):
+        return [_jsonable(value.real), _jsonable(value.imag)]
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return _jsonable(value.tolist())
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (complex, np.complexfloating)):
-        return [_jsonable(float(value.real)), _jsonable(float(value.imag))]
     return value
 
 
@@ -115,7 +90,13 @@ def _check_cap(what: str, value: int, cap: int) -> None:
 
 @dataclasses.dataclass(frozen=True)
 class _Leaf:
-    """A row of the table: one leaf command.  As a decorator, it declares its answer."""
+    """A row of the table: one leaf command.  As a decorator, it declares its answer.
+
+    An answer `(args, tol, *inputs) -> (verdicts, certificates, affirmative)` holds only
+    its caps, its library call and its report fields.  `build_parser` builds argparse from
+    the rows; `run` does the rest once: loading, `inputs`, --out, the exit code (0 when
+    affirmative, else 1, or the error kind's `exit_code`) and the rendering.
+    """
 
     path: str
     help: str
@@ -194,6 +175,8 @@ def _frame_parseval(args, tol, S):
 
 @_Leaf("frame order", "kernel order, both directions", {"F": "file_f", "G": "file_g"}, (_TOL,))
 def _frame_order(args, tol, SF, SG):
+    m = max(SF.shape[1], SG.shape[1])  # the SVD of a wide frame builds its m x m Vh
+    _check_cap("frame vectors m*m", m * m, matio.MAX_CELLS)
     v = frames.frame_leq(FiniteFrame(SF, "F"), FiniteFrame(SG, "G"), tol)
     verdicts = {"leq": v.leq, "geq": v.geq, "equivalent": v.equivalent}
     return verdicts, {"ker_dim_F": v.ker_dim_F, "ker_dim_G": v.ker_dim_G}, v.leq or v.geq
@@ -318,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--quiet", action="store_true", help="same as --format json")
 
     p = _Parser(
-        prog="rebrick", description=_HELP, formatter_class=argparse.RawDescriptionHelpFormatter
+        prog="rebrick", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     groups = {"": p.add_subparsers(dest="command", required=True)}
     for leaf in _LEAVES.values():
@@ -378,7 +361,7 @@ def run(argv=None) -> int:
                 matio.save_matrix(args.out, M)
                 certs["out"] = str(args.out)
         code = 0 if affirmative else 1
-    except (InputError, NegativeVerdict, InternalConsistencyError, OSError) as exc:
+    except (RebrickError, OSError) as exc:
         code = getattr(exc, "exit_code", 2)  # OSError: an unreadable file is bad input
         report["error"] = str(exc)
         if isinstance(exc, MatrixParseError):

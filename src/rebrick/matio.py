@@ -10,7 +10,8 @@ Files are UTF-8.  A matrix has at most MAX_CELLS cells, and a file at most
 _BYTES_PER_CELL bytes per allowed cell; the size is checked before the file
 is read, the cell count before the array is built.
 
-Readers and writers take a CSV row, or a whole JSON document, per step.
+Readers and writers take a CSV row, or a whole JSON document, per step;
+the parsed cells fix the dtype (complex128 if any is complex, else float64).
 A real CSV row is checked by one character class and parsed by float(),
 which on that alphabet accepts exactly the plain decimals.  Any other row,
 complex ones included, is read cell by cell by parse_cell, so that a bad
@@ -46,8 +47,9 @@ _REAL_CHARS_RE = re.compile(r"[0-9eE.+\-,]*")
 # CSV cell formats by the imaginary part: zero (of either sign) is not written, a nan
 # one gets "-"; "%.0s" takes the unwritten imaginary part and prints nothing
 _CELL_FORMATS = ("%.17g%.0s", "%.17g+%.17gi", "%.17g-%.17gi")
-# the line ends of str.splitlines; a CSV file is split 2**16 characters at a time
-_LINE_END_RE = re.compile(r"\r\n|[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
+# the line ends of str.splitlines but "\r", which _read_text has replaced; a CSV file is
+# split 2**16 characters at a time
+_LINE_END_RE = re.compile(r"[\n\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
 _LINE_BLOCK = 2**16
 _REAL_TYPES = frozenset((int, float))  # type(True) is bool: booleans take the per-cell loop
 
@@ -161,7 +163,6 @@ def load_csv(path, digest=None) -> np.ndarray:
     rows = []
     width = None
     cells = 0
-    has_complex = False
     for r, line in enumerate(_lines(_read_text(path, digest)), start=1):
         if not line.strip():
             continue
@@ -176,7 +177,6 @@ def load_csv(path, digest=None) -> np.ndarray:
                 pass
         if parsed is None:  # complex cells, spaces, non-ASCII digits, or a bad cell that it names
             parsed = [parse_cell(c, r, ci + 1) for ci, c in enumerate(line.split(","))]
-            has_complex = has_complex or any(isinstance(c, complex) for c in parsed)
         if width is None:
             width = len(parsed)
         elif len(parsed) != width:
@@ -186,7 +186,7 @@ def load_csv(path, digest=None) -> np.ndarray:
         rows.append(parsed)
     if not rows:
         raise MatrixParseError(f"{path}: no data rows", row=1, col=1)
-    return np.array(rows, dtype=complex if has_complex else float)
+    return np.array(rows)  # float64, or complex128 when a cell is complex
 
 
 def save_csv(path, M) -> None:
@@ -235,8 +235,8 @@ def load_json(path, digest=None) -> np.ndarray:
             return np.array(data, dtype=float)
         except OverflowError:
             pass  # an integer beyond float64: the loop below names its cell
+    # all-real data returned above (or overflows below): this loop ends only past an [re, im] cell
     out = []
-    has_complex = False
     for r, row in enumerate(data, start=1):
         if len(row) != cols:
             raise MatrixParseError(
@@ -245,15 +245,12 @@ def load_json(path, digest=None) -> np.ndarray:
         parsed = []
         try:
             for c, cell in enumerate(row, start=1):
-                if isinstance(cell, (int, float)) and not isinstance(cell, bool):
+                if type(cell) in _REAL_TYPES:
                     parsed.append(float(cell))
-                elif (
-                    isinstance(cell, list)
-                    and len(cell) == 2
-                    and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in cell)
+                elif isinstance(cell, list) and len(cell) == 2 and all(
+                    type(v) in _REAL_TYPES for v in cell
                 ):
                     parsed.append(complex(cell[0], cell[1]))
-                    has_complex = True
                 else:
                     raise MatrixParseError(
                         f"{path}: bad cell at row {r}, column {c}: {cell!r}", row=r, col=c
@@ -263,7 +260,7 @@ def load_json(path, digest=None) -> np.ndarray:
                 f"{path}: cell at row {r}, column {c} is outside the float64 range", row=r, col=c
             ) from exc
         out.append(parsed)
-    return np.array(out, dtype=complex if has_complex else float)
+    return np.array(out, dtype=complex)
 
 
 def save_json(path, M) -> None:

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -698,6 +699,26 @@ class TestSizeCaps:
         cap = matio.MAX_CELLS
         assert report["error"] == f"translate matrix cells N*N={N * N} exceeds the cap {cap}"
 
+    def test_frame_order_above_cell_cap_is_input_error(self, tmp_path, capsys):
+        # the SVD of a 1 x m frame builds an m x m Vh: m = 1025 is refused before it
+        m = 1025
+        f = write(tmp_path, "f.csv", np.ones((1, m)))
+        tracemalloc.start()
+        try:
+            code, report = run_json(capsys, ["frame", "order", f, f])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == report["exit_code"] == 2
+        assert report["error"] == f"frame vectors m*m={m * m} exceeds the cap {matio.MAX_CELLS}"
+        assert peak < 8 * 2**20  # one 1025 x 1025 Vh alone is 8.02 MiB
+
+    def test_frame_order_at_cell_cap_is_a_verdict(self, tmp_path, capsys):
+        f = write(tmp_path, "f.csv", np.ones((1, 1024)))
+        code, report = run_json(capsys, ["frame", "order", f, f])
+        assert code == report["exit_code"] == 0
+        assert report["verdicts"] == {"leq": True, "geq": True, "equivalent": True}
+
 
 class TestReportContract:
     def test_quiet_prints_only_json(self, tmp_path, capsys):
@@ -1083,6 +1104,12 @@ class TestHelpScreens:
         below = {c.split()[len(path)] for c in _LEAVES if c.split()[: len(path)] == path}
         listed = re.search(r"\{([\w,-]+)\}", screen).group(1).split(",")
         assert set(listed) == below and len(listed) == len(below)
+
+    def test_tool_description_is_the_module_docstring(self):
+        screen = _help_screen(["-h"])
+        assert cli.__doc__ in screen
+        for internal in ("build_parser", "_Leaf", "_HELP", "rebrick.errors"):
+            assert internal not in screen
 
     @pytest.mark.parametrize("command", sorted(_LEAVES))
     def test_usage_names_the_declared_arguments(self, command):

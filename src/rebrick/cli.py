@@ -175,8 +175,6 @@ def _frame_parseval(args, tol, S):
 
 @_Leaf("frame order", "kernel order, both directions", {"F": "file_f", "G": "file_g"}, (_TOL,))
 def _frame_order(args, tol, SF, SG):
-    m = max(SF.shape[1], SG.shape[1])  # the SVD of a wide frame builds its m x m Vh
-    _check_cap("frame vectors m*m", m * m, matio.MAX_CELLS)
     v = frames.frame_leq(FiniteFrame(SF, "F"), FiniteFrame(SG, "G"), tol)
     verdicts = {"leq": v.leq, "geq": v.geq, "equivalent": v.equivalent}
     return verdicts, {"ker_dim_F": v.ker_dim_F, "ker_dim_G": v.ker_dim_G}, v.leq or v.geq

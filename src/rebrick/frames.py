@@ -133,13 +133,11 @@ def frame_kernel(F: FiniteFrame, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return d.kernel
 
 
-def _contains(K_big: np.ndarray, K_small: np.ndarray, tol: Tolerance) -> bool:
-    # span(K_small) inside span(K_big), decided by the projection residual
-    if K_small.shape[1] == 0:
-        return True
-    if K_big.shape[1] == 0:
-        return False
-    return linalg.is_close(K_small, K_big @ (K_big.conj().T @ K_small), tol)
+def _contains(d_big: linalg.Decomposition, d_small: linalg.Decomposition, tol: Tolerance) -> bool:
+    # d_small's row space inside d_big's: each d is the thin SVD of an S*, whose U[:, :rank]
+    # spans row(S), the complement of ker(S); decided by the projection residual
+    Q_big, Q_small = (d.U[:, : d.reg.rank] for d in (d_big, d_small))
+    return linalg.is_close(Q_small, Q_big @ (Q_big.conj().T @ Q_small), tol)
 
 
 def _check_comparable(F: FiniteFrame, G: FiniteFrame):
@@ -154,34 +152,30 @@ def _check_comparable(F: FiniteFrame, G: FiniteFrame):
 def frame_leq(F: FiniteFrame, G: FiniteFrame, tol: Tolerance = DEFAULT_TOL) -> OrderVerdict:
     """Kernel order verdict in both directions.
 
-    leq means F <= G, i.e. ker(F) contains ker(G); equivalent exactly when
-    both directions hold, i.e. the kernels coincide.
+    leq means F <= G, i.e. ker(F) contains ker(G), i.e. the row space of F
+    lies in that of G; equivalent exactly when both directions hold, i.e.
+    the kernels coincide.  One thin SVD of S* per frame, O(n * m) memory.
     """
     _check_comparable(F, G)
-    K_F, K_G = (linalg.decompose(X.synthesis, tol).kernel for X in (F, G))
-    leq = _contains(K_F, K_G, tol)
-    geq = _contains(K_G, K_F, tol)
-    return OrderVerdict(
-        leq=leq,
-        geq=geq,
-        equivalent=leq and geq,
-        ker_dim_F=K_F.shape[1],
-        ker_dim_G=K_G.shape[1],
-    )
+    d_F, d_G = (linalg.decompose(X.synthesis.conj().T, tol) for X in (F, G))
+    leq, geq = _contains(d_G, d_F, tol), _contains(d_F, d_G, tol)
+    return OrderVerdict(leq, geq, leq and geq, F.count - d_F.reg.rank, G.count - d_G.reg.rank)
 
 
 def compatibility_operator(F: FiniteFrame, G: FiniteFrame, tol: Tolerance = DEFAULT_TOL):
     """The operator T with S_F = T @ S_G, or None when no such T exists.
 
-    T = S_F @ pinv(S_G) exists exactly when ker(G) lies in ker(F), and that
-    containment alone decides; T is invertible when the kernels are equal.
-    One SVD per frame (G's gives its kernel and pinv); InvalidMatrix if T overflows.
+    T = S_F @ pinv(S_G) exists exactly when ker(G) lies in ker(F), i.e. the
+    row space of F lies in that of G, and that containment alone decides;
+    T is invertible when the kernels are equal.  One thin SVD of S* per frame,
+    O(n * m) memory: G's gives its row space and pinv(S_G) = pinv(S_G*)*.
+    InvalidMatrix if T overflows.
     """
     _check_comparable(F, G)
-    d_G = linalg.decompose(G.synthesis, tol)
-    if not _contains(linalg.decompose(F.synthesis, tol).kernel, d_G.kernel, tol):
+    d_F, d_G = (linalg.decompose(X.synthesis.conj().T, tol) for X in (F, G))
+    if not _contains(d_G, d_F, tol):
         return None
-    return linalg.formed("S_F @ pinv(S_G)", np.matmul, F.synthesis, d_G.pinv)
+    return linalg.formed("S_F @ pinv(S_G)", np.matmul, F.synthesis, d_G.pinv.conj().T)
 
 
 def rebrick_frames(F: FiniteFrame, G: FiniteFrame, tol: Tolerance = DEFAULT_TOL):

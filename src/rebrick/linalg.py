@@ -25,6 +25,7 @@ its inputs and there is no module state, so concurrent use is safe.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -151,10 +152,12 @@ def regularity(s, size: int, tol: Tolerance = DEFAULT_TOL) -> Regularity:
     """Judge the singular values s (any order) of an operator.
 
     `size` is the larger dimension of the operator.  The cutoff is
-    rank_rel * size * max(s).
+    rank_rel * size * max(s); InvalidMatrix unless max(s) is finite.
     """
     s = np.asarray(s)
     smax = float(s.max())
+    if not math.isfinite(smax):
+        raise InvalidMatrix(f"largest singular value {smax} is beyond the float64 range")
     cutoff = tol.rank_rel * size * smax
     return Regularity(float(s.min()), smax, cutoff, int(np.count_nonzero(s > cutoff)))
 
@@ -191,7 +194,7 @@ class Decomposition(NamedTuple):
 
 
 def decompose(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Decomposition:
-    """One SVD of a checked M, judged at size max(rows, cols); wide M gets every row of Vh."""
+    """One SVD of a checked M at size max(rows, cols): every row of Vh if M is wide, else thin."""
     U, s, Vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
     return Decomposition(U, s, Vh, regularity(s, max(M.shape), tol))
 

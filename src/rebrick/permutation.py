@@ -54,7 +54,9 @@ class PermutationRepair:
 
 
 def _is_index(k) -> bool:
-    """k is an integer value: 1 and 1.0 are; 1.9, NaN, inf and 1j are not."""
+    """k is an integer value: 1 and 1.0 are; True, 1.9, NaN, inf and 1j are not."""
+    if isinstance(k, bool):  # an int subclass, refused as np.bool_ is
+        return False
     return isinstance(k, numbers.Integral) or isinstance(k, numbers.Real) and float(k).is_integer()
 
 

@@ -17,6 +17,7 @@ from rebrick.errors import (
     NotOrthogonal,
     ShapeMismatch,
 )
+from rebrick.frames import OrderVerdict
 from rebrick.permutation import PermutationRepair
 
 
@@ -428,6 +429,33 @@ def reference_repair_permutation(A, tol=linalg.DEFAULT_TOL, seed: int = 0):
 def reference_parseval(S, tol=linalg.DEFAULT_TOL) -> bool:
     """The frame operator S @ S* is the identity, entrywise within equality_abs."""
     return max_abs(S @ S.conj().T - np.eye(S.shape[0])) <= tol.equality_abs
+
+
+def _reference_kernel(S, tol) -> np.ndarray:
+    """Orthonormal kernel basis of S: the rows of the full m x m Vh past the rank."""
+    _, s, Vh = np.linalg.svd(S, full_matrices=True)
+    return Vh[reference_regularity(s, max(S.shape), tol).rank :].conj().T
+
+
+def reference_frame_leq(S_F, S_G, tol=linalg.DEFAULT_TOL) -> tuple[OrderVerdict, tuple]:
+    """The kernel order decided on kernel bases, and the (leq, geq) residuals that decide it.
+
+    F <= G when span(K_G) lies in span(K_F): an empty K_G always does
+    (residual 0), a nonempty K_G never lies in an empty K_F (residual inf),
+    and otherwise the projection residual is within equality_abs.
+    """
+    K_F, K_G = _reference_kernel(S_F, tol), _reference_kernel(S_G, tol)
+
+    def residual(K_big, K_small) -> float:
+        if K_small.shape[1] == 0:
+            return 0.0
+        if K_big.shape[1] == 0:
+            return np.inf
+        return max_abs(K_small - K_big @ (K_big.conj().T @ K_small))
+
+    res = (residual(K_F, K_G), residual(K_G, K_F))
+    leq, geq = (r <= tol.equality_abs for r in res)
+    return OrderVerdict(leq, geq, leq and geq, K_F.shape[1], K_G.shape[1]), res
 
 
 def reference_spectral_factorize_orthosym(A, tol=linalg.DEFAULT_TOL):

@@ -645,6 +645,21 @@ class TestExtremeScale:
         code, report = self.run_quiet(capsys, ["frame", sub] + files[: 1 if sub == "bounds" else 2])
         assert code == 2 and "float64 range" in report["error"]
 
+    @pytest.mark.parametrize(
+        "argv, mats",
+        [
+            (["check-basis"], [1.7e308 * np.array([[1.0, 1.0], [1.0, -1.0]])]),
+            (["rebrick"], [1.5e308 * np.eye(2)] * 2),
+            (["frame", "order"], [1.7e308 * np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])] * 2),
+        ],
+    )
+    def test_singular_value_beyond_float64_is_input_error(self, tmp_path, capsys, argv, mats):
+        # finite entries whose sigma_max is inf (or nan from B = V1 + i*V2): no rank is judged
+        files = [write(tmp_path, f"m{k}.csv", M) for k, M in enumerate(mats)]
+        code, report = self.run_quiet(capsys, argv + files)
+        assert code == 2 and report["verdicts"] == {}
+        assert report["error"].endswith("is beyond the float64 range")
+
     def test_rebrick_pair_out_of_range_gets_a_verdict(self, tmp_path, capsys):
         # the verdict squares no norm, so ||V2 @ inv(V1)||^2 may leave the float64 range
         rng = np.random.default_rng(22)
@@ -699,9 +714,9 @@ class TestSizeCaps:
         cap = matio.MAX_CELLS
         assert report["error"] == f"translate matrix cells N*N={N * N} exceeds the cap {cap}"
 
-    def test_frame_order_above_cell_cap_is_input_error(self, tmp_path, capsys):
-        # the SVD of a 1 x m frame builds an m x m Vh: m = 1025 is refused before it
-        m = 1025
+    @pytest.mark.parametrize("m", [1024, 1025, 2**16])
+    def test_wide_frame_order_is_a_verdict_in_linear_memory(self, tmp_path, capsys, m):
+        # decided on 1 x m row-space bases: no m x m Vh, whose 1025 x 1025 case alone is 8.02 MiB
         f = write(tmp_path, "f.csv", np.ones((1, m)))
         tracemalloc.start()
         try:
@@ -709,15 +724,10 @@ class TestSizeCaps:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert code == report["exit_code"] == 2
-        assert report["error"] == f"frame vectors m*m={m * m} exceeds the cap {matio.MAX_CELLS}"
-        assert peak < 8 * 2**20  # one 1025 x 1025 Vh alone is 8.02 MiB
-
-    def test_frame_order_at_cell_cap_is_a_verdict(self, tmp_path, capsys):
-        f = write(tmp_path, "f.csv", np.ones((1, 1024)))
-        code, report = run_json(capsys, ["frame", "order", f, f])
         assert code == report["exit_code"] == 0
         assert report["verdicts"] == {"leq": True, "geq": True, "equivalent": True}
+        assert report["certificates"] == {"ker_dim_F": m - 1, "ker_dim_G": m - 1}
+        assert peak < 8 * 2**20
 
 
 class TestReportContract:

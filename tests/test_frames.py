@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from support import (
     random_orthogonal,
     random_symmetric,
     range_kernel_fills,
+    reference_frame_leq,
     reference_parseval,
     rotation,
     shifted_duplicate_frame,
@@ -189,6 +191,64 @@ class TestFrameOrder:
             )
 
 
+def _order_pair(rng, n, m, relation, ranks, is_complex, tilt):
+    """(S_F, S_G), n x m: F <= G for "nested", the same kernel for "equal", no relation
+    built in for "incomparable", and the same kernel turned by an angle of about tilt
+    (a Cayley rotation of C^m) for "tilted"."""
+
+    def draw(shape):
+        Z = rng.standard_normal(shape)
+        return Z + 1j * rng.standard_normal(shape) if is_complex else Z
+
+    def of_rank(r, cols):
+        return draw((n, r)) @ draw((r, cols))
+
+    S_G = of_rank(min(ranks[1], n), m)
+    if relation == "incomparable":
+        return of_rank(min(ranks[0], n), m), S_G
+    if relation == "nested":
+        return of_rank(min(ranks[0], n), n) @ S_G, S_G
+    S_F = draw((n, n)) @ S_G
+    if relation == "tilted":
+        Z = draw((m, m))
+        K = 0.5 * tilt * (Z - Z.conj().T)  # skew-Hermitian, so the Cayley transform is unitary
+        S_F = S_F @ np.linalg.solve(np.eye(m) - K, np.eye(m) + K)
+    return S_F, S_G
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    extra=st.integers(0, 5),
+    relation=st.sampled_from(["nested", "equal", "incomparable", "tilted"]),
+    ranks=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+    is_complex=st.booleans(),
+    scales=st.tuples(*[st.sampled_from([1e-100, 1.0, 1e100])] * 2),
+    t=st.sampled_from([1e-12, 1e-9, 1e-6]),
+    u=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_frame_leq_matches_the_kernel_rule(
+    n, extra, relation, ranks, is_complex, scales, t, u, seed
+):
+    # row(F) in row(G) decides what ker(G) in ker(F) did.  For leq the two residuals are the
+    # largest entries of P_row(F) K_G (m x k_G) and P_ker(G) Q_F (m x r_F), whose spectral norms
+    # are equal, so each is within sqrt(m * m) = m of the other: only a verdict whose kernel
+    # residual lies within a factor m of t may differ (geq alike, F and G swapped)
+    rng = np.random.default_rng(seed)
+    m = n + extra
+    S_F, S_G = _order_pair(rng, n, m, relation, ranks, is_complex, u * t)
+    F, G = FiniteFrame(scales[0] * S_F), FiniteFrame(scales[1] * S_G)
+    tol = linalg.Tolerance.from_scalar(t)
+    v = frames.frame_leq(F, G, tol)
+    want, residuals = reference_frame_leq(F.synthesis, G.synthesis, tol)
+    assert (v.ker_dim_F, v.ker_dim_G) == (want.ker_dim_F, want.ker_dim_G)
+    for got, ref, res in zip((v.leq, v.geq), (want.leq, want.geq), residuals):
+        assert got == ref or t / m <= res <= m * t
+    assert v.equivalent == (v.leq and v.geq)
+    assert (frames.compatibility_operator(F, G, tol) is not None) == v.leq
+
+
 class TestCompatibilityOperator:
     def test_equal_frames_give_identity(self):
         F = FiniteFrame(duplicated_e1_frame(4))
@@ -236,6 +296,18 @@ class TestCompatibilityOperator:
                 assert (T is not None) == frames.frame_leq(F, G).leq
                 assert T is None or solves_compatibility(T, F, G)
 
+    def test_wide_frames_in_linear_memory(self):
+        # the row-space bases are 4096 x 1; one full 4096 x 4096 Vh alone would be 128 MiB
+        F = FiniteFrame(np.ones((1, 4096)))
+        tracemalloc.start()
+        try:
+            T = frames.compatibility_operator(F, F)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_allclose(T, [[1.0]], rtol=1e-12)
+        assert peak < 8 * 2**20
+
     def test_pseudo_inverse_cuts_where_the_kernels_were_cut(self):
         # the third singular value of each synthesis lies below the rank cutoff
         # rank_rel * 6 * sigma_max, so frame_leq counts it as zero; a
@@ -256,7 +328,7 @@ class TestCompatibilityOperator:
         F = FiniteFrame(np.random.default_rng(16).standard_normal((3, 6)))
         calls = count_svd_calls(monkeypatch)
         T = frames.compatibility_operator(F, F)
-        assert len(calls) == 2  # F's kernel; G's kernel and pseudo-inverse share one
+        assert len(calls) == 2  # one thin SVD of S* per frame: G's gives its row space and pinv
         assert T is not None and solves_compatibility(T, F, F)
 
 

@@ -156,6 +156,10 @@ def test_regularity_cutoff_rule():
     assert linalg.regularity([1e-15, 2e-15], 2, tol).regular
     # the zero operator has rank 0
     assert linalg.regularity([0.0, 0.0], 2, tol).rank == 0
+    # an inf or nan sigma_max makes the cutoff inf or nan, so no rank it gives is an answer
+    for s in ([np.inf, 1.0], [np.nan, 1.0]):
+        with pytest.raises(errors.InvalidMatrix, match="beyond the float64 range"):
+            linalg.regularity(s, 2, tol)
 
 
 @pytest.mark.parametrize("shape", [(4, 4), (6, 3), (3, 6)])
@@ -615,8 +619,9 @@ def test_each_multiplier_clause_at_the_tolerance(clause):
 
 def test_kernel_containment_at_the_tolerance():
     F, G = frames.FiniteFrame(np.array([[1.0, 1.0]])), frames.FiniteFrame(np.array([[1.0, 1.001]]))
-    K_F, K_G = linalg.decompose(F.synthesis).kernel, linalg.decompose(G.synthesis).kernel
-    at, below = _at_and_below(float(np.abs(K_G - K_F @ (K_F.T @ K_G)).max()))
+    # ker(G) in ker(F) is decided as row(F) in row(G), on the rank-1 row-space bases Q
+    Q_F, Q_G = (linalg.decompose(X.synthesis.T).U[:, :1] for X in (F, G))
+    at, below = _at_and_below(float(np.abs(Q_F - Q_G @ (Q_G.T @ Q_F)).max()))
     assert frames.frame_leq(F, G, at).leq
     assert not frames.frame_leq(F, G, below).leq
 

@@ -64,9 +64,13 @@ class TestColumnPermutation:
         with pytest.raises(errors.NotAPermutation):
             permutation.rebrick_with_permutation(np.eye(3), np.eye(3), (0, 1))
         # an entry that is not an integer value is refused, not truncated by int()
-        for pi in [(1.9, 0.99), (np.nan, 0), (1.0, np.nan), (np.inf, 0), (1j, 0), (1 + 0j, 0)]:
+        # a boolean is not one either, as as_matrix and matio refuse a boolean entry
+        for pi in [(1.9, 0.99), (np.nan, 0), (1.0, np.nan), (np.inf, 0), (1j, 0), (1 + 0j, 0),
+                   (True, False), (1, False), (np.True_, np.False_)]:
             with pytest.raises(errors.NotAPermutation, match="is not a bijection on 0..1$"):
                 permutation.rebrick_with_permutation(np.eye(2), ROT90, pi)
+            with pytest.raises(errors.NotAPermutation, match="is not a bijection on 0..1$"):
+                permutation.cycle_notation(pi)
         with pytest.raises(errors.NotAPermutation, match=r"^\(1\.5, 0\.2\) is not a bijection"):
             permutation.cycle_notation((1.5, 0.2))
         # integer-valued floats are integers

@@ -56,6 +56,7 @@ from .permutation import (
     cycle_notation,
     invariant_eigenvalue_candidates,
     rebrick_with_permutation,
+    repair,
     repair_permutation,
     summed_char_poly,
 )
@@ -101,6 +102,7 @@ __all__ = [
     "rebrick_with_permutation",
     "rebricked_dual",
     "rebricked_frame_bounds",
+    "repair",
     "repair_permutation",
     "spectral_factorize_orthosym",
     "summed_char_poly",

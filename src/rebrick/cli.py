@@ -142,13 +142,7 @@ def _rebrick(args, tol, V1, V2):
 @_Leaf("repair", "permute columns until Id + iAP is regular",
        {"V": "file_v", "A": "file_a"}, (_SEED, _TOL), out=True)
 def _repair(args, tol, V, A):
-    V, A = linalg.require_square_pair(V, A, ("V", "A"), real=True)
-    # sigma(V) decides V, then one LU solve; checked products end an overflow before the search
-    basis.require_basis(V, "V", tol)
-    AV = linalg.formed("A @ V", np.matmul, A, V)
-    At = linalg.formed("inv(V) @ A @ V", np.linalg.solve, V, AV)
-    # the search decides from sigma(Id + i At P); W = V @ (Id + i At P) is not judged again
-    rep = permutation.repair_permutation(At, tol, seed=args.seed)
+    W, rep = permutation.repair(V, A, tol, seed=args.seed)
     certs = {
         "permutation_image": [k + 1 for k in rep.permutation],
         "permutation_cycles": permutation.cycle_notation(rep.permutation),
@@ -156,7 +150,7 @@ def _repair(args, tol, V, A):
         "sigma_min_after": rep.sigma_min_after,
         "min_dist_to_i_after": rep.min_dist_to_i_after,
         "degenerate": rep.degenerate,
-        "out": V + 1j * AV[:, np.argsort(rep.permutation)],
+        "out": W,
     }
     return {"repaired": True}, certs, True
 
@@ -226,8 +220,8 @@ def _multiplier_trig(args, tol):
     _check_cap("--K", args.K, MAX_TRIG_K)
     if args.N is not None:
         _check_cap("--N", args.N, MAX_TRIG_N)
-    rep = multipliers.trig_rebrick_demo(args.K, args.N)
-    ok = linalg.is_close(rep.max_dev, 0.0, tol)
+    rep = multipliers.trig_rebrick_demo(args.K, args.N, tol)
+    ok = rep.matches_exponentials
     fields = ("K", "N", "max_dev", "max_dev_constant", "max_dev_exp_pos", "max_dev_exp_neg")
     return {"matches_exponentials": ok}, {f: getattr(rep, f) for f in fields}, ok
 

@@ -162,27 +162,33 @@ def analytic_defect(N: int, tol: Tolerance = DEFAULT_TOL):
 
 @dataclass(frozen=True)
 class TrigRebrickReport:
-    """Deviations of the rebricked trigonometric system from pure exponentials."""
+    """Deviations of the rebricked trigonometric system from pure exponentials.
+
+    matches_exponentials: the worst deviation, max_dev, is 0 by `linalg.is_close`.
+    """
 
     K: int
     N: int
     max_dev_constant: float
     max_dev_exp_pos: float
     max_dev_exp_neg: float
+    matches_exponentials: bool
 
     @property
     def max_dev(self) -> float:
         return max(self.max_dev_constant, self.max_dev_exp_pos, self.max_dev_exp_neg)
 
 
-def trig_rebrick_demo(K: int, N: int | None = None) -> TrigRebrickReport:
+def trig_rebrick_demo(
+    K: int, N: int | None = None, tol: Tolerance = DEFAULT_TOL
+) -> TrigRebrickReport:
     """Rebrick the alternating cos/sin basis against its sin/cos reordering.
 
     Sampling on the uniform grid with quadrature weight 1/N, the combined
     vectors come out as unimodular multiples of complex exponentials:
     (1+i)/sqrt(2) for the constant, exp(+2*pi*i*k*x) at odd positions and
     i*exp(-2*pi*i*k*x) at even ones.  Reports the worst grid-norm
-    deviation per class.
+    deviation per class, and whether the worst of them is 0 at equality_abs.
     """
     if K < 1:
         raise InvalidSize("K must be >= 1")
@@ -216,6 +222,7 @@ def trig_rebrick_demo(K: int, N: int | None = None) -> TrigRebrickReport:
         max_dev_constant=0.0,
         max_dev_exp_pos=dev_pos,
         max_dev_exp_neg=dev_neg,
+        matches_exponentials=linalg.is_close(max(dev_pos, dev_neg), 0.0, tol),
     )
 
 

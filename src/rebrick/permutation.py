@@ -4,7 +4,8 @@ A real square matrix whose spectrum contains i cannot rebrick a basis,
 but permuting its columns always can: the only eigenvalues shared by
 every column permutation of a matrix are 0 and the mean of all entries,
 both real.  This module provides the characteristic-polynomial machinery
-behind that statement and the search for a repairing permutation.
+behind that statement, the search for a repairing permutation and
+`repair`, the route from a pair (V, A) to the repaired basis.
 
 Permutations are 0-based image vectors throughout: pi[k] is the index
 that k maps to.  Right-multiplying by the associated matrix P_pi sends
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import basis, linalg
 from .errors import NotAPermutation, NotRebrickable, SearchExhausted
 from .linalg import DEFAULT_TOL, Tolerance
 
@@ -173,17 +174,41 @@ def repair_permutation(A, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Permut
     raise SearchExhausted(f"no repairing permutation found in {trials} trials")
 
 
+def repair(
+    V, A, tol: Tolerance = DEFAULT_TOL, seed: int = 0
+) -> tuple[np.ndarray, PermutationRepair]:
+    """Repair the pair (V, A): the complex basis W = V + i * A @ V @ P_pi and its certificate.
+
+    The route of the CLI `repair`: sigma(V) decides V (RankDeficientInput), At =
+    inv(V) @ A @ V is one LU solve (InvalidMatrix if A @ V or At overflows), and
+    `repair_permutation(At, tol, seed)` decides from sigma(Id + i * At @ P_pi).  W is
+    formed from A @ V and not judged again (see `rebrick_with_permutation`).
+    Returns (W, PermutationRepair).
+    """
+    V_, A_ = linalg.require_square_pair(V, A, ("V", "A"), real=True)
+    basis.require_basis(V_, "V", tol)
+    AV = linalg.formed("A @ V", np.matmul, A_, V_)
+    At = linalg.formed("inv(V) @ A @ V", np.linalg.solve, V_, AV)
+    rep = repair_permutation(At, tol, seed=seed)
+    return V_ + 1j * AV[:, np.argsort(rep.permutation)], rep
+
+
 def rebrick_with_permutation(V, A, pi, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """The repaired complex basis matrix V + i * A @ V @ P_pi.
+    """The repaired complex basis matrix V + i * A @ V @ P_pi, for a pi that the caller supplies.
 
     Equals V @ (Id + i * At @ P_pi) for the conjugated operator
-    At = inv(V) @ A @ V.  For a pi that the caller supplies, the SVD of the
-    result is the one check: NotRebrickable when it is singular at tolerance.
-    The CLI `repair` forms the same expression from the pi its search found
-    and certified, and does not judge it again.
+    At = inv(V) @ A @ V.  sigma(V) decides V (RankDeficientInput if it is
+    singular), then the SVD of the result is the one check: NotRebrickable
+    when it is singular at tolerance.  `repair` takes the other route: its
+    search certifies Id + i * At @ P_pi and W is not judged again, so on an
+    ill-conditioned V the two can disagree (V = diag(1, 1e-11) with
+    A = [[1e-4, -1e11], [1e-11, 1e-4]]: `repair` accepts the identity at
+    sigma_min(Id + i * At) = 1e-4, and this function refuses it at
+    sigma_min(W) = 1.4e-15).
     """
     V_, A_ = linalg.require_square_pair(V, A, ("V", "A"), real=True)
     p = _check_permutation(pi, V_.shape[1])
+    basis.require_basis(V_, "V", tol)
     AV = linalg.formed("A @ V", np.matmul, A_, V_)
     W = V_ + 1j * AV[:, np.argsort(p)]
     reg = linalg.regularity_of(W, tol)

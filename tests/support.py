@@ -426,6 +426,18 @@ def reference_repair_permutation(A, tol=linalg.DEFAULT_TOL, seed: int = 0):
     raise AssertionError(f"no repairing permutation in {trials} trials")
 
 
+def reference_repair(V, A, tol=linalg.DEFAULT_TOL, seed: int = 0):
+    """The CLI `repair` route as the CLI held it, line for line: (W, PermutationRepair)."""
+    V, A = linalg.require_square_pair(V, A, ("V", "A"), real=True)
+    # sigma(V) decides V, then one LU solve; checked products end an overflow before the search
+    basis.require_basis(V, "V", tol)
+    AV = linalg.formed("A @ V", np.matmul, A, V)
+    At = linalg.formed("inv(V) @ A @ V", np.linalg.solve, V, AV)
+    # the search decides from sigma(Id + i At P); W = V @ (Id + i At P) is not judged again
+    rep = permutation.repair_permutation(At, tol, seed=seed)
+    return V + 1j * AV[:, np.argsort(rep.permutation)], rep
+
+
 def reference_parseval(S, tol=linalg.DEFAULT_TOL) -> bool:
     """The frame operator S @ S* is the identity, entrywise within equality_abs."""
     return max_abs(S @ S.conj().T - np.eye(S.shape[0])) <= tol.equality_abs

@@ -262,6 +262,17 @@ class TestRepair:
         with pytest.raises(errors.NotRebrickable, match=r"^permutation \(0, 1\) leaves"):
             permutation.rebrick_with_permutation(V, A, (0, 1))
 
+    def test_out_is_the_library_matrix(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        V = np.eye(6) + 0.1 * rng.standard_normal((6, 6))
+        v, a = write(tmp_path, "v.csv", V), write(tmp_path, "a.csv", plant_eigenvalue_i(rng, 6))
+        out, lib = tmp_path / "w.csv", tmp_path / "lib.csv"
+        code, report = run_json(capsys, ["repair", v, a, "--seed", "3", "--out", str(out)])
+        assert code == 0 and report["certificates"]["trials"] >= 2
+        W, _ = permutation.repair(matio.load_matrix(v), matio.load_matrix(a), seed=3)
+        matio.save_matrix(lib, W)
+        assert out.read_bytes() == lib.read_bytes()
+
     def test_negative_seed_at_nine(self, tmp_path, capsys):
         rng = np.random.default_rng(2)
         v = write(tmp_path, "v.csv", np.eye(9) + 0.1 * rng.standard_normal((9, 9)))

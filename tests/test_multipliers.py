@@ -403,6 +403,14 @@ class TestTrigRebrick:
         with pytest.raises(errors.InvalidSize):
             multipliers.trig_rebrick_demo(8, 20)
 
+    def test_verdict_is_max_dev_zero_at_equality_abs(self):
+        # a deviation exactly at equality_abs matches, one ulp above it does not
+        rep = multipliers.trig_rebrick_demo(5)
+        assert rep.matches_exponentials and 0.0 < rep.max_dev
+        for tol, want in ((rep.max_dev, True), (float(np.nextafter(rep.max_dev, 0.0)), False)):
+            got = multipliers.trig_rebrick_demo(5, tol=linalg.Tolerance.from_scalar(tol))
+            assert got.matches_exponentials is want and got.max_dev == rep.max_dev
+
 
 class TestConditioningSweep:
     def test_strictly_decreasing_and_injective(self):

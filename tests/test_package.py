@@ -52,6 +52,7 @@ PUBLIC = [
     "rebrick_with_permutation",
     "rebricked_dual",
     "rebricked_frame_bounds",
+    "repair",
     "repair_permutation",
     "spectral_factorize_orthosym",
     "summed_char_poly",
@@ -73,7 +74,7 @@ REMOVED = {
 
 
 def test_public_surface():
-    assert len(rebrick.__all__) == 45 and sorted(rebrick.__all__) == PUBLIC
+    assert len(rebrick.__all__) == 46 and sorted(rebrick.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(rebrick, name) is not None
     for module, names in REMOVED.items():
@@ -112,6 +113,7 @@ def test_readme_python_blocks_state_what_they_compute():
     namespace, values = _run_readme_blocks()
     assert values["verdict.rebrickable"] is False
     np.testing.assert_allclose(values["verdict.eigenvalues_A"], [-1j, 1j], atol=1e-12)
+    assert values["rep.permutation"] == (1, 0)
     assert np.array_equal(namespace["W"], np.diag([1 - 1j, 1 + 1j]))
     bounds = values["rebrick.frame_bounds(F)"]
     assert bounds.c == 1.0 and bounds.C == pytest.approx(2.0, rel=1e-12)
@@ -138,6 +140,41 @@ def _unused_imports(path: Path) -> list[str]:
 )
 def test_every_import_is_used(path):
     assert _unused_imports(path) == []
+
+
+# what only the library may do: decompose, solve, form a checked product, apply a tolerance rule
+LIBRARY_ONLY = {"np.linalg", "np.matmul", "linalg.formed", "linalg.is_close"}
+
+
+def _dotted(node) -> str | None:
+    """`a.b.c` for a name or an attribute chain on one, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def _names(source: str) -> set:
+    """Each dotted name that a module reads (every prefix of a chain), and each import."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        names.add(_dotted(node))
+        if isinstance(node, ast.Import):
+            names |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names |= {f"{node.module}.{a.name}" for a in node.names}
+    return {n.replace("numpy.", "np.", 1) for n in names if n}
+
+
+def test_cli_decides_nothing_itself():
+    """cli.py projects library answers: it names no decomposition, product or tolerance rule."""
+    assert _names((ROOT / "src" / "rebrick" / "cli.py").read_text()) & LIBRARY_ONLY == set()
+    # the walk sees each way of writing one
+    calls = ["np.linalg.svd(M)", "np.matmul", "linalg.formed('M', f, M)", "linalg.is_close(a, t)"]
+    imports = ["from numpy import linalg, matmul", "from .linalg import formed, is_close"]
+    for source in ("\n".join(calls), "\n".join(imports)):
+        assert _names(source) >= LIBRARY_ONLY
 
 
 # one concrete class per refused hypothesis, by kind; the kind carries the exit code

@@ -13,6 +13,7 @@ from support import (
     permutation_matrix,
     plant_eigenvalue_i,
     random_invertible,
+    reference_repair,
     reference_repair_permutation,
     rotation,
 )
@@ -365,6 +366,51 @@ class TestRebrickWithPermutation:
         V, A = 1e170 * random_invertible(rng, 3), 1e170 * plant_eigenvalue_i(rng, 3)
         with pytest.raises(errors.InvalidMatrix, match="^A @ V: entries must be finite"):
             permutation.rebrick_with_permutation(V, A, (1, 0, 2))
+
+    @pytest.mark.parametrize("pi", [(1, 0), (0, 1)])
+    def test_singular_v_is_not_a_basis(self, pi):
+        # with (1, 0), W = diag(1, i) is regular, yet V is no basis; with (0, 1), W is singular,
+        # and the refusal names V, not the permutation
+        V, A = np.diag([1.0, 0.0]), np.array([[0.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(errors.RankDeficientInput, match="^columns of V do not form a basis$"):
+            permutation.rebrick_with_permutation(V, A, pi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    kind=st.sampled_from(["planted", "random"]),
+    seed=st.integers(0, 2**32 - 1),
+    search_seed=st.integers(-100, 100),
+)
+def test_repair_is_the_cli_route(n, kind, seed, search_seed):
+    """The same bytes of W and the same certificate as the route the CLI held."""
+    rng = np.random.default_rng(seed)
+    V = random_invertible(rng, n)
+    A = plant_eigenvalue_i(rng, n) if kind == "planted" else rng.standard_normal((n, n))
+    W, rep = permutation.repair(V, A, seed=search_seed)
+    W_ref, rep_ref = reference_repair(V, A, seed=search_seed)
+    assert (W.dtype, W.shape, W.tobytes()) == (W_ref.dtype, W_ref.shape, W_ref.tobytes())
+    assert rep == rep_ref
+
+
+@pytest.mark.parametrize(
+    "V, A, want",
+    [
+        (np.ones((2, 2)), ROT90, "columns of V do not form a basis"),
+        (1e170 * np.eye(2), 1e170 * ROT90, "A @ V: entries must be finite"),
+        (np.diag([1.0, 1e-12]), [[0.0, 0.0], [1e300, 0.0]], "inv(V) @ A @ V: entries must be"),
+        (np.eye(2), 3e13 * np.ones((2, 2)), "no permutation can repair A"),
+    ],
+    ids=["singular V", "A @ V overflows", "inv(V) @ A @ V overflows", "3e13 * ones"],
+)
+def test_repair_refuses_as_the_cli_route(V, A, want):
+    refusals = []
+    for route in (permutation.repair, reference_repair):
+        with pytest.raises(errors.RebrickError) as info:
+            route(V, A)
+        refusals.append((type(info.value), str(info.value)))
+    assert refusals[0] == refusals[1] and refusals[0][1].startswith(want)
 
 
 def _quarter_turns(n):

@@ -33,7 +33,7 @@ from .errors import InvalidMatrix, MatrixParseError, NegativeVerdict, RebrickErr
 from .frames import FiniteFrame
 from .linalg import Tolerance
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 # Caps on sizes taken from the command line.  hilbert and sweep work on the
 # length-N symbol in O(N) time and memory; trig is O(K*N).
@@ -139,7 +139,7 @@ def _rebrick(args, tol, V1, V2):
     return {"rebrickable": v.rebrickable}, certs, v.rebrickable
 
 
-@_Leaf("repair", "permute columns until Id + iAP is regular",
+@_Leaf("repair", "permute columns until V + iAVP is a basis",
        {"V": "file_v", "A": "file_a"}, (_SEED, _TOL), out=True)
 def _repair(args, tol, V, A):
     W, rep = permutation.repair(V, A, tol, seed=args.seed)

@@ -82,4 +82,4 @@ class NotRebrickable(NegativeVerdict):
 
 
 class SearchExhausted(NegativeVerdict):
-    """No repairing permutation: the cap was hit, or a Weyl bound on sigma(A) rules all out."""
+    """No repairing permutation: the cap was hit, or a Weyl bound on sigma(AV) rules all out."""

@@ -3,9 +3,8 @@
 A real square matrix whose spectrum contains i cannot rebrick a basis,
 but permuting its columns always can: the only eigenvalues shared by
 every column permutation of a matrix are 0 and the mean of all entries,
-both real.  This module provides the characteristic-polynomial machinery
-behind that statement, the search for a repairing permutation and
-`repair`, the route from a pair (V, A) to the repaired basis.
+both real.  This module holds the characteristic polynomials behind that
+statement and the one search that repairs a pair (V, A), judged on W.
 
 Permutations are 0-based image vectors throughout: pi[k] is the index
 that k maps to.  Right-multiplying by the associated matrix P_pi sends
@@ -15,6 +14,7 @@ image (0, 2, 3, 1) the columns (a1|a2|a3|a4) become (a1|a4|a2|a3).
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -125,22 +125,17 @@ def invariant_eigenvalue_candidates(A) -> tuple[float, float]:
     return 0.0, float(np.sum(M)) / M.shape[0]
 
 
-def repair_permutation(A, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> PermutationRepair:
-    """Find a column permutation pi so that Id + i * A @ P_pi is regular.
+def _trial(V: np.ndarray, iAV: np.ndarray, order: np.ndarray, tol: Tolerance):
+    """The one repair rule: W_P = V + i * A @ V @ P_pi, for iAV = 1j * (A @ V) and order =
+    argsort(pi), and its Regularity at W_P's own cutoff."""
+    W = V + iAV[:, order]
+    return W, linalg.regularity_of(W, tol)
 
-    Tries the identity, then permutations shuffled by random.Random(seed),
-    or random.Random(str(seed)) for a negative seed, at most one million
-    in all, at every n.  One exists for every real A:
-    det(Id + i * A @ P_pi) averages 1 + i * sum(A) / n over all pi.  Yet at
-    tolerance none may pass: SearchExhausted("no permutation can repair A ...")
-    after the identity trial when the singular values of A put every trial
-    at or below its cutoff (Weyl).  That bound costs one more SVD, taken only
-    when the identity trial fails with a cutoff of at least 1/2.
-    """
-    M = linalg.require_square(A, real=True)
-    n = M.shape[0]
-    # a trial is Id + (iM) @ P_pi, the same bits as Id + i * (M @ P_pi)
-    Id, iM = np.eye(n), 1j * M
+
+def _search(V, AV, v_max: float, tol: Tolerance, seed, conjugated):
+    """(W_P, PermutationRepair) of the first trial `_trial` passes; V is a basis, v_max its
+    sigma_max.  conjugated maps A @ V @ P_pi to inv(V) @ A @ V @ P_pi, on that trial alone."""
+    n, iAV = V.shape[0], 1j * AV
     s = operator.index(seed)  # checked before the identity trial, which draws nothing
     pi, rng = list(range(n)), None
     for trials in range(1, _TRIAL_CAP + 1):
@@ -148,30 +143,40 @@ def repair_permutation(A, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Permut
             # seeded once the identity has failed; Random(-s) would repeat Random(s)
             rng = rng or random.Random(s if s >= 0 else str(s))
             rng.shuffle(pi)
-        order = np.argsort(pi)  # M[:, order] is M @ P_pi
-        reg = linalg.regularity_of(Id + iM[:, order], tol)
+        order = np.argsort(pi)
+        W, reg = _trial(V, iAV, order, tol)
         if reg.regular:
-            eigs = linalg.sorted_eigvals(M[:, order])
+            eigs = linalg.sorted_eigvals(conjugated(AV[:, order]))
             min_dist = float(np.min(np.abs(eigs - 1j)))
-            return PermutationRepair(
-                permutation=tuple(pi),
-                trials=trials,
-                min_dist_to_i_after=min_dist,
-                sigma_min_after=reg.sigma_min,
-                degenerate=reg.near_edge(min_dist, tol),
-            )
-        if trials == 1 and reg.cutoff >= 0.5:
-            # Weyl (sigma(AP) = sigma(A), |Id| = 1): every trial has sigma_min <= sigma_min(A) + 1
-            # and sigma_max >= sigma_max(A) - 1.  A refusal puts this trial's cutoff at >= 1, so
-            # below 1/2 (room for rounding) A is not decomposed.  slack: two SVDs, each off by
-            # n * EPS * (sigma_max(A) + 1)
-            a = linalg.regularity_of(M, tol)
-            slack = 2 * n * linalg.EPS * (a.sigma_max + 1)
-            most, least = a.sigma_min + 1 + slack, tol.rank_rel * n * (a.sigma_max - 1 - slack)
+            near = reg.near_edge(min_dist, tol)
+            return W, PermutationRepair(tuple(pi), trials, min_dist, reg.sigma_min, near)
+        if trials == 1 and reg.cutoff >= v_max / 2:
+            # Weyl (sigma(AVP) = sigma(AV), |V| = v_max): every trial has sigma_min <= sigma_min(AV)
+            # + v_max and sigma_max >= sigma_max(AV) - v_max.  A refusal puts this trial's cutoff at
+            # >= v_max, so below v_max / 2 (room for rounding) AV is not decomposed.  slack: two
+            # SVDs, each off by n * EPS * (sigma_max(AV) + v_max)
+            a = linalg.regularity_of(AV, tol)
+            slack = 2 * n * linalg.EPS * (a.sigma_max + v_max)
+            most = a.sigma_min + v_max + slack
+            least = tol.rank_rel * n * (a.sigma_max - v_max - slack)
             if most <= least:
                 msg = f"no permutation can repair A: every trial has sigma_min <= {most:.3e}"
                 raise SearchExhausted(f"{msg}, at or below its cutoff >= {least:.3e}")
     raise SearchExhausted(f"no repairing permutation found in {trials} trials")
+
+
+def repair_permutation(A, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> PermutationRepair:
+    """Find a column permutation pi so that Id + i * A @ P_pi is regular: `repair` at V = Id.
+
+    Tries the identity, then permutations shuffled by random.Random(seed),
+    or random.Random(str(seed)) for a negative seed, at most one million
+    in all, at every n.  One exists for every real A:
+    det(Id + i * A @ P_pi) averages 1 + i * sum(A) / n over all pi.  Yet at
+    tolerance none may pass, and `repair`'s Weyl bound, here on sigma(A),
+    refuses such an A after the identity trial (SearchExhausted).
+    """
+    M = linalg.require_square(A, real=True)
+    return _search(np.eye(M.shape[0]), M, 1.0, tol, seed, lambda MP: MP)[1]
 
 
 def repair(
@@ -179,39 +184,34 @@ def repair(
 ) -> tuple[np.ndarray, PermutationRepair]:
     """Repair the pair (V, A): the complex basis W = V + i * A @ V @ P_pi and its certificate.
 
-    The route of the CLI `repair`: sigma(V) decides V (RankDeficientInput), At =
-    inv(V) @ A @ V is one LU solve (InvalidMatrix if A @ V or At overflows), and
-    `repair_permutation(At, tol, seed)` decides from sigma(Id + i * At @ P_pi).  W is
-    formed from A @ V and not judged again (see `rebrick_with_permutation`).
-    Returns (W, PermutationRepair).
+    The route of the CLI `repair`: sigma(V) decides V (RankDeficientInput), A @ V
+    is formed once (InvalidMatrix if it overflows), and the search of
+    `repair_permutation` judges each trial W_P by its own SVD at its own cutoff.
+    By Weyl every W_P has sigma_min <= sigma_min(A @ V) + sigma_max(V) and sigma_max
+    >= sigma_max(A @ V) - sigma_max(V); when that puts all at or below the cutoff,
+    SearchExhausted("no permutation can repair A ...") follows the identity trial.
+    The accepted trial's inv(V) @ A @ V @ P_pi, one LU solve, gives
+    min_dist_to_i_after.  Returns (W_P, PermutationRepair).
     """
     V_, A_ = linalg.require_square_pair(V, A, ("V", "A"), real=True)
-    basis.require_basis(V_, "V", tol)
+    v = basis.require_basis(V_, "V", tol)
     AV = linalg.formed("A @ V", np.matmul, A_, V_)
-    At = linalg.formed("inv(V) @ A @ V", np.linalg.solve, V_, AV)
-    rep = repair_permutation(At, tol, seed=seed)
-    return V_ + 1j * AV[:, np.argsort(rep.permutation)], rep
+    conjugated = functools.partial(linalg.formed, "inv(V) @ A @ V @ P", np.linalg.solve, V_)
+    return _search(V_, AV, v.sigma_max, tol, seed, conjugated)
 
 
 def rebrick_with_permutation(V, A, pi, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """The repaired complex basis matrix V + i * A @ V @ P_pi, for a pi that the caller supplies.
 
-    Equals V @ (Id + i * At @ P_pi) for the conjugated operator
-    At = inv(V) @ A @ V.  sigma(V) decides V (RankDeficientInput if it is
-    singular), then the SVD of the result is the one check: NotRebrickable
-    when it is singular at tolerance.  `repair` takes the other route: its
-    search certifies Id + i * At @ P_pi and W is not judged again, so on an
-    ill-conditioned V the two can disagree (V = diag(1, 1e-11) with
-    A = [[1e-4, -1e11], [1e-11, 1e-4]]: `repair` accepts the identity at
-    sigma_min(Id + i * At) = 1e-4, and this function refuses it at
-    sigma_min(W) = 1.4e-15).
+    One trial of `repair`'s rule, after sigma(V) decides V (RankDeficientInput):
+    NotRebrickable when W is singular at tolerance.  At the pi of `repair(V, A)`
+    it returns `repair`'s W, bit for bit.
     """
     V_, A_ = linalg.require_square_pair(V, A, ("V", "A"), real=True)
     p = _check_permutation(pi, V_.shape[1])
     basis.require_basis(V_, "V", tol)
     AV = linalg.formed("A @ V", np.matmul, A_, V_)
-    W = V_ + 1j * AV[:, np.argsort(p)]
-    reg = linalg.regularity_of(W, tol)
+    W, reg = _trial(V_, 1j * AV, np.argsort(p), tol)
     if not reg.regular:
         raise NotRebrickable(
             f"permutation {p} leaves the rebricked matrix singular (sigma_min={reg.sigma_min:.3e})"

@@ -15,6 +15,8 @@ from rebrick.errors import (
     InvalidSize,
     MatrixParseError,
     NotOrthogonal,
+    RankDeficientInput,
+    SearchExhausted,
     ShapeMismatch,
 )
 from rebrick.frames import OrderVerdict
@@ -427,15 +429,61 @@ def reference_repair_permutation(A, tol=linalg.DEFAULT_TOL, seed: int = 0):
 
 
 def reference_repair(V, A, tol=linalg.DEFAULT_TOL, seed: int = 0):
-    """The CLI `repair` route as the CLI held it, line for line: (W, PermutationRepair)."""
-    V, A = linalg.require_square_pair(V, A, ("V", "A"), real=True)
-    # sigma(V) decides V, then one LU solve; checked products end an overflow before the search
-    basis.require_basis(V, "V", tol)
-    AV = linalg.formed("A @ V", np.matmul, A, V)
-    At = linalg.formed("inv(V) @ A @ V", np.linalg.solve, V, AV)
-    # the search decides from sigma(Id + i At P); W = V @ (Id + i At P) is not judged again
-    rep = permutation.repair_permutation(At, tol, seed=seed)
-    return V + 1j * AV[:, np.argsort(rep.permutation)], rep
+    """The repair rule written out: (W, PermutationRepair) for the first trial
+    W = V + i A V P that its own singular values call regular.
+
+    The trials are those of `reference_repair_permutation`.  After a failed identity
+    trial whose cutoff is at least sigma_max(V) / 2, Weyl refuses when sigma_min(AV) +
+    sigma_max(V) lies at or below rank_rel * n * (sigma_max(AV) - sigma_max(V)), both
+    sides moved by 2 * n * eps * (sigma_max(AV) + sigma_max(V)).
+    """
+    V, A = _reference_require_square(V, "V"), _reference_require_square(A, "A")
+    n = V.shape[0]
+    s_V = np.linalg.svd(V, compute_uv=False)
+    if not reference_regularity(s_V, n, tol).regular:
+        raise RankDeficientInput("columns of V do not form a basis")
+    with np.errstate(over="ignore", invalid="ignore"):
+        AV = A @ V
+    if not np.all(np.isfinite(AV)):
+        raise InvalidMatrix("A @ V: entries must be finite (no NaN/Inf)")
+    v_max = float(np.max(s_V))
+    rng = random.Random(seed if seed >= 0 else str(seed))
+    pi = list(range(n))
+    for trials in range(1, 1_000_001):
+        if trials > 1:
+            rng.shuffle(pi)
+        AVP = AV[:, np.argsort(pi)]
+        W = V + 1j * AVP
+        reg = reference_regularity(np.linalg.svd(W, compute_uv=False), n, tol)
+        if reg.regular:
+            with np.errstate(over="ignore", invalid="ignore"):
+                AtP = np.linalg.solve(V, AVP)
+            if not np.all(np.isfinite(AtP)):
+                raise InvalidMatrix("inv(V) @ A @ V @ P: entries must be finite (no NaN/Inf)")
+            eigs = np.linalg.eigvals(AtP)
+            eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
+            min_dist = float(np.min(np.abs(eigs - 1j)))
+            return W, PermutationRepair(
+                permutation=tuple(pi),
+                trials=trials,
+                min_dist_to_i_after=min_dist,
+                sigma_min_after=reg.sigma_min,
+                degenerate=(
+                    min_dist <= linalg.WARN_BAND * tol.eig_abs
+                    or reg.sigma_min <= linalg.WARN_BAND * reg.cutoff
+                ),
+            )
+        if trials == 1 and reg.cutoff >= v_max / 2:
+            s = np.linalg.svd(AV, compute_uv=False)
+            slack = 2 * n * linalg.EPS * (float(np.max(s)) + v_max)
+            most = float(np.min(s)) + v_max + slack
+            least = tol.rank_rel * n * (float(np.max(s)) - v_max - slack)
+            if most <= least:
+                raise SearchExhausted(
+                    f"no permutation can repair A: every trial has sigma_min <= {most:.3e}, "
+                    f"at or below its cutoff >= {least:.3e}"
+                )
+    raise AssertionError(f"no repairing permutation in {trials} trials")
 
 
 def reference_parseval(S, tol=linalg.DEFAULT_TOL) -> bool:

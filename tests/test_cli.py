@@ -246,19 +246,23 @@ class TestRepair:
         assert code == 0 and report["verdicts"]["repaired"] is True
 
     def test_the_search_alone_decides(self, tmp_path, capsys):
-        # sigma_min(Id + iAt) = 1e-4 clears the search's cutoff; W = V (Id + iAt), with
-        # V = diag(1, 1e-11), has sigma_min 1.4e-15 and is written without a second verdict
+        # W = V (Id + iAt P) inherits the spread of sigma(V) = (1, 1e-11): the identity trial has
+        # sigma_min(W) 1.4e-15, below W's cutoff, although sigma_min(Id + iAt) = 1e-4.  The search
+        # judges W itself, so the W it writes is a basis with no second verdict
         v, a, out = tmp_path / "v.csv", tmp_path / "a.csv", tmp_path / "w.csv"
         v.write_text("1,0\n0,1e-11\n")
         a.write_text("1e-4,-1e11\n1e-11,1e-4\n")
         code, report = run_json(capsys, ["repair", str(v), str(a), "--out", str(out)])
         certs = report["certificates"]
         assert code == 0 and report["verdicts"] == {"repaired": True}
-        assert certs["trials"] == 1 and certs["permutation_cycles"] == "id"
-        assert certs["sigma_min_after"] == pytest.approx(1e-4)
+        assert certs["trials"] == 4 and certs["permutation_image"] == [2, 1]
+        assert certs["sigma_min_after"] == pytest.approx(1.41421356e-11)
         V, A = matio.load_matrix(v), matio.load_matrix(a)
-        assert matio.load_matrix(out).tobytes() == (V + 1j * (A @ V)).tobytes()
-        # a permutation supplied to the library is judged by the SVD of W
+        W = permutation.rebrick_with_permutation(V, A, (1, 0))
+        assert matio.load_matrix(out).tobytes() == W.tobytes()
+        code, report = run_json(capsys, ["check-basis", str(out)])
+        assert code == 0 and report["certificates"]["sigma_min"] == certs["sigma_min_after"]
+        # the identity, which the search passed over, is singular at W's cutoff
         with pytest.raises(errors.NotRebrickable, match=r"^permutation \(0, 1\) leaves"):
             permutation.rebrick_with_permutation(V, A, (0, 1))
 
@@ -617,22 +621,20 @@ class TestExtremeScale:
         code, report = self.run_quiet(capsys, command.split() + files)
         assert code == 2 and report["error"].startswith(f"{product}: entries must be finite")
 
-    def test_overflowing_conjugated_operator_is_named(self, tmp_path, capsys, monkeypatch):
-        # V is regular at the cutoff and A @ V is finite, but inv(V) @ A @ V is not
-        def unreachable(*args, **kwargs):
-            raise AssertionError("the search ran before inv(V) @ A @ V was checked")
-
-        monkeypatch.setattr(permutation, "repair_permutation", unreachable)
+    def test_overflowing_conjugated_operator_is_refused(self, tmp_path, capsys, monkeypatch):
+        # V is regular at the cutoff and A @ V is finite; inv(V) @ A @ V is not, but no solve runs
+        # before the search, and Weyl refuses every W_P at the identity trial, before any shuffle
+        monkeypatch.setattr(permutation, "_TRIAL_CAP", 1)
         v = write(tmp_path, "v.csv", np.diag([1.0, 1e-12]))
         a = write(tmp_path, "a.csv", [[0.0, 0.0], [1e300, 0.0]])
         code, report = self.run_quiet(capsys, ["repair", v, a])
-        assert code == 2 and report["error"].startswith("inv(V) @ A @ V: entries must be finite")
+        assert code == 1 and report["error"].startswith("no permutation can repair A: ")
 
     def test_repair_checks_its_product_before_the_search(self, tmp_path, capsys, monkeypatch):
         def unreachable(*args, **kwargs):
             raise AssertionError("the search ran before A @ V was checked")
 
-        monkeypatch.setattr(permutation, "repair_permutation", unreachable)
+        monkeypatch.setattr(permutation, "_search", unreachable)
         mats = _SCALE_CASES["repair"](np.random.default_rng(20))
         files = [write(tmp_path, f"m{k}.csv", 1e170 * M) for k, M in enumerate(mats)]
         code, report = self.run_quiet(capsys, ["repair"] + files)
@@ -748,7 +750,7 @@ class TestReportContract:
         out = capsys.readouterr().out
         assert code == 0
         report = json.loads(out)  # whole stdout is one JSON document
-        assert report["schema"] == 2
+        assert report["schema"] == 3
 
     def test_text_mode_prints_tolerance_block(self, tmp_path, capsys):
         f = write(tmp_path, "i.csv", np.eye(2))
@@ -1028,8 +1030,8 @@ def _costs():
     return {
         "check-basis": ([np.eye(2)], ["matrix"], [], 1, 0),
         "rebrick": ([np.eye(2), rotation(np.pi / 4)], ["V1", "V2"], ["V2 @ inv(V1)"], 3, 0),
-        # sigma(V), then one SVD per trial (4 at seed 0); the search alone decides
-        "repair": (quarter_turn, ["V", "A", "matrix"], ["A @ V", "inv(V) @ A @ V"], 5, 0),
+        # sigma(V), then one SVD of W per trial (4 at seed 0); one solve, on the accepted trial
+        "repair": (quarter_turn, ["V", "A"], ["A @ V", "inv(V) @ A @ V @ P"], 5, 0),
         "frame bounds": ([F], ["synthesis"], [], 1, 0),
         "frame parseval": ([F], ["synthesis"], [], 1, 1),
         "frame order": (

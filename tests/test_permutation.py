@@ -1,11 +1,14 @@
+import io
+from contextlib import redirect_stdout
 from itertools import permutations as all_perms
+from tempfile import TemporaryDirectory
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rebrick import errors, linalg, permutation
+from rebrick import cli, errors, linalg, matio, permutation
 from support import (
     char_poly_minors,
     count_svd_calls,
@@ -13,6 +16,7 @@ from support import (
     permutation_matrix,
     plant_eigenvalue_i,
     random_invertible,
+    random_orthogonal,
     reference_repair,
     reference_repair_permutation,
     rotation,
@@ -384,7 +388,7 @@ class TestRebrickWithPermutation:
     search_seed=st.integers(-100, 100),
 )
 def test_repair_is_the_cli_route(n, kind, seed, search_seed):
-    """The same bytes of W and the same certificate as the route the CLI held."""
+    """The same bytes of W and the same certificate as the repair rule written out."""
     rng = np.random.default_rng(seed)
     V = random_invertible(rng, n)
     A = plant_eigenvalue_i(rng, n) if kind == "planted" else rng.standard_normal((n, n))
@@ -399,10 +403,11 @@ def test_repair_is_the_cli_route(n, kind, seed, search_seed):
     [
         (np.ones((2, 2)), ROT90, "columns of V do not form a basis"),
         (1e170 * np.eye(2), 1e170 * ROT90, "A @ V: entries must be finite"),
-        (np.diag([1.0, 1e-12]), [[0.0, 0.0], [1e300, 0.0]], "inv(V) @ A @ V: entries must be"),
+        # inv(V) @ A @ V leaves float64, yet no solve runs before the search: every W_P is singular
+        (np.diag([1.0, 1e-12]), [[0.0, 0.0], [1e300, 0.0]], "no permutation can repair A"),
         (np.eye(2), 3e13 * np.ones((2, 2)), "no permutation can repair A"),
     ],
-    ids=["singular V", "A @ V overflows", "inv(V) @ A @ V overflows", "3e13 * ones"],
+    ids=["singular V", "A @ V overflows", "inv(V) @ A @ V beyond float64", "3e13 * ones"],
 )
 def test_repair_refuses_as_the_cli_route(V, A, want):
     refusals = []
@@ -449,20 +454,26 @@ def test_repair_matches_the_reference_past_the_identity(n, seed):
     assert got == reference_repair_permutation(A, seed=seed)
 
 
-def _two_step_refusal(A, tol=linalg.DEFAULT_TOL) -> bool:
-    """The earlier bound, through sigma(Id + iA) +- 2: one the refusal must keep."""
+def _two_step_refusal(V, A, tol=linalg.DEFAULT_TOL) -> bool:
+    """The earlier bound, through sigma(V + iAV) +- 2 sigma_max(V): one the refusal must keep."""
     n = A.shape[0]
-    reg = linalg.regularity_of(np.eye(n) + 1j * A, tol)
+    v = np.linalg.svd(V, compute_uv=False)[0]
+    reg = linalg.regularity_of(V + 1j * (A @ V), tol)
     slack = 2 * n * linalg.EPS * reg.sigma_max
-    return reg.sigma_min + 2 + slack <= tol.rank_rel * n * (reg.sigma_max - 2 - slack)
+    return reg.sigma_min + 2 * v + slack <= tol.rank_rel * n * (reg.sigma_max - 2 * v - slack)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_refusal_is_sound(n, monkeypatch):
+@pytest.mark.parametrize(
+    "n, v_seed",
+    [(2, None), (3, None), (4, None), (2, 60), (3, 61), (4, 62)],
+    ids=["2", "3", "4", "random V-2", "random V-3", "random V-4"],
+)
+def test_refusal_is_sound(n, v_seed, monkeypatch):
     """Whenever the refusal fires, no permutation of n! passes at tolerance."""
     # a hopeless input the refusal misses would otherwise run the full cap
     monkeypatch.setattr(permutation, "_TRIAL_CAP", 1000)
     rng = np.random.default_rng(50 + n)
+    V = np.eye(n) if v_seed is None else random_invertible(np.random.default_rng(v_seed), n)
     # rank r < n puts sigma_min(A) far below sigma_max(A); at 1e12-1e15 a trial's cutoff
     # passes 1, where the bound through sigma(Id + iA) left a gap
     inputs = [(scale, r) for scale in 10.0 ** np.arange(0.0, 16.25, 0.25) for r in range(n + 1)]
@@ -471,14 +482,71 @@ def test_refusal_is_sound(n, monkeypatch):
     for scale, r in inputs:
         A = scale * rng.standard_normal((n, r)) @ rng.standard_normal((r, n))
         try:
-            permutation.repair_permutation(A)
+            permutation.repair(V, A)
             refused = False
         except errors.SearchExhausted as exc:
             refused = str(exc).startswith("no permutation can repair A")  # the refusal, not the cap
         if refused:
             fired += 1
-            trials = (np.eye(n) + 1j * A[:, list(p)] for p in all_perms(range(n)))
+            trials = (V + 1j * (A @ V)[:, list(p)] for p in all_perms(range(n)))
             assert not any(linalg.regularity_of(B).regular for B in trials)
         else:
-            assert not _two_step_refusal(A)
+            assert not _two_step_refusal(V, A)
     assert fired > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    kind=st.sampled_from(["planted", "random", "near i"]),
+    log_cond=st.floats(0.0, 12.0),
+    seed=st.integers(0, 2**32 - 1),
+    search_seed=st.integers(-100, 100),
+)
+def test_repair_writes_a_basis(n, kind, log_cond, seed, search_seed):
+    """A W that repair returns is the trial rebrick_with_permutation returns, bit for bit, and
+    check-basis calls it a basis, for V with condition number up to 1e12."""
+    rng = np.random.default_rng(seed)
+    if kind == "near i":
+        # V = diag(d) with d powers of 2, so A = V At inv(V) and A @ V = V At are exact.  At has
+        # eigenvalue i + 1e-4: Id + i At clears its own cutoff, yet V (Id + i At) is singular at
+        # its cutoff once cond(V) passes about 1e10
+        d = 2.0 ** -np.round(rng.uniform(0.0, 40.0, n))
+        V, A = np.diag(d), d[:, None] * (plant_eigenvalue_i(rng, n) + 1e-4 * np.eye(n)) / d
+    else:
+        s = np.logspace(0.0, -log_cond, n)
+        V = (random_orthogonal(rng, n) * s) @ random_orthogonal(rng, n)
+        A = plant_eigenvalue_i(rng, n) if kind == "planted" else rng.standard_normal((n, n))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(permutation, "_TRIAL_CAP", 200)  # "no" answers are not what this checks
+        try:
+            W, rep = permutation.repair(V, A, seed=search_seed)
+        except errors.SearchExhausted:
+            return
+    assert permutation.rebrick_with_permutation(V, A, rep.permutation).tobytes() == W.tobytes()
+    out = io.StringIO()
+    with TemporaryDirectory() as tmp, redirect_stdout(out):
+        matio.save_matrix(f"{tmp}/w.csv", W)
+        assert cli.run(["check-basis", f"{tmp}/w.csv", "--quiet"]) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    kind=st.sampled_from(["planted", "random", "quarter turns"]),
+    seed=st.integers(0, 2**32 - 1),
+    search_seed=st.integers(-100, 100),
+)
+def test_repair_at_the_identity_is_repair_permutation(n, kind, seed, search_seed):
+    rng = np.random.default_rng(seed)
+    if kind == "planted":
+        A = plant_eigenvalue_i(rng, n)
+    elif kind == "random":
+        A = rng.standard_normal((n, n))
+    else:
+        A = _quarter_turns(n)
+    _, got = permutation.repair(np.eye(n), A, seed=search_seed)
+    want = permutation.repair_permutation(A, seed=search_seed)
+    assert (got.permutation, got.trials, got.sigma_min_after) == (
+        want.permutation, want.trials, want.sigma_min_after
+    )

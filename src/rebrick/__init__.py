@@ -11,6 +11,7 @@ from . import errors
 from .basis import (
     RebrickVerdict,
     RieszBoundReport,
+    check_basis,
     non_transitivity_witness,
     onb_rebrick_check,
     real_part_preservation_lambda,
@@ -79,6 +80,7 @@ __all__ = [
     "analytic_defect",
     "apply_multiplier",
     "char_poly",
+    "check_basis",
     "compatibility_operator",
     "conditioning_sweep",
     "cycle_notation",

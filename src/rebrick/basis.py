@@ -98,6 +98,15 @@ def _verdict(reg_B: Regularity, A: np.ndarray, tol: Tolerance, norm_V1: float) -
     )
 
 
+def check_basis(V, tol: Tolerance = DEFAULT_TOL) -> Regularity:
+    """Do the columns of V, real or complex, form a basis?  One SVD of V.
+
+    Returns its Regularity: `.regular` is the verdict, `.sigma_min` and
+    `.sigma_max` are the certificates.  ShapeMismatch unless V is square.
+    """
+    return linalg.regularity_of(linalg.require_square(V), tol)
+
+
 def require_basis(V: np.ndarray, which: str, tol: Tolerance) -> Regularity:
     """The one basis rule: the Regularity of a checked square V; RankDeficientInput if singular."""
     reg = linalg.regularity_of(V, tol)

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import basis, frames, linalg, matio, multipliers, permutation
+from . import basis, frames, matio, multipliers, permutation
 from .errors import InvalidMatrix, MatrixParseError, NegativeVerdict, RebrickError, UsageError
 from .frames import FiniteFrame
 from .linalg import Tolerance
@@ -125,8 +125,7 @@ _SIZES = ("sizes", {"nargs": "*", "type": int, "help": "even sizes N (default 16
 
 @_Leaf("check-basis", "do the columns form a basis?", {"file": "file"})
 def _check_basis(args, tol, M):
-    M = linalg.require_square(M)
-    reg = linalg.regularity_of(M, tol)
+    reg = basis.check_basis(M, tol)
     certs = {"sigma_min": reg.sigma_min, "sigma_max": reg.sigma_max, "n": int(M.shape[0])}
     return {"is_basis": reg.regular}, certs, reg.regular
 
@@ -171,7 +170,7 @@ def _frame_parseval(args, tol, S):
 def _frame_order(args, tol, SF, SG):
     v = frames.frame_leq(FiniteFrame(SF, "F"), FiniteFrame(SG, "G"), tol)
     verdicts = {"leq": v.leq, "geq": v.geq, "equivalent": v.equivalent}
-    return verdicts, {"ker_dim_F": v.ker_dim_F, "ker_dim_G": v.ker_dim_G}, v.leq or v.geq
+    return verdicts, {"ker_dim_F": v.ker_dim_F, "ker_dim_G": v.ker_dim_G}, v.comparable
 
 
 @_Leaf("frame rebrick", "combine F + i*G", {"F": "file_f", "G": "file_g"}, out=True)

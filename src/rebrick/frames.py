@@ -82,9 +82,18 @@ class OrderVerdict:
 
     leq: bool
     geq: bool
-    equivalent: bool
     ker_dim_F: int
     ker_dim_G: int
+
+    @property
+    def equivalent(self) -> bool:
+        """Both directions hold: the kernels coincide."""
+        return self.leq and self.geq
+
+    @property
+    def comparable(self) -> bool:
+        """At least one direction holds; `frame order` exits 0 exactly then."""
+        return self.leq or self.geq
 
 
 @dataclass(frozen=True)
@@ -159,7 +168,7 @@ def frame_leq(F: FiniteFrame, G: FiniteFrame, tol: Tolerance = DEFAULT_TOL) -> O
     _check_comparable(F, G)
     d_F, d_G = (linalg.decompose(X.synthesis.conj().T, tol) for X in (F, G))
     leq, geq = _contains(d_G, d_F, tol), _contains(d_F, d_G, tol)
-    return OrderVerdict(leq, geq, leq and geq, F.count - d_F.reg.rank, G.count - d_G.reg.rank)
+    return OrderVerdict(leq, geq, F.count - d_F.reg.rank, G.count - d_G.reg.rank)
 
 
 def compatibility_operator(F: FiniteFrame, G: FiniteFrame, tol: Tolerance = DEFAULT_TOL):

@@ -19,6 +19,7 @@ import math
 import numbers
 import operator
 import random
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,12 +84,7 @@ def cycle_notation(pi) -> str:
     return "".join(cycles) or "id"
 
 
-def char_poly(A) -> CharPoly:
-    """Characteristic polynomial det(lambda*Id - A), ascending coefficients.
-
-    Faddeev-LeVerrier trace recursion: O(n^4) and no combinatorics.
-    """
-    M = linalg.require_square(A, real=True)
+def _faddeev_leverrier(M: np.ndarray) -> np.ndarray:
     n = M.shape[0]
     coeffs = np.zeros(n + 1)
     coeffs[n] = 1.0
@@ -98,31 +94,52 @@ def char_poly(A) -> CharPoly:
         X = M @ X + c * np.eye(n)
         c = -float(np.trace(M @ X)) / k
         coeffs[n - k] = c
-    return CharPoly(tuple(coeffs))
+    return coeffs
+
+
+def char_poly(A) -> CharPoly:
+    """Characteristic polynomial det(lambda*Id - A), ascending coefficients.
+
+    Faddeev-LeVerrier trace recursion: O(n^4) and no combinatorics.
+    InvalidMatrix when the recursion leaves the float64 range.
+    """
+    M = linalg.require_square(A, real=True)
+    return CharPoly(tuple(linalg.formed("char_poly(A)", _faddeev_leverrier, M)))
+
+
+def _float(k: int) -> float:
+    """The integer k as a float64, inf beyond its range (where float(k) raises OverflowError)."""
+    return float(k) if k <= sys.float_info.max else math.inf
+
+
+def _summed_closed_form(M: np.ndarray) -> np.ndarray:
+    n = M.shape[0]
+    coeffs = np.zeros(n + 1)
+    coeffs[n] = _float(math.factorial(n))
+    coeffs[n - 1] = -_float(math.factorial(n - 1)) * float(np.sum(M))
+    return coeffs
 
 
 def summed_char_poly(A) -> np.ndarray:
     """Sum of char polys of A @ P_pi over all permutations, ascending coeffs.
 
     Closed form: n! * lambda^n - (n-1)! * (sum of all entries) * lambda^(n-1);
-    every lower coefficient cancels exactly.
+    every lower coefficient cancels exactly.  InvalidMatrix when a coefficient
+    leaves the float64 range (n! does from n = 171).
     """
     M = linalg.require_square(A, real=True)
-    n = M.shape[0]
-    coeffs = np.zeros(n + 1)
-    coeffs[n] = float(math.factorial(n))
-    coeffs[n - 1] = -float(math.factorial(n - 1)) * float(np.sum(M))
-    return coeffs
+    return linalg.formed("summed_char_poly(A)", _summed_closed_form, M)
 
 
 def invariant_eigenvalue_candidates(A) -> tuple[float, float]:
     """The only values that can be eigenvalues of A @ P_pi for every pi.
 
     Returns (0, mean of all entries); both are real, which is why a
-    repairing permutation always exists for eigenvalue i.
+    repairing permutation always exists for eigenvalue i.  InvalidMatrix
+    when the sum of the entries leaves the float64 range.
     """
     M = linalg.require_square(A, real=True)
-    return 0.0, float(np.sum(M)) / M.shape[0]
+    return 0.0, float(linalg.formed("sum(A)", np.sum, M)) / M.shape[0]
 
 
 def _trial(V: np.ndarray, iAV: np.ndarray, order: np.ndarray, tol: Tolerance):

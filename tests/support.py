@@ -515,7 +515,7 @@ def reference_frame_leq(S_F, S_G, tol=linalg.DEFAULT_TOL) -> tuple[OrderVerdict,
 
     res = (residual(K_F, K_G), residual(K_G, K_F))
     leq, geq = (r <= tol.equality_abs for r in res)
-    return OrderVerdict(leq, geq, leq and geq, K_F.shape[1], K_G.shape[1]), res
+    return OrderVerdict(leq, geq, K_F.shape[1], K_G.shape[1]), res
 
 
 def reference_spectral_factorize_orthosym(A, tol=linalg.DEFAULT_TOL):

@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from tempfile import TemporaryDirectory
 
 import numpy as np
 import pytest
@@ -103,6 +104,50 @@ class TestCheckBasis:
         f = write(tmp_path, "i.csv", np.eye(3))
         code, report = run_json(capsys, ["check-basis", f])
         assert code == 2 and "more than 8 cells" in report["error"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    kind=st.sampled_from(["regular", "rank-deficient", "near the cutoff", "non-square"]),
+    is_complex=st.booleans(),
+    factor=st.floats(0.5, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_check_basis_is_the_check_basis_report(n, kind, is_complex, factor, seed):
+    """rebrick.check_basis(M) gives the verdict and certificates of `check-basis` on M's file,
+    bit for bit, and a non-square M the same ShapeMismatch message."""
+    rng = np.random.default_rng(seed)
+    rows, cols = n, n
+    if kind == "non-square":
+        rows, cols = (n, n + 1) if seed % 2 else (n + 1, n)
+
+    def draw(shape):
+        X = rng.standard_normal(shape)
+        return X + 1j * rng.standard_normal(shape) if is_complex else X
+
+    s = rng.uniform(1.0, 2.0, min(rows, cols))
+    if kind == "rank-deficient":
+        s[-1] = 0.0
+    elif kind == "near the cutoff":  # sigma_min within a factor 2 of rank_rel * n * sigma_max
+        s[-1] = factor * linalg.DEFAULT_TOL.rank_rel * n * s.max()
+    U, W = (np.linalg.qr(draw((k, k)))[0] for k in (rows, cols))
+    M = (U[:, : s.size] * s) @ W[:, : s.size].conj().T
+    out = io.StringIO()
+    with TemporaryDirectory() as tmp, redirect_stdout(out):
+        matio.save_matrix(f"{tmp}/m.csv", M)
+        code = run(["check-basis", f"{tmp}/m.csv", "--quiet"])
+    report = json.loads(out.getvalue())
+    if kind == "non-square":
+        with pytest.raises(errors.ShapeMismatch) as refusal:
+            basis.check_basis(M)
+        assert code == 2 and report["error"] == str(refusal.value)
+        return
+    reg = basis.check_basis(M)
+    event(f"{kind}: {'regular' if reg.regular else 'singular'}")
+    certs = report["certificates"]
+    assert (certs["sigma_min"], certs["sigma_max"]) == (reg.sigma_min, reg.sigma_max)
+    assert report["verdicts"]["is_basis"] is reg.regular and code == (0 if reg.regular else 1)
 
 
 class TestRebrick:

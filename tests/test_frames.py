@@ -151,14 +151,14 @@ class TestFrameOrder:
     def test_equal_frames_equivalent(self):
         F = FiniteFrame(duplicated_e1_frame(4))
         v = frames.frame_leq(F, F)
-        assert v.equivalent and v.leq and v.geq
+        assert v.equivalent and v.comparable and v.leq and v.geq
         assert v.ker_dim_F == v.ker_dim_G == 1
 
     def test_incompatible_pair_has_no_order(self):
         F = FiniteFrame(duplicated_e1_frame(4), "F")
         G = FiniteFrame(shifted_duplicate_frame(4), "G")
         v = frames.frame_leq(F, G)
-        assert not v.leq and not v.geq and not v.equivalent
+        assert not v.leq and not v.geq and not v.equivalent and not v.comparable
 
     def test_nested_kernels_give_order(self):
         rng = np.random.default_rng(2)
@@ -245,7 +245,7 @@ def test_frame_leq_matches_the_kernel_rule(
     assert (v.ker_dim_F, v.ker_dim_G) == (want.ker_dim_F, want.ker_dim_G)
     for got, ref, res in zip((v.leq, v.geq), (want.leq, want.geq), residuals):
         assert got == ref or t / m <= res <= m * t
-    assert v.equivalent == (v.leq and v.geq)
+    assert v.equivalent == (v.leq and v.geq) and v.comparable == (v.leq or v.geq)
     assert (frames.compatibility_operator(F, G, tol) is not None) == v.leq
 
 
@@ -318,7 +318,7 @@ class TestCompatibilityOperator:
         F = FiniteFrame(U @ np.diag([0.9, 0.5, 5e-14]) @ W.T)
         G = FiniteFrame(U @ np.diag([1.0, 0.7, 2e-15]) @ W.T)
         v = frames.frame_leq(F, G)
-        assert v.equivalent and v.ker_dim_F == v.ker_dim_G == 4
+        assert v.equivalent and v.comparable and v.ker_dim_F == v.ker_dim_G == 4
         T = frames.compatibility_operator(F, G)
         assert T is not None and solves_compatibility(T, F, G)
         assert np.linalg.norm(T, 2) == pytest.approx(0.9, rel=1e-9)

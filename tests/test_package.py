@@ -29,6 +29,7 @@ PUBLIC = [
     "analytic_defect",
     "apply_multiplier",
     "char_poly",
+    "check_basis",
     "compatibility_operator",
     "conditioning_sweep",
     "cycle_notation",
@@ -74,7 +75,7 @@ REMOVED = {
 
 
 def test_public_surface():
-    assert len(rebrick.__all__) == 46 and sorted(rebrick.__all__) == PUBLIC
+    assert len(rebrick.__all__) == 47 and sorted(rebrick.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(rebrick, name) is not None
     for module, names in REMOVED.items():
@@ -115,6 +116,7 @@ def test_readme_python_blocks_state_what_they_compute():
     np.testing.assert_allclose(values["verdict.eigenvalues_A"], [-1j, 1j], atol=1e-12)
     assert values["rep.permutation"] == (1, 0)
     assert np.array_equal(namespace["W"], np.diag([1 - 1j, 1 + 1j]))
+    assert values["rebrick.check_basis(W).regular"] is True
     bounds = values["rebrick.frame_bounds(F)"]
     assert bounds.c == 1.0 and bounds.C == pytest.approx(2.0, rel=1e-12)
     assert values["rebrick.frame_kernel(F)"].shape[1] == 1
@@ -142,8 +144,10 @@ def test_every_import_is_used(path):
     assert _unused_imports(path) == []
 
 
-# what only the library may do: decompose, solve, form a checked product, apply a tolerance rule
-LIBRARY_ONLY = {"np.linalg", "np.matmul", "linalg.formed", "linalg.is_close"}
+# what only the library may do: decompose and form products; cli.py reaches the rest of the
+# library only through what rebrick exports, and reads and writes files through matio
+LIBRARY_ONLY = {"np.linalg", "np.matmul"}
+LIBRARY_MODULES = ("basis", "frames", "linalg", "multipliers", "permutation")
 
 
 def _dotted(node) -> str | None:
@@ -167,14 +171,26 @@ def _names(source: str) -> set:
     return {n.replace("numpy.", "np.", 1) for n in names if n}
 
 
+def _unexported(names: set) -> set:
+    """`module.name` for each name of a library module among `names` that rebrick does not export."""
+    found = set()
+    for name in names:
+        parts = name.removeprefix("rebrick.").split(".")
+        if parts[0] in LIBRARY_MODULES and len(parts) > 1 and parts[1] not in rebrick.__all__:
+            found.add(".".join(parts[:2]))
+    return found
+
+
 def test_cli_decides_nothing_itself():
-    """cli.py projects library answers: it names no decomposition, product or tolerance rule."""
-    assert _names((ROOT / "src" / "rebrick" / "cli.py").read_text()) & LIBRARY_ONLY == set()
+    """cli.py projects library answers: it calls only what rebrick exports, and no numpy kernel."""
+    names = _names((ROOT / "src" / "rebrick" / "cli.py").read_text())
+    assert names & LIBRARY_ONLY == set() and _unexported(names) == set()
     # the walk sees each way of writing one
-    calls = ["np.linalg.svd(M)", "np.matmul", "linalg.formed('M', f, M)", "linalg.is_close(a, t)"]
-    imports = ["from numpy import linalg, matmul", "from .linalg import formed, is_close"]
-    for source in ("\n".join(calls), "\n".join(imports)):
-        assert _names(source) >= LIBRARY_ONLY
+    assert _names("np.linalg.svd(M)\nnp.matmul") >= LIBRARY_ONLY
+    assert _names("from numpy import linalg, matmul") >= LIBRARY_ONLY
+    for source in ("linalg.regularity_of(M, tol)", "from .linalg import regularity_of"):
+        assert _unexported(_names(source)) == {"linalg.regularity_of"}
+    assert _unexported(_names("from .linalg import Tolerance\nbasis.check_basis(M, tol)")) == set()
 
 
 # one concrete class per refused hypothesis, by kind; the kind carries the exit code

@@ -1,14 +1,14 @@
-import io
-from contextlib import redirect_stdout
+import re
+import warnings
 from itertools import permutations as all_perms
-from tempfile import TemporaryDirectory
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rebrick import cli, errors, linalg, matio, permutation
+import rebrick
+from rebrick import errors, linalg, permutation
 from support import (
     char_poly_minors,
     count_svd_calls,
@@ -181,6 +181,24 @@ class TestSummedCharPoly:
             closed = permutation.summed_char_poly(A)
             scale = np.maximum(np.abs(closed), 1.0)
             assert np.max(np.abs(total - closed) / scale) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "f, A, name",
+    [
+        # Faddeev-LeVerrier's X_2 squares the entries; the true coefficients are finite
+        (permutation.char_poly, 1e200 * np.ones((2, 2)), "char_poly(A)"),
+        (permutation.summed_char_poly, 1e308 * np.ones((2, 2)), "summed_char_poly(A)"),
+        (permutation.invariant_eigenvalue_candidates, 1e308 * np.ones((2, 2)), "sum(A)"),
+        (permutation.summed_char_poly, np.eye(171), "summed_char_poly(A)"),  # 171! > float max
+    ],
+    ids=["char_poly", "summed_char_poly", "invariant_eigenvalue_candidates", "171!"],
+)
+def test_a_coefficient_beyond_float64_is_named_without_a_warning(f, A, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.InvalidMatrix, match=rf"^{re.escape(name)}: entries must be finite"):
+            f(A)
 
 
 class TestInvariantCandidates:
@@ -505,7 +523,7 @@ def test_refusal_is_sound(n, v_seed, monkeypatch):
 )
 def test_repair_writes_a_basis(n, kind, log_cond, seed, search_seed):
     """A W that repair returns is the trial rebrick_with_permutation returns, bit for bit, and
-    check-basis calls it a basis, for V with condition number up to 1e12."""
+    check_basis calls it a basis, for V with condition number up to 1e12."""
     rng = np.random.default_rng(seed)
     if kind == "near i":
         # V = diag(d) with d powers of 2, so A = V At inv(V) and A @ V = V At are exact.  At has
@@ -524,10 +542,7 @@ def test_repair_writes_a_basis(n, kind, log_cond, seed, search_seed):
         except errors.SearchExhausted:
             return
     assert permutation.rebrick_with_permutation(V, A, rep.permutation).tobytes() == W.tobytes()
-    out = io.StringIO()
-    with TemporaryDirectory() as tmp, redirect_stdout(out):
-        matio.save_matrix(f"{tmp}/w.csv", W)
-        assert cli.run(["check-basis", f"{tmp}/w.csv", "--quiet"]) == 0
+    assert rebrick.check_basis(W).regular
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,15 +8,19 @@ RebrickVerdict decide from the singular values of the complex candidate
 and cross-check with the eigenvalues of A: singular values are
 well-conditioned, eigenvalues of a non-normal matrix are not, so a
 disagreement is an error only where it breaks sigma_min(B) <=
-sigma_max(V1) * min|eig(A) - i|, and a warning otherwise.  The four
-constructors (two here, two in `frames`) decide from sigma(Id + i*A)
-alone, through `rebricking_factor`.
+sigma_max(V1) * min|eig(A) - i|, and a warning otherwise.  That bound
+also tells when the cross-check cannot matter: where sigma_min(B) clears
+it at WARN_BAND * eig_abs, no eigenvalue lies near i, and the
+eigenvalues are computed only on first read of the verdict.  Everywhere
+else (a "no", the gray zone, a large eig_abs) they are computed at once.
+The four constructors (two here, two in `frames`) decide from
+sigma(Id + i*A) alone, through `rebricking_factor`.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +32,7 @@ from .errors import (
     NotRebrickable,
     RankDeficientInput,
 )
-from .linalg import DEFAULT_TOL, EPS, Regularity, Tolerance
+from .linalg import DEFAULT_TOL, EPS, WARN_BAND, Regularity, Tolerance
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,16 +41,28 @@ class RebrickVerdict:
 
     sigma_min_B is the smallest singular value of the complex candidate
     (V1 + i*V2, or Id + i*A); the verdict is True exactly when it clears
-    the rank cutoff.  The eigenvalues of the transfer operator are its
-    diagnostic companion.
+    the rank cutoff.  The eigenvalues of the transfer operator A, which
+    the record keeps, are its diagnostic companion: eigenvalues_A and
+    min_dist_to_i are computed when the verdict is made only where sigma
+    leaves an eigenvalue near i possible, and otherwise on first read;
+    either way once, then cached.
     """
 
     rebrickable: bool
     sigma_min_B: float
-    eigenvalues_A: np.ndarray
-    min_dist_to_i: float
     condition_number: float
-    warning: bool = False
+    warning: bool
+    _A: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def eigenvalues_A(self) -> np.ndarray:
+        """Eigenvalues of A, sorted by (real, imag)."""
+        return linalg.sorted_eigvals(self._A)
+
+    @functools.cached_property
+    def min_dist_to_i(self) -> float:
+        """min|eig(A) - i|."""
+        return float(np.min(np.abs(self.eigenvalues_A - 1j)))
 
 
 @dataclass(frozen=True)
@@ -69,16 +85,25 @@ class RieszBoundReport:
 def _verdict(reg_B: Regularity, A: np.ndarray, tol: Tolerance, norm_V1: float) -> RebrickVerdict:
     # reg_B judges B = (Id + iA) @ V1, norm_V1 = sigma_max(V1).  An eigenvector
     # x of A for lambda gives |B @ inv(V1) x| = |lambda - i| |x|, so
-    # sigma_min(B) <= norm_V1 * min|lambda - i|: only a breach of that bound,
-    # beyond the rounding of B, of A and of its eigenvalues, is an error; any
-    # other disagreement is the ill-conditioning of the eigenvalues.
+    # sigma_min(B) <= norm_V1 * min|lambda - i| + rounding, the rounding of B,
+    # of A and of its eigenvalues.  Where sigma_min(B) clears that bound at
+    # WARN_BAND * eig_abs, every eigenvalue lies farther than that from i: they
+    # can neither flip the verdict nor set the warning, so they wait for a read.
+    # Elsewhere only a breach of the bound is an error; any other disagreement
+    # is the ill-conditioning of the eigenvalues.
     smin_B = reg_B.sigma_min
     rebrickable = reg_B.regular
+    cond = reg_B.sigma_max / smin_B if smin_B > 0.0 else float("inf")
+    amax = float(np.abs(A).max())  # ||A||_F = amax * ||A / amax||_F squares nothing beyond float64
+    norm_A = amax * float(np.linalg.norm(A / amax)) if amax > 0.0 else 0.0
+    rounding = 64 * A.shape[0] * EPS * (reg_B.sigma_max + norm_V1 * norm_A)
+    if rebrickable and smin_B > norm_V1 * WARN_BAND * tol.eig_abs + rounding:
+        return RebrickVerdict(rebrickable, smin_B, cond, smin_B <= WARN_BAND * reg_B.cutoff, A)
+
     eigs = linalg.sorted_eigvals(A)
     min_dist = float(np.min(np.abs(eigs - 1j)))
     warning = rebrickable and reg_B.near_edge(min_dist, tol)
     if rebrickable != (min_dist > tol.eig_abs):
-        rounding = 64 * A.shape[0] * EPS * (reg_B.sigma_max + norm_V1 * math.hypot(*A.flat))
         bound = norm_V1 * min_dist + rounding
         if smin_B > bound:
             raise InternalConsistencyError(
@@ -87,15 +112,9 @@ def _verdict(reg_B: Regularity, A: np.ndarray, tol: Tolerance, norm_V1: float) -
             )
         warning = True
 
-    cond = reg_B.sigma_max / smin_B if smin_B > 0.0 else float("inf")
-    return RebrickVerdict(
-        rebrickable=rebrickable,
-        sigma_min_B=smin_B,
-        eigenvalues_A=eigs,
-        min_dist_to_i=min_dist,
-        condition_number=cond,
-        warning=warning,
-    )
+    v = RebrickVerdict(rebrickable, smin_B, cond, warning, A)
+    vars(v).update(eigenvalues_A=eigs, min_dist_to_i=min_dist)  # the cache of both properties
+    return v
 
 
 def check_basis(V, tol: Tolerance = DEFAULT_TOL) -> Regularity:

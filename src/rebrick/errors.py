@@ -35,7 +35,12 @@ class NegativeVerdict(RebrickError):
 
 
 class InternalConsistencyError(RebrickError):
-    """Only the RebrickVerdict functions raise it: sigma_min(B) breaks its eigenvalue bound."""
+    """Only the RebrickVerdict functions raise it: sigma_min(B) breaks its eigenvalue bound.
+
+    The bound is checked where the eigenvalues of A are computed with the verdict,
+    that is where sigma(B) leaves an eigenvalue near i possible; a read of them
+    later (a clear "yes") raises nothing.
+    """
 
     exit_code = 3
 

@@ -1,6 +1,7 @@
 """Shared constructions and exact-arithmetic oracles for the test suite."""
 
 import json
+import math
 import random
 import re
 from fractions import Fraction
@@ -11,6 +12,7 @@ import numpy as np
 
 from rebrick import basis, linalg, multipliers, permutation
 from rebrick.errors import (
+    InternalConsistencyError,
     InvalidMatrix,
     InvalidSize,
     MatrixParseError,
@@ -394,6 +396,39 @@ def reference_regularity(s, size: int, tol=linalg.DEFAULT_TOL) -> linalg.Regular
     smax = float(np.max(s))
     cutoff = tol.rank_rel * size * smax
     return linalg.Regularity(float(np.min(s)), smax, cutoff, int(np.count_nonzero(s > cutoff)))
+
+
+def reference_rebrick_verdict(reg_B: linalg.Regularity, A, tol, norm_V1: float) -> dict:
+    """The eager verdict of rebrick_pair and rebrick_with_operator: eig(A) on every call.
+
+    reg_B judges B = (Id + iA) @ V1 and norm_V1 = sigma_max(V1).  The six
+    RebrickVerdict attributes by name; InternalConsistencyError where sigma_min(B)
+    breaks sigma_min(B) <= norm_V1 * min|eig(A) - i| + rounding.
+    """
+    smin_B = reg_B.sigma_min
+    rebrickable = reg_B.regular
+    eigs = linalg.sorted_eigvals(A)
+    min_dist = float(np.min(np.abs(eigs - 1j)))
+    warning = rebrickable and reg_B.near_edge(min_dist, tol)
+    if rebrickable != (min_dist > tol.eig_abs):
+        rounding = 64 * A.shape[0] * linalg.EPS * (reg_B.sigma_max + norm_V1 * math.hypot(*A.flat))
+        bound = norm_V1 * min_dist + rounding
+        if smin_B > bound:
+            raise InternalConsistencyError(
+                "singular-value and eigenvalue rebricking tests disagree: "
+                f"sigma_min(B)={smin_B:.3e} exceeds sigma_max(V1)*min|eig-i| + rounding={bound:.3e}"
+            )
+        warning = True
+
+    cond = reg_B.sigma_max / smin_B if smin_B > 0.0 else float("inf")
+    return {
+        "rebrickable": rebrickable,
+        "sigma_min_B": smin_B,
+        "eigenvalues_A": eigs,
+        "min_dist_to_i": min_dist,
+        "condition_number": cond,
+        "warning": warning,
+    }
 
 
 def reference_repair_permutation(A, tol=linalg.DEFAULT_TOL, seed: int = 0):

@@ -17,6 +17,7 @@ from support import (
     random_orthogonal,
     random_special_orthogonal,
     random_symmetric,
+    reference_rebrick_verdict,
     reference_spectral_factorize_orthosym,
     refuse_inverses,
     rotation,
@@ -129,13 +130,27 @@ class TestRebrickPair:
             basis.rebricked_frame_bounds(1e-150 * np.eye(2), 1e200 * np.eye(2))
 
     def test_three_svds_one_eig_one_solve(self, monkeypatch):
-        # sigma(V1), sigma(V2), sigma(B); eig(A); A by LU
+        # sigma(V1), sigma(V2), sigma(B); A by LU; eig(A) only where sigma leaves an
+        # eigenvalue near i possible: not on a clear "yes", once on a planted "no"
         rng = np.random.default_rng(6)
-        V1, V2 = random_invertible(rng, 4), random_invertible(rng, 4)
+        yes = random_invertible(rng, 4), random_invertible(rng, 4)
+        no = np.eye(4), plant_eigenvalue_i(rng, 4)
         refuse_inverses(monkeypatch)
-        counts = [count_linalg_calls(monkeypatch, name) for name in ("svd", "eigvals", "solve")]
-        basis.rebrick_pair(V1, V2)
-        assert [len(c) for c in counts] == [3, 1, 1]
+        for (V1, V2), want in ((yes, [3, 0, 1]), (no, [3, 1, 1])):
+            counts = [count_linalg_calls(monkeypatch, name) for name in ("svd", "eigvals", "solve")]
+            _, v = basis.rebrick_pair(V1, V2)
+            assert v.rebrickable == (want == [3, 0, 1])
+            assert [len(c) for c in counts] == want
+
+    def test_eigenvalues_are_computed_once(self, monkeypatch):
+        # a clear "yes" leaves eig(A) to the first read of either certificate; later reads hit the cache
+        rng = np.random.default_rng(6)
+        _, v = basis.rebrick_pair(random_invertible(rng, 4), random_invertible(rng, 4))
+        calls = count_linalg_calls(monkeypatch, "eigvals")
+        for _ in range(2):
+            eigs, min_dist = v.eigenvalues_A, v.min_dist_to_i
+        assert len(calls) == 1
+        assert v.eigenvalues_A is eigs and min_dist == float(np.min(np.abs(eigs - 1j)))
 
     def test_symmetry_of_the_relation(self):
         rng = np.random.default_rng(3)
@@ -193,8 +208,9 @@ class TestRebrickPair:
             return np.array([-1j, 1j])
 
         monkeypatch.setattr(linalg, "sorted_eigvals", planted_i)
+        # at eig_abs = 1, sigma_min(B) lies below WARN_BAND * eig_abs, so the eigenvalues are asked
         with pytest.raises(errors.InternalConsistencyError, match=r"sigma_min\(B\)=2.236e\+00"):
-            basis.rebrick_pair(np.eye(2), 2.0 * np.eye(2))
+            basis.rebrick_pair(np.eye(2), 2.0 * np.eye(2), linalg.Tolerance(eig_abs=1.0))
 
 
 class TestRebrickWithOperator:
@@ -275,6 +291,96 @@ class TestRebrickWithOperator:
             assert not v.rebrickable and not oracle.regular
         elif reg_B.sigma_min**2 > 1e4 * oracle.cutoff:
             assert v.rebrickable and oracle.regular
+
+
+_VERDICT_KEYS = ("rebrickable", "sigma_min_B", "eigenvalues_A", "min_dist_to_i", "condition_number", "warning")
+
+
+def _bits(attrs: dict) -> dict:
+    """The verdict's attributes as exact bit patterns: arrays by dtype, shape and bytes, floats in hex."""
+    def exact(x):
+        if isinstance(x, np.ndarray):
+            return x.dtype.str, x.shape, x.tobytes()
+        return x.hex() if isinstance(x, float) else x
+
+    return {k: (type(x).__name__, exact(x)) for k, x in attrs.items()}
+
+
+def _outcome(call):
+    """(True, the verdict's bits) or (False, (exception type, message))."""
+    try:
+        return True, _bits(call())
+    except errors.RebrickError as exc:
+        return False, (type(exc), str(exc))
+
+
+def _reference_pair(V1, V2, tol):
+    A1, A2 = linalg.require_square_pair(V1, V2, ("V1", "V2"), real=True)
+    norm_V1 = basis.require_basis(A1, "V1", tol).sigma_max
+    basis.require_basis(A2, "V2", tol)
+    A = basis.transfer_operator(A1, A2, tol)
+    return reference_rebrick_verdict(linalg.regularity_of(A1 + 1j * A2, tol), A, tol, norm_V1)
+
+
+def _reference_with_operator(A, V, tol):
+    A_, V_ = linalg.require_square_pair(A, V, ("A", "V"), real=True)
+    basis.require_basis(V_, "V", tol)
+    B = np.eye(A_.shape[0]) + 1j * A_
+    linalg.formed("B @ V", np.matmul, B, V_)
+    return reference_rebrick_verdict(linalg.regularity_of(B, tol), A_, tol, 1.0)
+
+
+def _attributes(v: basis.RebrickVerdict, tol) -> dict:
+    if "eigenvalues_A" not in vars(v):
+        # sigma alone decided: no eigenvalue may lie within WARN_BAND * eig_abs of i
+        assert v.rebrickable and v.min_dist_to_i > linalg.WARN_BAND * tol.eig_abs
+    return {k: getattr(v, k) for k in _VERDICT_KEYS}
+
+
+class TestEagerOracle:
+    """The verdict that skips eig(A) on a clear "yes" is the eager verdict, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        n=st.integers(2, 8),
+        kind=st.sampled_from(["random", "planted", "near i", "non-normal", "near the cutoff", "scaled"]),
+        scale=st.sampled_from([1.0, 1e170, 1e-170]),
+        log_eig_abs=st.floats(-12.0, 0.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_both_calls_match_the_eager_verdict(self, n, kind, scale, log_eig_abs, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            A = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal((n, n))
+        elif kind == "non-normal":  # eigenvalues +-i or real ones, upper part up to 1e12
+            T = 10.0 ** rng.uniform(0, 12) * np.triu(rng.standard_normal((n, n)), 1)
+            if rng.integers(2):
+                T[:2, :2] = ROT90
+            else:
+                T += np.diag(rng.standard_normal(n))
+            Q = random_orthogonal(rng, n)
+            A = Q @ T @ Q.T
+        elif kind == "near the cutoff":  # a Jordan-like block: sigma_min(Id + iA) within WARN_BAND of the cutoff
+            T = np.diag(rng.standard_normal(n))
+            T[0, 1] = 10.0 ** rng.uniform(5, 6.5)
+            Q = random_orthogonal(rng, n)
+            A = Q @ T @ Q.T
+        elif kind == "scaled":
+            A = scale * rng.standard_normal((n, n))
+        else:  # eigenvalues +-i, or an eigenvalue delta from i
+            A = plant_eigenvalue_i(rng, n)
+            if kind == "near i":
+                A = A + 10.0 ** rng.uniform(-12, -2) * np.eye(n)
+        tol = linalg.Tolerance(eig_abs=10.0**log_eig_abs)
+        V = scale * random_invertible(rng, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            AV = A @ V  # beyond float64 at some scales: both sides then refuse V2 alike
+        assert _outcome(lambda: _attributes(basis.rebrick_pair(V, AV, tol)[1], tol)) == _outcome(
+            lambda: _reference_pair(V, AV, tol)
+        )
+        assert _outcome(lambda: _attributes(basis.rebrick_with_operator(A, V, tol)[1], tol)) == _outcome(
+            lambda: _reference_with_operator(A, V, tol)
+        )
 
 
 class TestNonTransitivity:
@@ -547,11 +653,14 @@ class TestRebrickingFactor:
     def test_rebrick_with_operator_keeps_both_routes(self, monkeypatch):
         rng = np.random.default_rng(23)
         A, V = random_symmetric(rng, 4), random_invertible(rng, 4)
-        svd_calls = count_svd_calls(monkeypatch)
-        eig_calls = count_linalg_calls(monkeypatch, "eigvals")
-        basis.rebrick_with_operator(A, V)
-        # V and Id + iA; the eigenvalues of A
-        assert (len(svd_calls), len(eig_calls)) == (2, 1)
+        gray = rotation(np.pi / 2) + 1e-10 * np.eye(2)  # regular, yet an eigenvalue 1e-10 from i
+        # V and Id + iA; the eigenvalues of A only where sigma_min(Id + iA) leaves them in doubt
+        for (A_, V_), want in (((A, V), (2, 0)), ((gray, np.eye(2)), (2, 1))):
+            svd_calls = count_svd_calls(monkeypatch)
+            eig_calls = count_linalg_calls(monkeypatch, "eigvals")
+            _, v = basis.rebrick_with_operator(A_, V_)
+            assert v.rebrickable and v.warning == (want == (2, 1))
+            assert (len(svd_calls), len(eig_calls)) == want
 
 
 class TestRebrickedFrameBounds:

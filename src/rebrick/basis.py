@@ -20,7 +20,9 @@ sigma(Id + i*A) alone, through `rebricking_factor`.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -35,34 +37,50 @@ from .errors import (
 from .linalg import DEFAULT_TOL, EPS, WARN_BAND, Regularity, Tolerance
 
 
+class _Eigenvalues:
+    """eig(A), sorted by (real, imag), and min|eig(A) - i| of a private copy of A, computed once."""
+
+    def __init__(self, A: np.ndarray):
+        self._A = A.copy()  # the caller may change its A once the verdict is made
+
+    @functools.cached_property
+    def certificates(self) -> tuple[np.ndarray, float]:
+        eigs = linalg.sorted_eigvals(self._A)
+        return eigs, float(np.min(np.abs(eigs - 1j)))
+
+
 @dataclass(frozen=True, eq=False)
 class RebrickVerdict:
     """Certificate for one rebricking decision.
 
     sigma_min_B is the smallest singular value of the complex candidate
     (V1 + i*V2, or Id + i*A); the verdict is True exactly when it clears
-    the rank cutoff.  The eigenvalues of the transfer operator A, which
-    the record keeps, are its diagnostic companion: eigenvalues_A and
-    min_dist_to_i are computed when the verdict is made only where sigma
-    leaves an eigenvalue near i possible, and otherwise on first read;
-    either way once, then cached.
+    the rank cutoff.  The eigenvalues of the transfer operator A, of which
+    the record keeps a copy, are its diagnostic companion: eigenvalues_A
+    and min_dist_to_i are computed when the verdict is made only where
+    sigma leaves an eigenvalue near i possible, and otherwise on first
+    read; either way once, then cached.
     """
 
     rebrickable: bool
     sigma_min_B: float
     condition_number: float
     warning: bool
-    _A: np.ndarray = field(repr=False)
+    _eig: _Eigenvalues = field(repr=False)
+    # the public attributes, in the order the CLI reports them
+    KEYS: ClassVar[tuple[str, ...]] = (
+        "rebrickable", "sigma_min_B", "eigenvalues_A", "min_dist_to_i", "condition_number", "warning"
+    )
 
-    @functools.cached_property
+    @property
     def eigenvalues_A(self) -> np.ndarray:
         """Eigenvalues of A, sorted by (real, imag)."""
-        return linalg.sorted_eigvals(self._A)
+        return self._eig.certificates[0]
 
-    @functools.cached_property
+    @property
     def min_dist_to_i(self) -> float:
         """min|eig(A) - i|."""
-        return float(np.min(np.abs(self.eigenvalues_A - 1j)))
+        return self._eig.certificates[1]
 
 
 @dataclass(frozen=True)
@@ -97,11 +115,11 @@ def _verdict(reg_B: Regularity, A: np.ndarray, tol: Tolerance, norm_V1: float) -
     amax = float(np.abs(A).max())  # ||A||_F = amax * ||A / amax||_F squares nothing beyond float64
     norm_A = amax * float(np.linalg.norm(A / amax)) if amax > 0.0 else 0.0
     rounding = 64 * A.shape[0] * EPS * (reg_B.sigma_max + norm_V1 * norm_A)
+    eig = _Eigenvalues(A)
     if rebrickable and smin_B > norm_V1 * WARN_BAND * tol.eig_abs + rounding:
-        return RebrickVerdict(rebrickable, smin_B, cond, smin_B <= WARN_BAND * reg_B.cutoff, A)
+        return RebrickVerdict(rebrickable, smin_B, cond, reg_B.near_edge(math.inf, tol), eig)
 
-    eigs = linalg.sorted_eigvals(A)
-    min_dist = float(np.min(np.abs(eigs - 1j)))
+    _, min_dist = eig.certificates
     warning = rebrickable and reg_B.near_edge(min_dist, tol)
     if rebrickable != (min_dist > tol.eig_abs):
         bound = norm_V1 * min_dist + rounding
@@ -111,10 +129,7 @@ def _verdict(reg_B: Regularity, A: np.ndarray, tol: Tolerance, norm_V1: float) -
                 f"sigma_min(B)={smin_B:.3e} exceeds sigma_max(V1)*min|eig-i| + rounding={bound:.3e}"
             )
         warning = True
-
-    v = RebrickVerdict(rebrickable, smin_B, cond, warning, A)
-    vars(v).update(eigenvalues_A=eigs, min_dist_to_i=min_dist)  # the cache of both properties
-    return v
+    return RebrickVerdict(rebrickable, smin_B, cond, warning, eig)
 
 
 def check_basis(V, tol: Tolerance = DEFAULT_TOL) -> Regularity:

@@ -134,9 +134,7 @@ def _check_basis(args, tol, M):
        {"V1": "file_v1", "V2": "file_v2"}, (_TOL,), out=True)
 def _rebrick(args, tol, V1, V2):
     B, v = basis.rebrick_pair(V1, V2, tol)
-    # asdict would skip eigenvalues_A and min_dist_to_i, cached properties read (and computed) here
-    keys = ("rebrickable", "sigma_min_B", "eigenvalues_A", "min_dist_to_i", "condition_number", "warning")
-    certs = {**{k: getattr(v, k) for k in keys}, "out": B if v.rebrickable else None}
+    certs = {**{k: getattr(v, k) for k in basis.RebrickVerdict.KEYS}, "out": B if v.rebrickable else None}
     return {"rebrickable": v.rebrickable}, certs, v.rebrickable
 
 

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -293,9 +295,6 @@ class TestRebrickWithOperator:
             assert v.rebrickable and oracle.regular
 
 
-_VERDICT_KEYS = ("rebrickable", "sigma_min_B", "eigenvalues_A", "min_dist_to_i", "condition_number", "warning")
-
-
 def _bits(attrs: dict) -> dict:
     """The verdict's attributes as exact bit patterns: arrays by dtype, shape and bytes, floats in hex."""
     def exact(x):
@@ -330,11 +329,20 @@ def _reference_with_operator(A, V, tol):
     return reference_rebrick_verdict(linalg.regularity_of(B, tol), A_, tol, 1.0)
 
 
-def _attributes(v: basis.RebrickVerdict, tol) -> dict:
-    if "eigenvalues_A" not in vars(v):
+def _attributes(call, tol) -> dict:
+    """The six attributes of the verdict that call() returns, read after the call."""
+    with mock.patch.object(np.linalg, "eigvals", wraps=np.linalg.eigvals) as eigvals:
+        v = call()[1]
+    if not eigvals.called:
         # sigma alone decided: no eigenvalue may lie within WARN_BAND * eig_abs of i
         assert v.rebrickable and v.min_dist_to_i > linalg.WARN_BAND * tol.eig_abs
-    return {k: getattr(v, k) for k in _VERDICT_KEYS}
+    return {k: getattr(v, k) for k in basis.RebrickVerdict.KEYS}
+
+
+def test_verdict_keys_are_the_public_attributes():
+    _, v = basis.rebrick_with_operator(np.zeros((2, 2)), np.eye(2))
+    public = {k for k in dir(v) if not k.startswith("_")} - {"KEYS"}
+    assert len(basis.RebrickVerdict.KEYS) == len(public) and set(basis.RebrickVerdict.KEYS) == public
 
 
 class TestEagerOracle:
@@ -375,10 +383,10 @@ class TestEagerOracle:
         V = scale * random_invertible(rng, n)
         with np.errstate(over="ignore", invalid="ignore"):
             AV = A @ V  # beyond float64 at some scales: both sides then refuse V2 alike
-        assert _outcome(lambda: _attributes(basis.rebrick_pair(V, AV, tol)[1], tol)) == _outcome(
+        assert _outcome(lambda: _attributes(lambda: basis.rebrick_pair(V, AV, tol), tol)) == _outcome(
             lambda: _reference_pair(V, AV, tol)
         )
-        assert _outcome(lambda: _attributes(basis.rebrick_with_operator(A, V, tol)[1], tol)) == _outcome(
+        assert _outcome(lambda: _attributes(lambda: basis.rebrick_with_operator(A, V, tol), tol)) == _outcome(
             lambda: _reference_with_operator(A, V, tol)
         )
 
@@ -661,6 +669,18 @@ class TestRebrickingFactor:
             _, v = basis.rebrick_with_operator(A_, V_)
             assert v.rebrickable and v.warning == (want == (2, 1))
             assert (len(svd_calls), len(eig_calls)) == want
+
+    def test_certificates_are_those_of_the_judged_operator(self):
+        # the verdict keeps its own copy of A: a caller reusing its buffer changes no certificate
+        rng = np.random.default_rng(24)
+        clear = random_symmetric(rng, 4)
+        gray = rotation(np.pi / 2) + 1e-10 * np.eye(2)
+        for A in (clear, gray):
+            want = linalg.sorted_eigvals(A)
+            _, v = basis.rebrick_with_operator(A, np.eye(len(A)))
+            A[...] = rotation(np.pi / 2) if len(A) == 2 else 0.0
+            np.testing.assert_array_equal(v.eigenvalues_A, want)
+            assert v.min_dist_to_i == float(np.min(np.abs(want - 1j)))
 
 
 class TestRebrickedFrameBounds:
